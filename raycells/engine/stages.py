@@ -20,7 +20,6 @@ from raycells.io import tilestore
 
 __all__ = [
     "TileDecoder",
-    "BandDecoder",
     "tile_stats",
     "band_stats",
     "band_content_hash",
@@ -95,25 +94,6 @@ class TileDecoder:
             }
         )
         return out
-
-
-class BandDecoder:
-    """Actor-pool stage for fixed-uint16 band tiles (the SQL-checkable
-    family): emits two bands per tile for NDVI-style band math."""
-
-    def __init__(self, bands=(4, 5)):
-        self.bands = bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        seeds = tilestore.seed_of_refs(batch["media_ref"])
-        cols = {name: batch[name] for name in batch.column_names}
-        for b in self.bands:
-            v = tilestore.synth_band_values(seeds, b)
-            nrows, ncells = v.shape
-            offsets = pa.array(np.arange(nrows + 1, dtype=np.int32) * ncells)
-            flat = pa.array(v.reshape(-1))
-            cols[f"band{b}"] = pa.ListArray.from_arrays(offsets, flat)
-        return pa.table(cols)
 
 
 _STATS_CHUNK = 64  # rows per reduction chunk (~2 MB working set, CLAUDE.md)

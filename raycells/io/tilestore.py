@@ -45,6 +45,7 @@ BIG_SHAPE = (186, 169)  # Landsat-chip fixture shape (rasterband.rs:180-183)
 MUL_A = 2654435761
 MUL_I = 40503
 VAL_MOD = 65520  # band values in 1..65520, nodata sentinel 0
+RAW_MOD = 65521  # erased-tile raw values: (s·MUL_A + i·MUL_I) mod 65521
 MASK_MOD = 33  # ~3% of cells masked: (seed + i*7) % 33 == 0
 MASK_MUL = 7
 
@@ -609,7 +610,7 @@ def synth_tiles(seeds: np.ndarray) -> Dict[str, list]:
             n = (BIG_SHAPE[0] * BIG_SHAPE[1]) if is_big else TILE_N
             ss = s[sel][:, None]
             i = np.arange(n, dtype=np.int64)[None, :]
-            raw = (ss * MUL_A + i * MUL_I) % 65521
+            raw = (ss * MUL_A + i * MUL_I) % RAW_MOD
             vals = _typed_values(raw, ct)
             invalid = (ss + i * MASK_MUL) % MASK_MOD == 0
             vals[invalid] = sentinel
@@ -636,35 +637,116 @@ def synth_tiles(seeds: np.ndarray) -> Dict[str, list]:
 # fused chunked stats (cache-resident decode→reduce; no payload materialized)
 # ---------------------------------------------------------------------------
 
-_CHUNK = 64  # tiles per chunk: 64 × 4096 × 8 B = 2 MB temporaries → cache-resident
-_SCRATCH: dict = {}  # (kind, n) → reusable buffer; actors/workers are single-threaded
+# Tiles per chunk: a (64, 4096) float64 scratch is 2 MB, so the gathered
+# values, the chunk's mask rows and the reduction temporaries stay
+# cache-resident instead of streaming full-batch matrices through DRAM.
+_CHUNK = 64
+# Per-worker reusable chunk buffers AND the lookup tables below (value
+# tables, mask tables, index offsets), keyed by kind and size. Module-level
+# so they persist in Ray's reused worker processes; actors and task workers
+# are single-threaded, so sharing them needs no lock.
+_SCRATCH: dict = {}
+
+_I64_MAX = 2**63 - 1
+# The per-cell formulas run in int64, which wraps by 2^64. Past a wrap the
+# mod-m residue drops by 2^64 mod m; the table kernels repeat that exactly.
+_WRAP_RAW = 2**64 % RAW_MOD
+_WRAP_MASK = 2**64 % MASK_MOD
+
+
+def _cached(key, build):
+    v = _SCRATCH.get(key)
+    if v is None:
+        v = _SCRATCH[key] = build()
+    return v
 
 
 def _scratch(kind: str, n: int, dtype) -> np.ndarray:
-    key = (kind, n, np.dtype(dtype).name)
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        buf = np.empty((_CHUNK, n), dtype=dtype)
-        _SCRATCH[key] = buf
-    return buf
+    return _cached(
+        (kind, n, np.dtype(dtype).name), lambda: np.empty((_CHUNK, n), dtype=dtype)
+    )
 
 
 def _imul_cache(n: int, offset: int) -> np.ndarray:
-    key = ("imul", n, offset)
-    v = _SCRATCH.get(key)
-    if v is None:
-        v = (np.arange(n, dtype=np.int64) + offset) * MUL_I
-        _SCRATCH[key] = v
-    return v
+    return _cached(
+        ("imul", n, offset), lambda: (np.arange(n, dtype=np.int64) + offset) * MUL_I
+    )
 
 
-def _i7_cache(n: int) -> np.ndarray:
-    key = ("i7", n)
-    v = _SCRATCH.get(key)
-    if v is None:
-        v = np.arange(n, dtype=np.int64) * MASK_MUL
-        _SCRATCH[key] = v
-    return v
+def _wrap_points(x: np.ndarray, n: int, step: int):
+    """``(row, t)`` for every tile whose int64 ``x + i·step`` overflows
+    inside the tile (``i < n``); ``t`` is its first wrapped cell. Only
+    seeds within ``step·n`` of the int64 edge qualify, so this is almost
+    always empty."""
+    rows = np.flatnonzero(x > _I64_MAX - step * (n - 1))
+    return [(k, (_I64_MAX - int(x[k])) // step + 1) for k in rows]
+
+
+def _mask_table(n: int):
+    """(33, n) validity rows plus their valid counts: row m is
+    ``(m + i·7) % 33 != 0``, the mask of every n-cell tile whose seed is
+    ≡ m (mod 33)."""
+
+    def build():
+        i7 = np.arange(n, dtype=np.int64) * MASK_MUL
+        rows = (np.arange(MASK_MOD, dtype=np.int64)[:, None] + i7) % MASK_MOD != 0
+        return rows, rows.sum(axis=1)
+
+    return _cached(("mask", n), build)
+
+
+def _tile_masks(s: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Validity ``(s + i·7) % 33 != 0`` (int64 arithmetic) of the tiles
+    seeded ``s`` into ``out[:len(s)]``; returns their valid counts.
+
+    THE mask of every tile family: a row copy from the mask table, the
+    count a table lookup. A tile whose ``s + i·7`` wraps int64 switches
+    from its wrap point on to row ``(m − 2^64 mod 33) mod 33``."""
+    rows, counts = _mask_table(n)
+    m = s % MASK_MOD
+    np.take(rows, m, axis=0, out=out[: len(s)], mode="clip")
+    nv = counts[m]
+    for k, t in _wrap_points(s, n, MASK_MUL):
+        out[k, t:] = rows[(m[k] - _WRAP_MASK) % MASK_MOD, t:]
+        nv[k] = np.count_nonzero(out[k])
+    return nv
+
+
+def _value_table(ct: CellType) -> np.ndarray:
+    """float64 typed value of every raw residue, laid out twice:
+    ``T[k] = _typed_values(k mod 65521)`` for ``k < 2·65521``, so a
+    residue sum ``c + r`` indexes it with no modulo."""
+
+    def build():
+        t = _typed_values(np.arange(RAW_MOD, dtype=np.int64), ct).astype(np.float64)
+        return np.concatenate([t, t])
+
+    return _cached(("values", ct.name), build)
+
+
+def _raw_offsets(n: int) -> np.ndarray:
+    """r_i = (i·MUL_I) mod 65521, the per-cell half of the raw residue."""
+    return _cached(
+        ("raw_offsets", n), lambda: np.arange(n, dtype=np.int64) * MUL_I % RAW_MOD
+    )
+
+
+def _tile_values(
+    s: np.ndarray, n: int, ct: CellType, idx: np.ndarray, out: np.ndarray
+) -> None:
+    """float64 cell values of the ``ct`` tiles seeded ``s`` into
+    ``out[:len(s)]``, gathered from the value table at ``c + r_i``
+    (``idx`` is int64 index scratch of the same shape)."""
+    g = len(s)
+    r = _raw_offsets(n)
+    x = s * MUL_A  # int64, wraps exactly as the per-cell formula does
+    c = x % RAW_MOD
+    np.add(c[:, None], r, out=idx[:g])
+    for k, t in _wrap_points(x, n, MUL_I):
+        np.add((c[k] - _WRAP_RAW) % RAW_MOD, r[t:], out=idx[k, t:])
+    # indices are in range by construction; "clip" skips the copy that
+    # the default mode="raise" makes of ``out``
+    np.take(_value_table(ct), idx[:g], out=out[:g], mode="clip")
 
 
 def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
@@ -673,10 +755,36 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
 
     Equivalent to ``synth_tiles`` → ``stages.tile_stats`` (same masked
     min/max fold semantics, inverted sentinels when fully masked; values
-    here are exactly representable in float64 so the reduction is exact).
-    The memory-traffic savings are what make the decode stage scale with
-    CPUs instead of saturating DRAM bandwidth."""
+    here are exactly representable in float64 so the reduction is exact),
+    and bit-identical to evaluating ``synth_tiles``' per-cell formulas.
+
+    The decode is table-driven rather than per-cell arithmetic, from two
+    identities of those formulas:
+
+    - values: ``(s·MUL_A + i·MUL_I) mod 65521 = (c + r_i) mod 65521`` with
+      ``c = (s·MUL_A) mod 65521`` per tile and ``r_i = (i·MUL_I) mod
+      65521`` per cell (cached per size), so a tile's values are a gather
+      from a per-cell-type table of all 65521 typed residues;
+    - mask: ``(s + i·7) mod 33`` depends on the seed only through
+      ``s mod 33``, so a tile's mask is one of 33 cached rows and its
+      valid count a lookup.
+
+    Wrap rule: the per-cell formulas are int64 arithmetic, and for seeds
+    near the int64 edge ``s·MUL_A + i·MUL_I`` or ``s + i·7`` overflows
+    partway through a tile. From that cell on the residue drops by 2^64
+    mod 65521 (resp. 2^64 mod 33), and the affected tiles switch offset
+    (resp. mask row) there — so every int64 seed decodes exactly as the
+    formula does.
+
+    Each distinct seed is decoded once per batch (interleaved corpora
+    repeat media refs); results are expanded back to input order."""
     s = np.asarray(seeds, dtype=np.int64)
+    u, inv = np.unique(s, return_inverse=True)
+    st = _distinct_tile_stats(u)
+    return {k: v[inv] for k, v in st.items()}
+
+
+def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
     ct_idx = tile_cell_types(s)
     shapes = tile_shapes(s)
     ext = extents(s)
@@ -698,28 +806,16 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
             if sel.size == 0:
                 continue
             n = (BIG_SHAPE[0] * BIG_SHAPE[1]) if is_big else TILE_N
-            imul = _imul_cache(n, 0)
-            i7 = _i7_cache(n)
-            i64 = _scratch("i64", n, np.int64)
-            i64b = _scratch("i64b", n, np.int64)
+            idx = _scratch("i64", n, np.int64)
             f64 = _scratch("f64", n, np.float64)
             valid = _scratch("bool", n, np.bool_)
             for lo in range(0, sel.size, _CHUNK):
                 rows = sel[lo : lo + _CHUNK]
                 g = rows.size
-                ss = s[rows][:, None]
-                # raw = (s*A + i*I) % 65521   (scratch-resident)
-                np.add(ss * MUL_A, imul, out=i64[:g])
-                np.mod(i64[:g], 65521, out=i64[:g])
-                vals = _typed_values(i64[:g], ct)
-                # invalid = (s + i*7) % 33 == 0
-                np.add(ss, i7, out=i64b[:g])
-                np.mod(i64b[:g], MASK_MOD, out=i64b[:g])
-                np.not_equal(i64b[:g], 0, out=valid[:g])
-                v = valid[:g]
-                np.copyto(f64[:g], vals)  # exact: all values < 2^53
-                vf = f64[:g]
-                nv = v.sum(axis=1)
+                ss = s[rows]
+                _tile_values(ss, n, ct, idx, f64)
+                nv = _tile_masks(ss, n, valid)
+                vf, v = f64[:g], valid[:g]
                 mn = np.where(v, vf, np.inf).min(axis=1)
                 mx = np.where(v, vf, -np.inf).max(axis=1)
                 none = nv == 0
@@ -756,9 +852,7 @@ def synth_band_stats(seeds: np.ndarray, band: int) -> Dict[str, np.ndarray]:
     N = len(s)
     n = TILE_N
     imul = _imul_cache(n, band * 101)
-    i7 = _i7_cache(n)
     i64 = _scratch("i64", n, np.int64)
-    i64b = _scratch("i64b", n, np.int64)
     valid = _scratch("bool", n, np.bool_)
     valid_c = np.empty(N, dtype=np.int64)
     sum_v = np.empty(N, dtype=np.int64)
@@ -766,15 +860,12 @@ def synth_band_stats(seeds: np.ndarray, band: int) -> Dict[str, np.ndarray]:
     max_v = np.empty(N, dtype=np.int64)
     for lo in range(0, N, _CHUNK):
         g = min(_CHUNK, N - lo)
-        ss = s[lo : lo + g][:, None]
-        np.add(ss * MUL_A, imul, out=i64[:g])
+        ss = s[lo : lo + g]
+        np.add(ss[:, None] * MUL_A, imul, out=i64[:g])
         np.mod(i64[:g], VAL_MOD, out=i64[:g])
         np.add(i64[:g], 1, out=i64[:g])  # v in 1..65520
-        np.add(ss, i7, out=i64b[:g])
-        np.mod(i64b[:g], MASK_MOD, out=i64b[:g])
-        np.not_equal(i64b[:g], 0, out=valid[:g])
+        valid_c[lo : lo + g] = _tile_masks(ss, n, valid)
         v, m = i64[:g], valid[:g]
-        valid_c[lo : lo + g] = m.sum(axis=1)
         sum_v[lo : lo + g] = np.where(m, v, 0).sum(axis=1)
         min_v[lo : lo + g] = np.where(m, v, np.int64(1 << 40)).min(axis=1)
         max_v[lo : lo + g] = np.where(m, v, np.int64(-1)).max(axis=1)
@@ -788,13 +879,11 @@ def synth_band_stats(seeds: np.ndarray, band: int) -> Dict[str, np.ndarray]:
 
 
 def _p31_cache(n: int) -> np.ndarray:
-    key = ("p31", n)
-    v = _SCRATCH.get(key)
-    if v is None:
+    def build():
         with np.errstate(over="ignore"):
-            v = np.uint64(31) ** np.arange(n, dtype=np.uint64)
-        _SCRATCH[key] = v
-    return v
+            return np.uint64(31) ** np.arange(n, dtype=np.uint64)
+
+    return _cached(("p31", n), build)
 
 
 def synth_band_content_hash(seeds: np.ndarray, band: int = 4) -> np.ndarray:
@@ -810,22 +899,20 @@ def synth_band_content_hash(seeds: np.ndarray, band: int = 4) -> np.ndarray:
     N = len(s)
     n = TILE_N
     imul = _imul_cache(n, band * 101)
-    i7 = _i7_cache(n)
     i64 = _scratch("i64", n, np.int64)
-    i64b = _scratch("i64b", n, np.int64)
+    valid = _scratch("bool", n, np.bool_)
     u64 = _scratch("u64", n, np.uint64)
     p31 = _p31_cache(n)
     out = np.empty(N, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for lo in range(0, N, _CHUNK):
             g = min(_CHUNK, N - lo)
-            ss = s[lo : lo + g][:, None]
-            np.add(ss * MUL_A, imul, out=i64[:g])
+            ss = s[lo : lo + g]
+            np.add(ss[:, None] * MUL_A, imul, out=i64[:g])
             np.mod(i64[:g], VAL_MOD, out=i64[:g])
             np.add(i64[:g], 1, out=i64[:g])  # v in 1..65520
-            np.add(ss, i7, out=i64b[:g])
-            np.mod(i64b[:g], MASK_MOD, out=i64b[:g])
-            i64[:g][i64b[:g] == 0] = 0  # nodata sentinel
+            _tile_masks(ss, n, valid)
+            np.multiply(i64[:g], valid[:g], out=i64[:g])  # nodata sentinel 0
             np.copyto(u64[:g], i64[:g], casting="unsafe")
             np.multiply(u64[:g], p31[None, :], out=u64[:g])
             out[lo : lo + g] = u64[:g].sum(axis=1, dtype=np.uint64)
@@ -845,10 +932,8 @@ def synth_ndvi_stats(seeds: np.ndarray, red_band: int = 4, nir_band: int = 5) ->
     n = TILE_N
     imul_r = _imul_cache(n, red_band * 101)
     imul_n = _imul_cache(n, nir_band * 101)
-    i7 = _i7_cache(n)
     red = _scratch("i64", n, np.int64)
     nir = _scratch("i64b", n, np.int64)
-    msk = _scratch("i64c", n, np.int64)
     f64 = _scratch("f64", n, np.float64)
     valid = _scratch("bool", n, np.bool_)
     n_valid = np.empty(N, dtype=np.int64)
@@ -856,21 +941,18 @@ def synth_ndvi_stats(seeds: np.ndarray, red_band: int = 4, nir_band: int = 5) ->
     ndvi_max = np.empty(N, dtype=np.float64)
     for lo in range(0, N, _CHUNK):
         g = min(_CHUNK, N - lo)
-        ss = s[lo : lo + g][:, None]
-        np.add(ss * MUL_A, imul_r, out=red[:g])
+        ss = s[lo : lo + g]
+        np.add(ss[:, None] * MUL_A, imul_r, out=red[:g])
         np.mod(red[:g], VAL_MOD, out=red[:g])
         np.add(red[:g], 1, out=red[:g])
-        np.add(ss * MUL_A, imul_n, out=nir[:g])
+        np.add(ss[:, None] * MUL_A, imul_n, out=nir[:g])
         np.mod(nir[:g], VAL_MOD, out=nir[:g])
         np.add(nir[:g], 1, out=nir[:g])
-        np.add(ss, i7, out=msk[:g])
-        np.mod(msk[:g], MASK_MOD, out=msk[:g])
-        np.not_equal(msk[:g], 0, out=valid[:g])  # same sentinel mask both bands
+        nv = _tile_masks(ss, n, valid)  # same sentinel mask both bands
         v = valid[:g]
         # ndvi = (nir - red) / (nir + red), elementwise exact doubles
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(nir[:g] - red[:g], nir[:g] + red[:g], out=f64[:g])
-        nv = v.sum(axis=1)
         n_valid[lo : lo + g] = nv
         mn = np.where(v, f64[:g], np.inf).min(axis=1)
         mx = np.where(v, f64[:g], -np.inf).max(axis=1)
@@ -898,10 +980,8 @@ def synth_band_delta_stats(
     n = TILE_N
     imul_a = _imul_cache(n, band_a * 101)
     imul_b = _imul_cache(n, band_b * 101)
-    i7 = _i7_cache(n)
     va = _scratch("i64", n, np.int64)
     vb = _scratch("i64b", n, np.int64)
-    msk = _scratch("i64c", n, np.int64)
     valid = _scratch("bool", n, np.bool_)
     valid_c = np.empty(N, dtype=np.int64)
     sum_d = np.empty(N, dtype=np.int64)
@@ -909,17 +989,14 @@ def synth_band_delta_stats(
     max_d = np.empty(N, dtype=np.int64)
     for lo in range(0, N, _CHUNK):
         g = min(_CHUNK, N - lo)
-        ss = s[lo : lo + g][:, None]
-        np.add(ss * MUL_A, imul_a, out=va[:g])
+        ss = s[lo : lo + g]
+        np.add(ss[:, None] * MUL_A, imul_a, out=va[:g])
         np.mod(va[:g], VAL_MOD, out=va[:g])
-        np.add(ss * MUL_A, imul_b, out=vb[:g])
+        np.add(ss[:, None] * MUL_A, imul_b, out=vb[:g])
         np.mod(vb[:g], VAL_MOD, out=vb[:g])
         np.subtract(vb[:g], va[:g], out=vb[:g])  # the +1 offsets cancel
-        np.add(ss, i7, out=msk[:g])
-        np.mod(msk[:g], MASK_MOD, out=msk[:g])
-        np.not_equal(msk[:g], 0, out=valid[:g])
+        valid_c[lo : lo + g] = _tile_masks(ss, n, valid)
         d, m = vb[:g], valid[:g]
-        valid_c[lo : lo + g] = m.sum(axis=1)
         sum_d[lo : lo + g] = np.where(m, d, 0).sum(axis=1)
         min_d[lo : lo + g] = np.where(m, d, np.int64(1 << 40)).min(axis=1)
         max_d[lo : lo + g] = np.where(m, d, np.int64(-(1 << 40))).max(axis=1)
@@ -929,28 +1006,3 @@ def synth_band_delta_stats(
         "min_delta": min_d,
         "max_delta": max_d,
     }
-
-
-def tile_schema() -> pa.Schema:
-    """Arrow schema for decoded erased tiles crossing stage boundaries
-    (SURVEY.md §7.3: binary payload + dtype tag + shape keeps the buffer in
-    its native encoding; numpy views it zero-copy via ``.view(dtype)``)."""
-    return pa.schema(
-        [
-            ("doc_id", pa.string()),
-            ("span_idx", pa.int32()),
-            ("media_ref", pa.string()),
-            ("data", pa.large_binary()),
-            ("mask", pa.large_binary()),
-            ("cell_type", pa.string()),
-            ("nrows", pa.int32()),
-            ("ncols", pa.int32()),
-            ("nodata", pa.float64()),
-            ("lon", pa.float64()),
-            ("lat", pa.float64()),
-            ("minx", pa.float64()),
-            ("miny", pa.float64()),
-            ("maxx", pa.float64()),
-            ("maxy", pa.float64()),
-        ]
-    )

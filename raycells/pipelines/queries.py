@@ -9790,6 +9790,10 @@ def q_idw_interpolate(sf_dir: str):
         .groupby("query_id", sort=True)
         .sum()
     )
+    # every swv term is w · mean ≤ W0 · VAL_MOD, so the int64 fold is
+    # exact while the summed tile count keeps n · W0 · VAL_MOD < 2^63
+    if int(f["n"].sum()) * W0 * tilestore.VAL_MOD >= 2**63:  # pragma: no cover
+        raise OverflowError("idw_interpolate: too many in-radius tiles for int64 swv")
     sw = f["sw"].to_numpy(np.int64)
     swv = f["swv"].to_numpy(np.int64)
     idw = np.where(sw > 0, swv.astype(np.float64) / sw.astype(np.float64), 0.0)
@@ -10702,7 +10706,7 @@ def q_seasonal_anomaly(sf_dir: str):
     > 3× their own (type, dow, hour) seasonal-cell MEAN, the
     baseline-aware alternative to global z-scores (a Friday-evening
     spike is judged against Friday evenings): cross-multiplied exact
-    predicate n_cell · x > 5 · sum_cell — no float mean anywhere.
+    predicate n_cell · x > 3 · sum_cell — no float mean anywhere.
 
     Shape at scale: pass 1 is the seasonality_profile fold (bounded by
     types × 168 cells); pass 2 re-streams events through a stateless

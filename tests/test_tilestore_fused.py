@@ -189,3 +189,220 @@ def test_band_delta_stats_matches_full_decode():
     assert np.array_equal(
         got["max_delta"], np.where(m, d, np.int64(-(1 << 40))).max(axis=1)
     )
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the table-driven synth_tile_stats against the per-cell
+# int64 formulas
+# ---------------------------------------------------------------------------
+
+I64_MAX = 2**63 - 1
+BIG_N = tilestore.BIG_SHAPE[0] * tilestore.BIG_SHAPE[1]
+STATS_COLUMNS = (
+    "cell_type", "nrows", "ncols", "min_val", "max_val", "mean_val",
+    "valid_count", "nodata_count", "lon", "lat", "minx", "miny", "maxx", "maxy",
+)
+
+
+def _per_cell_tile_stats(seeds):
+    """Straight-line reference: every cell's raw value and mask from the
+    int64 formulas ``(s·MUL_A + i·MUL_I) % 65521`` and ``(s + i·7) % 33``
+    (wrapping exactly as int64 does), reduced in 64-tile chunks by the
+    float64 masked fold."""
+    s = np.asarray(seeds, dtype=np.int64)
+    ct_idx = tilestore.tile_cell_types(s)
+    shapes = tilestore.tile_shapes(s)
+    N = len(s)
+    min_v = np.empty(N, dtype=np.float64)
+    max_v = np.empty(N, dtype=np.float64)
+    mean_v = np.full(N, np.nan, dtype=np.float64)
+    valid_c = np.zeros(N, dtype=np.int64)
+    cts = np.empty(N, dtype=object)
+    big = shapes[:, 0] != tilestore.TILE_H
+    for ci in np.unique(ct_idx):
+        ct = CELL_TYPES[ci]
+        for is_big in (False, True):
+            sel = np.nonzero((ct_idx == ci) & (big == is_big))[0]
+            n = BIG_N if is_big else tilestore.TILE_N
+            i = np.arange(n, dtype=np.int64)[None, :]
+            for lo in range(0, sel.size, 64):
+                rows = sel[lo : lo + 64]
+                ss = s[rows][:, None]
+                raw = (ss * tilestore.MUL_A + i * tilestore.MUL_I) % 65521
+                vf = np.empty(raw.shape, dtype=np.float64)
+                np.copyto(vf, tilestore._typed_values(raw, ct))
+                v = (ss + i * tilestore.MASK_MUL) % tilestore.MASK_MOD != 0
+                nv = v.sum(axis=1)
+                mn = np.where(v, vf, np.inf).min(axis=1)
+                mx = np.where(v, vf, -np.inf).max(axis=1)
+                none = nv == 0
+                mn[none] = float(ct.max_value().to_f64())
+                mx[none] = float(ct.min_value().to_f64())
+                sums = np.where(v, vf, 0.0).sum(axis=1)
+                min_v[rows] = mn
+                max_v[rows] = mx
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    mean_v[rows] = np.where(nv > 0, sums / np.maximum(nv, 1), np.nan)
+                valid_c[rows] = nv
+            cts[sel] = ct.name
+    n_cells = shapes[:, 0].astype(np.int64) * shapes[:, 1]
+    return {
+        "cell_type": cts,
+        "nrows": shapes[:, 0],
+        "ncols": shapes[:, 1],
+        "min_val": min_v,
+        "max_val": max_v,
+        "mean_val": mean_v,
+        "valid_count": valid_c,
+        "nodata_count": n_cells - valid_c,
+        **tilestore.extents(s),
+    }
+
+
+def _assert_bit_identical(seeds):
+    got = tilestore.synth_tile_stats(seeds)
+    want = _per_cell_tile_stats(seeds)
+    assert sorted(got) == sorted(STATS_COLUMNS)
+    for col in STATS_COLUMNS:
+        g, w = got[col], want[col]
+        assert len(g) == len(seeds), col
+        if w.dtype == object:
+            assert list(g) == list(w), col
+        else:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), col
+
+
+def _seed_key(s):
+    """(cell-type index, big shape?) of one seed."""
+    return int(tilestore.tile_cell_types(np.array([s]))[0]), s % 101 == 0
+
+
+def _residue_sweep_seeds():
+    """One seed per (cell type, shape, s % 33): the wheel slot (s % 16),
+    the shape (s % 101 == 0) and the mask row (s % 33) are independent by
+    the CRT, so every combination lives below 16·101·33."""
+    a = np.arange(16 * 101 * 33, dtype=np.int64)
+    out = []
+    for ci in range(len(CELL_TYPES)):
+        w = tilestore.TYPE_WHEEL.index(ci)
+        for shape_res in (0, 1):
+            for r in range(tilestore.MASK_MOD):
+                hit = (a % 16 == w) & (a % 101 == shape_res) & (a % 33 == r)
+                out.append(a[hit][0])
+    return np.array(out, dtype=np.int64)
+
+
+def _int64(v):
+    v %= 2**64
+    return v - 2**64 if v >= 2**63 else v
+
+
+def _value_wrap_seeds():
+    """One seed per (cell type, shape) whose ``s·MUL_A + i·MUL_I`` wraps
+    int64 at a cell t < 4000, i.e. inside every tile: with x = s·MUL_A
+    (mod 2^64) set to I64_MAX + 1 + e − t·MUL_I, 0 ≤ e < MUL_I."""
+    inv_a = pow(tilestore.MUL_A, -1, 2**64)
+    found = {}
+    d = 0
+    while len(found) < 2 * len(CELL_TYPES):
+        t = 1 + (d * 37) % 3999
+        e = (d * 7919) % tilestore.MUL_I
+        x = I64_MAX + 1 + e - t * tilestore.MUL_I
+        s = _int64(x * inv_a)
+        found.setdefault(_seed_key(s), s)
+        d += 1
+    return np.array(list(found.values()), dtype=np.int64)
+
+
+def _mask_wrap_seeds():
+    """One seed per (cell type, shape) whose ``s + i·7`` wraps int64 inside
+    the tile: s = I64_MAX + 1 + e − 7t, 0 ≤ e < 7, wraps at cell t."""
+    found = {}
+    d = 0
+    while len(found) < 2 * len(CELL_TYPES):
+        t = 1 + (d * 37) % 3999
+        s = I64_MAX + 1 + d % 7 - 7 * t
+        found.setdefault(_seed_key(s), s)
+        d += 1
+    return np.array(list(found.values()), dtype=np.int64)
+
+
+def test_synth_tile_stats_bit_identical_all_types_shapes_residues():
+    seeds = _residue_sweep_seeds()
+    combos = {
+        (*_seed_key(int(s)), int(s) % tilestore.MASK_MOD) for s in seeds
+    }
+    assert len(combos) == len(CELL_TYPES) * 2 * tilestore.MASK_MOD
+    _assert_bit_identical(seeds)
+
+
+def test_synth_tile_stats_bit_identical_duplicates_restore_order():
+    rng = np.random.default_rng(5)
+    base = np.concatenate([np.arange(0, 300, dtype=np.int64), [101 * 7, 101 * 9]])
+    _assert_bit_identical(rng.permutation(np.repeat(base, 3)))
+
+
+def test_synth_tile_stats_empty():
+    _assert_bit_identical(np.array([], dtype=np.int64))
+
+
+def test_synth_tile_stats_bit_identical_hashed_refs():
+    refs = pa.array([f"s3://landsat/scene_{k}/B4.TIF" for k in range(400)])
+    seeds = tilestore.seed_of_refs(refs)
+    assert seeds.min() >= 0 and seeds.max() > 2**60  # blake2b path
+    _assert_bit_identical(seeds)
+
+
+def test_synth_tile_stats_bit_identical_int64_wrap_seeds():
+    vwrap = _value_wrap_seeds()
+    mwrap = _mask_wrap_seeds()
+    with np.errstate(over="ignore"):
+        x = vwrap * tilestore.MUL_A  # int64, wrapped
+    for s, xs in zip(vwrap, x):
+        n = BIG_N if s % 101 == 0 else tilestore.TILE_N
+        assert int(xs) + (n - 1) * tilestore.MUL_I > I64_MAX  # wraps in-tile
+    for s in mwrap:
+        n = BIG_N if s % 101 == 0 else tilestore.TILE_N
+        assert int(s) + (n - 1) * tilestore.MASK_MUL > I64_MAX  # wraps in-tile
+    named = np.array(
+        [7267074559584447384, I64_MAX, -(2**63), -1, -12345], dtype=np.int64
+    )
+    _assert_bit_identical(np.concatenate([vwrap, mwrap, named]))
+
+
+def test_band_kernels_match_per_cell_on_mask_wrap_seeds():
+    """The band/NDVI/delta/hash kernels share synth_tile_stats' mask
+    table, wrap fix-up included: pin them against the per-cell band
+    formula on seeds whose s + i·7 overflows inside the tile."""
+    seeds = np.concatenate(
+        [_mask_wrap_seeds(), np.array([I64_MAX, 7, -7], dtype=np.int64)]
+    )
+    va = tilestore.synth_band_values(seeds, 4).astype(np.int64)
+    vb = tilestore.synth_band_values(seeds, 5).astype(np.int64)
+    m = va != 0
+    assert np.array_equal(m, vb != 0)
+
+    bs = tilestore.synth_band_stats(seeds, 4)
+    assert np.array_equal(bs["valid_count"], m.sum(1))
+    assert np.array_equal(bs["sum_val"], (va * m).sum(1))
+    assert np.array_equal(bs["min_val"], np.where(m, va, 1 << 40).min(1))
+
+    with np.errstate(over="ignore"):
+        p31 = np.uint64(31) ** np.arange(tilestore.TILE_N, dtype=np.uint64)
+        want_hash = (va.astype(np.uint64) * p31).sum(axis=1, dtype=np.uint64)
+    assert np.array_equal(tilestore.synth_band_content_hash(seeds, 4), want_hash)
+
+    i = np.arange(tilestore.TILE_N, dtype=np.int64)[None, :]
+    raw_r = 1 + (seeds[:, None] * tilestore.MUL_A + (i + 404) * tilestore.MUL_I) % tilestore.VAL_MOD
+    raw_n = 1 + (seeds[:, None] * tilestore.MUL_A + (i + 505) * tilestore.MUL_I) % tilestore.VAL_MOD
+    nd = tilestore.synth_ndvi_stats(seeds)
+    ndvi = (raw_n - raw_r) / (raw_n + raw_r)
+    assert np.array_equal(nd["n_valid"], m.sum(1))
+    assert np.array_equal(nd["ndvi_min"], np.where(m, ndvi, np.inf).min(1))
+    assert np.array_equal(nd["ndvi_max"], np.where(m, ndvi, -np.inf).max(1))
+
+    dl = tilestore.synth_band_delta_stats(seeds, 4, 5)
+    d = vb - va
+    assert np.array_equal(dl["valid_count"], m.sum(1))
+    assert np.array_equal(dl["sum_delta"], np.where(m, d, 0).sum(1))
+    assert np.array_equal(dl["max_delta"], np.where(m, d, -(1 << 40)).max(1))
