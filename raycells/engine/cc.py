@@ -10,7 +10,7 @@ oracles.py ``dedup_clusters``):
    kernel per bucket — no Python per-row work). Each bucket emits its
    spanning forest ``node → bucket-local min label``: at most
    ``distinct nodes in bucket`` rows, so the union over buckets is
-   bounded by ``num_buckets × distinct_nodes`` — NODE-sized (i.e.
+   bounded by ``buckets × distinct_nodes`` — NODE-sized (i.e.
    output-sized for dedup clustering), never PAIR-sized. Within a dense
    near-dup clique of m docs the pair list is O(m²) but the forest is
    O(m).
@@ -32,7 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raycells.engine.shuffle import add_bucket, from_pandas_clean, scaled_buckets
+from raycells.engine.shuffle import bucket_reduce, from_pandas_clean
 
 __all__ = ["min_label_components", "cc_edges_local", "connected_components"]
 
@@ -76,7 +76,6 @@ def connected_components(
     pairs,
     a: str = "id_a",
     b: str = "id_b",
-    num_buckets: int | None = None,
 ) -> pd.DataFrame:
     """Connected components over an edge list (Ray Dataset or pyarrow
     Table of endpoint columns ``a``/``b`` — string or integer ids).
@@ -86,8 +85,6 @@ def connected_components(
     docstring. The distributed stage always runs (one coarse-bucket
     ``map_groups`` exchange); the driver folds only the node-sized
     contracted forest."""
-    if num_buckets is None:
-        num_buckets = scaled_buckets()  # driver-side, once per pipeline
     import ray.data
     from ray.data import Dataset
 
@@ -104,14 +101,8 @@ def connected_components(
     def contract(g: pa.Table) -> pa.Table:
         return from_pandas_clean(cc_edges_local(g, a, b))
 
-    forest = (
-        ds.map_batches(
-            lambda t: add_bucket(t, a, num_buckets), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(contract, batch_format="pyarrow")
-        .to_pandas()  # node-sized: ≤ num_buckets × distinct nodes rows
-    )
+    # node-sized: ≤ buckets × distinct nodes rows
+    forest = bucket_reduce(ds, a, contract).to_pandas()
     folded = cc_edges_local(
         pa.table(
             {

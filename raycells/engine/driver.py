@@ -502,23 +502,18 @@ def main():
             include_dashboard=False,
             ignore_reinit_error=True,
         )
-    if args.mode in (
-        "dedup", "chunk-dedup", "media-dedup", "stats-dedup", "span-dedup",
-        "paragraph-dedup", "pack", "diff",
-    ):
-        job = {
-            "dedup": run_dedup_job,
-            "chunk-dedup": run_chunk_dedup_job,
-            "media-dedup": run_media_dedup_job,
-            "stats-dedup": run_stats_dedup_job,
-            "span-dedup": run_span_dedup_job,
-            "paragraph-dedup": run_paragraph_dedup_job,
-            "pack": run_pack_job,
-        }[args.mode] if args.mode != "diff" else None
-        if args.mode == "diff":
-            summary = run_diff_job(args.docs_dir, args.out, args.docs_dir_b)
-        else:
-            summary = job(args.docs_dir, args.out)
+    jobs = {
+        "dedup": run_dedup_job,
+        "chunk-dedup": run_chunk_dedup_job,
+        "media-dedup": run_media_dedup_job,
+        "stats-dedup": run_stats_dedup_job,
+        "span-dedup": run_span_dedup_job,
+        "paragraph-dedup": run_paragraph_dedup_job,
+        "pack": run_pack_job,
+        "diff": lambda d, o: run_diff_job(d, o, args.docs_dir_b),
+    }
+    if args.mode in jobs:
+        summary = jobs[args.mode](args.docs_dir, args.out)
         line = {
             "done": summary["done"],
             "skipped": summary["skipped"],

@@ -10,11 +10,11 @@ operators designed Ray-Data-first.
 
 Partitioning assumption (documented per SURVEY.md §2.9): rows with the
 same join key land in the same bucket — guaranteed by hashing only the
-key. Bucket count is O(cluster size), independent of key cardinality,
-so the exchange stays balanced at 100 TB as long as no single key
-exceeds a worker's heap; for skewed keys use a larger ``num_buckets``
-(buckets are cheap) — a single hot KEY in an as-of join cannot be salted
-without replicating the right side, which is the standard trade-off.
+key (``shuffle.bucket_reduce``). Bucket count is O(cluster size),
+independent of key cardinality, so the exchange stays balanced at 100 TB
+as long as no single key exceeds a worker's heap — a single hot KEY in
+an as-of join cannot be salted without replicating the right side, which
+is the standard trade-off.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycells.engine.shuffle import add_bucket, from_pandas_clean, scaled_buckets
+from raycells.engine.shuffle import bucket_reduce, from_pandas_clean
 
 __all__ = [
     "asof_join",
@@ -102,7 +102,6 @@ def hash_join(
     keep_left: Sequence[str],
     keep_right: Sequence[str],
     how: str = "inner",
-    num_buckets: int | None = None,
     type_hints: dict | None = None,
     key_out: str | None = None,
 ):
@@ -115,9 +114,8 @@ def hash_join(
 
     Use the broadcast pattern instead when one side fits the object
     store; use this when BOTH sides are large. Skewed keys: a single
-    hot key's bucket holds that key's rows from both sides — raise
-    ``num_buckets`` to isolate it; per-key row explosions are inherent
-    to the join itself.
+    hot key's bucket holds that key's rows from both sides; per-key row
+    explosions are inherent to the join itself.
 
     A fully-empty side (zero blocks — the shape a groupby/map_groups
     produces on empty input) has no Dataset schema; ``type_hints``
@@ -133,8 +131,6 @@ def hash_join(
     share one Arrow type."""
     if how == "outer" and key_out is None:
         raise ValueError("hash_join(how='outer') requires key_out")
-    if num_buckets is None:
-        num_buckets = scaled_buckets()  # driver-side, once per pipeline
     hints = dict(type_hints or {})
     l_schema = left_ds.schema()
     r_schema = right_ds.schema()
@@ -223,9 +219,6 @@ def hash_join(
     tagged = left_ds.map_batches(project_left, batch_format="pyarrow").union(
         right_ds.map_batches(project_right, batch_format="pyarrow")
     )
-    bucketed = tagged.map_batches(
-        lambda b: add_bucket(b, "_k", num_buckets), batch_format="pyarrow"
-    )
 
     def join_bucket(g: pa.Table) -> pa.Table:
         # Split the sides at the Arrow level BEFORE to_pandas so each
@@ -264,7 +257,7 @@ def hash_join(
         out = _restore_ints(out, restore)
         return from_pandas_clean(out)
 
-    return bucketed.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return bucket_reduce(tagged, "_k", join_bucket)
 
 
 def asof_join(
@@ -277,7 +270,6 @@ def asof_join(
     on_right: str,
     keep_left: Sequence[str],
     keep_right: Sequence[str],
-    num_buckets: int | None = None,
 ):
     """As-of (backward) join: for each left row, the single right row with
     the same key and the greatest ``on_right <= on_left``. Ties on
@@ -289,9 +281,6 @@ def asof_join(
     projected to (key, on, carried columns) BEFORE the exchange, so the
     shuffle moves only the join-relevant columns.
     """
-    if num_buckets is None:
-        num_buckets = scaled_buckets()  # driver-side, once per pipeline
-
     # resolve carried-column types from each side so the null columns on
     # the other side get the right dtype (union requires one schema)
     l_schema = left_ds.schema()
@@ -325,9 +314,6 @@ def asof_join(
 
     tagged = left_ds.map_batches(project_left, batch_format="pyarrow").union(
         right_ds.map_batches(project_right, batch_format="pyarrow")
-    )
-    bucketed = tagged.map_batches(
-        lambda b: add_bucket(b, "_k", num_buckets), batch_format="pyarrow"
     )
 
     def join_bucket(g: pa.Table) -> pa.Table:
@@ -373,17 +359,14 @@ def asof_join(
         )
         return from_pandas_clean(out)
 
-    return bucketed.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return bucket_reduce(tagged, "_k", join_bucket)
 
 
-def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distinct",
-                   num_buckets: int | None = None):
+def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distinct"):
     """COUNT(DISTINCT distinct_col) per group: per-batch pair dedup →
     bucket exchange on ``distinct_col`` (each distinct value lands in
     exactly one bucket, so a pair survives in exactly one place) →
     per-bucket dedup + partial counts → tiny final sum per group."""
-    if num_buckets is None:
-        num_buckets = scaled_buckets()  # driver-side, once per pipeline
     from ray.data.aggregate import Sum
 
     def pairs(b: pa.Table) -> pa.Table:
@@ -400,11 +383,8 @@ def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distin
         out = df.groupby(group_col, sort=False).size().reset_index(name=alias)
         return from_pandas_clean(out)
 
-    partial = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .map_batches(lambda b: add_bucket(b, distinct_col, num_buckets), batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    partial = bucket_reduce(
+        ds.map_batches(pairs, batch_format="pyarrow"), distinct_col, per_bucket
     )
     final = partial.groupby(group_col).aggregate(Sum(alias, alias_name=alias))
     return final
@@ -456,7 +436,6 @@ def band_join_count(
     high: int,
     keep_left: Sequence[str],
     on_scale: int,
-    num_buckets: int | None = None,
 ):
     """Temporal/interval BAND join that COUNTS matches instead of
     materializing them: for each left row, ``m`` = number of right rows
@@ -475,8 +454,6 @@ def band_join_count(
     Returns a Dataset of ``keep_left`` columns + ``m`` (int64). For the
     single-latest-match shape use :func:`asof_join`; for materialized
     pairs use :func:`hash_join` with a post-filter."""
-    if num_buckets is None:
-        num_buckets = scaled_buckets()  # driver-side, once per pipeline
     scale = np.int64(on_scale)
     l_schema = left_ds.schema().base_schema
     l_types = {c: l_schema.field(c).type for c in keep_left}
@@ -525,10 +502,4 @@ def band_join_count(
         cols["m"] = pa.array(m.astype(np.int64))
         return pa.table(cols)
 
-    return (
-        tagged.map_batches(
-            lambda b: add_bucket(b, "_k", num_buckets), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    return bucket_reduce(tagged, "_k", count_bucket)

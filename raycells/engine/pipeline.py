@@ -3,10 +3,8 @@
     documents (Lance/Parquet fragments, span text pruned at the read)
       → span digest snapshot                      [stateless map_batches]
       → explode media spans                       [stateless map_batches]
-      → tile decode (fused with stats for the synthetic store;
-        TileDecoder ACTOR POOL when a real codec holds state)
-      → erased-cell stats (masked min/max/mean)   [stateless map_batches]
-      → Hilbert cell ids                          [stateless map_batches]
+      → tile decode + erased-cell stats           [ONE fused stateless
+        (masked min/max/mean) + Hilbert cell ids   map_batches task stage]
       → PIP join vs broadcast footprints          [task stage, memoized
                                                    broadcast state]
       → salted two-stage per-cell aggregation     [the only shuffle]
@@ -23,7 +21,6 @@ import os
 import re
 from typing import Optional
 
-import numpy as np
 import pyarrow as pa
 
 from raycells.engine import shuffle as shuffle_mod
@@ -69,51 +66,9 @@ def _cluster_cpus() -> int:
         return 4
 
 
-def _decode_pool_size():
-    """Size the decode actor pool so reads/tasks never starve: ~half the
-    CPUs, ≥1, ≥1 CPU left for task stages. A pool that reserves every
-    CPU deadlocks the streaming executor."""
-    cpus = _cluster_cpus()
-    return max(1, min(cpus // 2, cpus - 2))
-
-
-def decode_stage(
-    ds,
-    concurrency: Optional[int] = None,
-    batch_size: int = 1024,
-    emit: str = "tiles",
-    level: int = DEFAULT_LEVEL,
-    salt: int = 8,
-):
-    """Tile decode actor pool. batch_size × ~8 KB/tile keeps a batch ≈ 8 MB.
-    ``emit`` fuses downstream per-tile work into the same actor
-    ("stats": +masked stats +cell ids; "partials": +map-side salted
-    partial aggregate) so stats consumers ship ~100 B/tile instead of
-    ~30 KB/tile through the object store and skip per-operator latency."""
-    if concurrency is None:
-        concurrency = _decode_pool_size()
-    return ds.map_batches(
-        stages.TileDecoder,
-        fn_constructor_kwargs={"emit": emit, "level": level, "salt": salt},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
-def stats_stage(ds):
-    return ds.map_batches(stages.tile_stats, batch_format="pyarrow")
-
-
-def cellid_stage(ds, level: int = DEFAULT_LEVEL):
-    return ds.map_batches(
-        lambda b: stages.add_cell_ids(b, level=level), batch_format="pyarrow"
-    )
-
-
 def join_stage(ds, footprints_table: Optional[pa.Table] = None):
-    """Broadcast-PIP join: ray.put the polygon side once, actors fetch it in
-    __init__."""
+    """Broadcast-PIP join: ray.put the polygon side once; each worker
+    builds its joiner from it once (``stages.pip_join_task``)."""
     import ray
 
     fps = fp_mod.rings_as_numpy(
@@ -142,7 +97,6 @@ def flagship(
     docs_dir: str,
     level: int = DEFAULT_LEVEL,
     out_dir: Optional[str] = None,
-    decode_concurrency: Optional[int] = None,
     with_join: bool = False,
     num_blocks: Optional[int] = None,
 ):
@@ -183,8 +137,7 @@ def flagship(
     else:
         # fully fused fast path: decode→stats→cellid→partials in ONE task
         # operator (stateless synthetic decode; scratch persists in reused
-        # workers — a real codec decode would use the TileDecoder actor
-        # pool via decode_stage(emit=...) instead), then the tiny merge
+        # workers), then the tiny merge
         partials = ex.map_batches(
             lambda b: stages.decode_stats(b, emit="partials", level=level),
             batch_format="pyarrow",

@@ -1,9 +1,10 @@
-"""Per-batch stage functions and actor-pool classes for the Ray pipelines.
+"""Per-batch stage functions for the Ray pipelines.
 
 Every function here is ``batch_format="pyarrow"``: Arrow table in, Arrow
 table out, vectorized numpy/pyarrow.compute bodies, no per-row Python in
-hot paths. Stateful stages are callable CLASSES (actor pools): setup in
-``__init__`` once per actor, work in ``__call__`` per batch.
+hot paths. Every stage runs as a TASK stage; the broadcast-state stage
+(``PIPJoiner``) is a callable class memoized per worker by
+``broadcast_task``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raycells.cells import kernels
-from raycells.cells.ctype import CELL_TYPES, CellType
+from raycells.cells.ctype import CellType
 from raycells.geo import cellid
 from raycells.geo.pip import points_in_polygon, polygon_bbox
 from raycells.io import tilestore
 
 __all__ = [
-    "TileDecoder",
     "tile_stats",
     "band_stats",
     "band_content_hash",
@@ -30,70 +30,6 @@ __all__ = [
     "broadcast_task",
     "cell_cover_join",
 ]
-
-
-class TileDecoder:
-    """Actor-pool stage: (doc_id, span_idx, media_ref) → decoded erased tile.
-
-    Plays the role of the reference's ``RasterBandEx::read_cells_masked``
-    (rasterband.rs:72-126): resolve ref → typed cell payload + validity
-    mask derived from the per-type nodata sentinel. The once-per-actor
-    cost that justifies a pool is the allocator/scratch warmup in
-    ``__init__`` (first-touch page faults are ~40× on this platform),
-    playing the role of a GDAL dataset handle."""
-
-    def __init__(
-        self,
-        with_stats: bool = False,
-        emit: str = None,
-        level: int = 8,
-        salt: int = 8,
-    ):
-        # emit: "tiles" (full payloads), "stats" (+per-tile stats+cellid),
-        # "partials" (+map-side salted partial aggregate). Fusing the
-        # whole per-tile chain into ONE operator matters on two axes: no
-        # tile payloads through the object store, and no extra Ray Data
-        # operators (fixed per-operator latency would otherwise dominate
-        # the post-decode tail and destroy scaling efficiency).
-        self.emit = emit or ("stats" if with_stats else "tiles")
-        self.level = level
-        self.salt = salt
-        # Warm the allocator arena / scratch buffers ONCE per actor: on
-        # this platform, first-touch page faults make the first big-matrix
-        # synth ~40× slower than steady state; a dummy full-size batch in
-        # __init__ moves that cost to (parallel) actor startup.
-        if self.emit == "tiles":
-            tilestore.synth_tiles(np.arange(1024, dtype=np.int64))
-        else:
-            tilestore.synth_tile_stats(np.arange(1024, dtype=np.int64))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.emit != "tiles":
-            # stats consumers: cache-resident fused decode→reduce; the
-            # tile payload never exists outside a 2 MB scratch chunk
-            return decode_stats(batch, emit=self.emit, level=self.level, salt=self.salt)
-        seeds = tilestore.seed_of_refs(batch["media_ref"])
-        cols = tilestore.synth_tiles(seeds)
-        out = pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "span_idx": batch["span_idx"],
-                "media_ref": batch["media_ref"],
-                "data": pa.array(cols["data"], pa.large_binary()),
-                "mask": pa.array(cols["mask"], pa.large_binary()),
-                "cell_type": pa.array(cols["cell_type"], pa.string()),
-                "nrows": pa.array(cols["nrows"], pa.int32()),
-                "ncols": pa.array(cols["ncols"], pa.int32()),
-                "nodata": pa.array(cols["nodata"], pa.float64()),
-                "lon": pa.array(cols["lon"], pa.float64()),
-                "lat": pa.array(cols["lat"], pa.float64()),
-                "minx": pa.array(cols["minx"], pa.float64()),
-                "miny": pa.array(cols["miny"], pa.float64()),
-                "maxx": pa.array(cols["maxx"], pa.float64()),
-                "maxy": pa.array(cols["maxy"], pa.float64()),
-            }
-        )
-        return out
 
 
 _STATS_CHUNK = 64  # rows per reduction chunk (~2 MB working set, CLAUDE.md)
@@ -190,8 +126,7 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8, salt: int
     The synthetic LCG decode needs no per-worker state (scratch buffers
     are module-level and persist in Ray's reused worker processes), so
     the fused stats path runs as plain ``map_batches`` tasks — no
-    per-execution actor-pool startup. A real codec decode (stateful
-    handles) takes the ``TileDecoder`` actor-pool path instead."""
+    per-execution actor-pool startup."""
     seeds = tilestore.seed_of_refs(batch["media_ref"])
     st = tilestore.synth_tile_stats(seeds)
     out = pa.table(
@@ -375,19 +310,10 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
             }
         )
 
-    from raycells.engine.shuffle import add_bucket, scaled_buckets
+    from raycells.engine.shuffle import bucket_reduce
 
-    both = (
-        stats_ds.map_batches(tile_rows, batch_format="pyarrow")
-        .union(rd.from_arrow(fp_rows))
-        # shuffle on a coarse bucket of the cell (NOT the raw cell id —
-        # per-distinct-group overhead, see shuffle.add_bucket); exact
-        # cell equality is enforced vectorized inside the group; width
-        # scales with the cluster, resolved once at build time
-        .map_batches(
-            lambda b, nb=scaled_buckets(): add_bucket(b, "cover_cell", nb),
-            batch_format="pyarrow",
-        )
+    both = stats_ds.map_batches(tile_rows, batch_format="pyarrow").union(
+        rd.from_arrow(fp_rows)
     )
 
     def group_join(g: pa.Table) -> pa.Table:
@@ -443,42 +369,10 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
             }
         )
 
-    return both.groupby("_bucket").map_groups(group_join, batch_format="pyarrow")
-
-
-class KnnQuerier:
-    """Actor-pool stage: kNN tile lookup against a broadcast cell index.
-
-    The ``KnnIndex`` (SURVEY.md §2.9 — per-cell tile lists, ring
-    expansion) is built once on the driver from the small (lon, lat, key)
-    projection, ``ray.put`` once, fetched per actor in ``__init__``;
-    query batches stream through ``__call__``. At 10^12-doc scale the
-    index shards by coarse parent cell and query batches route to the
-    owning shard (geo/knn.py docstring)."""
-
-    def __init__(self, index_ref, k: int):
-        import ray
-
-        self.index = ray.get(index_ref) if not hasattr(index_ref, "query_one") else index_ref
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["query_id"].to_numpy(zero_copy_only=False)
-        qlon = batch["qlon"].to_numpy(zero_copy_only=False)
-        qlat = batch["qlat"].to_numpy(zero_copy_only=False)
-        out_q, out_r, out_key = [], [], []
-        for j in range(len(qids)):
-            idx, _ = self.index.query_one(float(qlon[j]), float(qlat[j]), self.k)
-            out_q.extend([qids[j]] * len(idx))
-            out_r.extend(range(1, len(idx) + 1))
-            out_key.extend(self.index.keys[idx])
-        return pa.table(
-            {
-                "query_id": pa.array(np.asarray(out_q, np.int64), pa.int64()),
-                "rank": pa.array(np.asarray(out_r, np.int64), pa.int64()),
-                "seed": pa.array(np.asarray(out_key, np.int64), pa.int64()),
-            }
-        )
+    # shuffle on a coarse bucket of the cell (NOT the raw cell id —
+    # per-distinct-group overhead, see shuffle.add_bucket); exact cell
+    # equality is enforced vectorized inside the group
+    return bucket_reduce(both, "cover_cell", group_join)
 
 
 class PIPJoiner:
@@ -631,7 +525,8 @@ def diff_classify(both_ds, key_col: str = "doc_id", fp_col: str = "fp",
     ONE coarse-bucket exchange; each bucket classifies its keys into
     added / removed / changed (unchanged rows are dropped in the
     reducer, so the output — and the optional parquet sink — is
-    DIFF-sized, never corpus-sized)."""
+    DIFF-sized, never corpus-sized). A key occurring twice on one side
+    raises ``ValueError``: the diff is defined for unique keys only."""
     import pandas as pd
 
     from raycells.engine import shuffle as shuffle_mod
@@ -644,6 +539,13 @@ def diff_classify(both_ds, key_col: str = "doc_id", fp_col: str = "fp",
                 "side": g["side"].to_numpy(zero_copy_only=False),
             }
         )
+        dup = df.duplicated([key_col, "side"])
+        if dup.any():
+            raise ValueError(
+                f"diff_classify: duplicate {key_col!r} value "
+                f"{df.loc[dup, key_col].iloc[0]!r} on one side; keys must "
+                "be unique per side"
+            )
         w = df.pivot_table(
             index=key_col, columns="side", values="fp", aggfunc="first"
         )
@@ -658,15 +560,7 @@ def diff_classify(both_ds, key_col: str = "doc_id", fp_col: str = "fp",
         out = out[out["status"] != "unchanged"]
         return shuffle_mod.from_pandas_clean(out.reset_index(drop=True))
 
-    nb = shuffle_mod.scaled_buckets()
-    out = (
-        both_ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, key_col, n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(classify, batch_format="pyarrow")
-    )
+    out = shuffle_mod.bucket_reduce(both_ds, key_col, classify)
     if sink_dir is not None:
         from raycells.engine.checkpoint import sink_to_parquet
 

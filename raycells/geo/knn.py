@@ -99,8 +99,8 @@ class KnnIndex:
                 idx = np.concatenate(cand)
                 d = euclid_deg(qlon, qlat, self.lon[idx], self.lat[idx])
                 # ties → lowest KEY, not candidate position: the oracle
-                # convention is ORDER BY dist, seed, and sharded_knn /
-                # KnnQuerier emit keys — position order only matches
+                # convention is ORDER BY dist, seed, and sharded_knn
+                # emits keys — position order only matches
                 # when keys happen to be arange
                 top = np.lexsort((self.keys[idx], d))[:k]
                 best_kth = d[top[-1]] if len(top) == k else np.inf

@@ -707,16 +707,8 @@ def q_focal_cell_stats(sf_dir: str):
         agg["n_cells_3x3"] = agg["n_cells_3x3"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(agg)
 
-    return (
-        base.map_batches(fan, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=shuffle_mod.scaled_buckets(): shuffle_mod.add_bucket(
-                b, "nkey", nb
-            ),
-            batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(combine, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        base.map_batches(fan, batch_format="pyarrow"), "nkey", combine
     )
 
 
@@ -772,16 +764,8 @@ def q_cell_pyramid(sf_dir: str):
         agg["n_cells"] = agg["n_cells"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(agg)
 
-    return (
-        base.map_batches(fan, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=shuffle_mod.scaled_buckets(): shuffle_mod.add_bucket(
-                b, "nkey", nb
-            ),
-            batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(combine, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        base.map_batches(fan, batch_format="pyarrow"), "nkey", combine
     )
 
 
@@ -892,9 +876,7 @@ def q_pack_sequences(sf_dir: str):
         )
 
     def pack(g: pa.Table) -> pa.Table:
-        df = (
-            g.to_pandas().drop(columns=["_cbucket"]).sort_values(["shard", "doc_id"])
-        )
+        df = g.to_pandas().sort_values(["shard", "doc_id"])
         shard = df["shard"].to_numpy()
         ntok = df["ntok"].to_numpy()
         bins = greedy_pack_bins(shard, ntok, PACK_CAP)
@@ -906,18 +888,9 @@ def q_pack_sequences(sf_dir: str):
         out["n_docs"] = out["n_docs"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    packed = (
-        ds.map_batches(toks, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=shuffle_mod.scaled_buckets(): dd._coarse_bucket(
-                b, ["shard"], nb
-            ),
-            batch_format="pyarrow"
-        )
-        .groupby("_cbucket")
-        .map_groups(pack, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(toks, batch_format="pyarrow"), ["shard"], pack
     )
-    return packed
 
 
 MM_TOK = 64  # fixed token cost charged per media span (image-token budget)
@@ -989,9 +962,7 @@ def pack_multimodal_pipeline(ds, emit: str = "bins"):
         )
 
     def pack(g: pa.Table) -> pa.Table:
-        df = (
-            g.to_pandas().drop(columns=["_cbucket"]).sort_values(["shard", "doc_id"])
-        )
+        df = g.to_pandas().sort_values(["shard", "doc_id"])
         shard = df["shard"].to_numpy()
         cost = df["cost"].to_numpy()
         bins = greedy_pack_bins(shard, cost, PACK_CAP)
@@ -1020,16 +991,8 @@ def pack_multimodal_pipeline(ds, emit: str = "bins"):
         out["n_docs"] = out["n_docs"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    return (
-        ds.map_batches(costs, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=shuffle_mod.scaled_buckets(): dd._coarse_bucket(
-                b, ["shard"], nb
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("_cbucket")
-        .map_groups(pack, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(costs, batch_format="pyarrow"), ["shard"], pack
     )
 
 
@@ -1641,9 +1604,8 @@ def q_knn_tiles(sf_dir: str):
     their probe rings touch, each shard answers a vectorized local
     top-k, and only per-shard top-k rows reach the driver for the global
     merge. No driver-side point materialization anywhere; ties broken by
-    seed (oracle parity). The broadcast single-index variant
-    (KnnIndex + KnnQuerier) remains for query-stream workloads where the
-    point set is small enough to ship."""
+    seed (oracle parity). The single-index ``KnnIndex`` remains for
+    query-stream workloads where the point set is small enough to ship."""
     from raycells.geo.knn import sharded_knn
 
     pts = _exploded(sf_dir).map_batches(
@@ -1740,16 +1702,8 @@ def q_radius_neighbors(sf_dir: str):
         out["n_neighbors"] = out["n_neighbors"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out[["seed", "n_neighbors"]])
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        _exploded(sf_dir)
-        .map_batches(emit, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "cell", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(count, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        _exploded(sf_dir).map_batches(emit, batch_format="pyarrow"), "cell", count
     )
 
 
@@ -3794,8 +3748,6 @@ def q_curation_funnel(sf_dir: str):
         sf_dir, "documents", SMALL_TABLE_BLOCKS,
         columns=["doc_id", "lang", "text"],
     )
-    nb = shuffle_mod.scaled_buckets()  # ONCE on the driver (CLAUDE.md)
-
     def perdoc(b: pa.Table) -> pa.Table:
         det = ta.lang_id(b, col="text")["lang_detected"].to_numpy(
             zero_copy_only=False
@@ -3866,18 +3818,16 @@ def q_curation_funnel(sf_dir: str):
         )
 
     surv = (
-        narrow.map_batches(
-            lambda b: b.filter(
-                pc.and_(pc.equal(b["s1"], 1), pc.equal(b["s2"], 1))
-            ).select(["fp", "doc_id", "n_tokens"]),
-            batch_format="pyarrow",
+        shuffle_mod.bucket_reduce(
+            narrow.map_batches(
+                lambda b: b.filter(
+                    pc.and_(pc.equal(b["s1"], 1), pc.equal(b["s2"], 1))
+                ).select(["fp", "doc_id", "n_tokens"]),
+                batch_format="pyarrow",
+            ),
+            "fp",
+            dedup_counts,
         )
-        .map_batches(
-            lambda b, nb=nb: shuffle_mod.add_bucket(b, "fp", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(dedup_counts, batch_format="pyarrow")
         .to_pandas()
         .sum()
     )
@@ -4140,7 +4090,7 @@ def q_dup_span_chars(sf_dir: str):
             }
         )
 
-    rolled = dd._doc_bucket_reduce(kept, "doc_id", doc_rollup)
+    rolled = shuffle_mod.bucket_reduce(kept, "doc_id", doc_rollup)
     tabs = [t for t in ray_get_tables(rolled) if t.num_rows]
     if not tabs:
         return pa.table(
@@ -4493,17 +4443,9 @@ def q_ngram_novelty(sf_dir: str):
         )
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
-    parts = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "h", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = shuffle_mod.bucket_reduce(
+        ds.map_batches(partials, batch_format="pyarrow"), "h", fold
+    ).to_pandas()
     out = parts.groupby("shard", sort=False, as_index=False).sum()
     return pa.table(
         {
@@ -5162,8 +5104,6 @@ def q_user_gaps(sf_dir: str):
     total order as the SQL OVER clause) and all per-user diffs fall out
     of one shifted comparison with segment boundaries; users with a
     single event emit the -1/-0 sentinels, mirroring SQL COALESCE."""
-    from raycells.engine.shuffle import add_bucket
-
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["event_id", "user_id", "ts"]
     )
@@ -5210,14 +5150,9 @@ def q_user_gaps(sf_dir: str):
         out["max_gap_us"] = out["max_gap_us"].fillna(-1).astype(np.int64)
         return shuffle_mod.from_pandas_clean(out.reset_index())
 
-    out = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(lambda b, nb=shuffle_mod.scaled_buckets(): add_bucket(b, "user_id", nb),
-        batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(window, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = shuffle_mod.bucket_reduce(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", window
+    ).to_pandas()
     return pa.table(
         {
             "user_id": pa.array(out["user_id"].to_numpy(np.int64)),
@@ -5819,8 +5754,6 @@ def q_user_running_value(sf_dir: str):
     vectorized lexsort + segmented cumsum (offset-subtraction at user
     boundaries) computes every row's rank and running sum — no per-user
     Python, no second pass."""
-    from raycells.engine.shuffle import add_bucket
-
     ds = _read(
         sf_dir,
         "events",
@@ -5873,12 +5806,8 @@ def q_user_running_value(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(lambda b, nb=shuffle_mod.scaled_buckets(): add_bucket(b, "user_id", nb),
-        batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(window, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", window
     )
 
 
@@ -6417,16 +6346,10 @@ def q_mosaic_blend(sf_dir: str):
         )
         return shuffle_mod.from_pandas_clean(res)
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    return (
-        _exploded(sf_dir)
-        .map_batches(tile_windows, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: shuffle_mod.add_bucket(b, "grid_cell", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(combine, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        _exploded(sf_dir).map_batches(tile_windows, batch_format="pyarrow"),
+        "grid_cell",
+        combine,
     )
 
 
@@ -6443,8 +6366,6 @@ def q_ordered_funnel(sf_dir: str):
     per-user reduction (first click, first qualifying purchase, counts)
     is one vectorized pandas pass per bucket; output is user-sized and
     streams, nothing folds on the driver."""
-    from raycells.engine.shuffle import add_bucket
-
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["user_id", "event_type", "ts"],
@@ -6500,15 +6421,8 @@ def q_ordered_funnel(sf_dir: str):
             out[["user_id", "n_clicks", "n_purchases", "converted", "lag_us"]]
         )
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "user_id", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(funnel, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", funnel
     )
 
 
@@ -6736,8 +6650,6 @@ def q_column_profile(sf_dir: str):
     ONE coarse-bucket exchange (equal values co-locate) and each bucket
     emits per-col partial distinct counts, so driver traffic is
     O(buckets × cols) however many distinct keys exist."""
-    from raycells.engine.shuffle import add_bucket
-
     COLS = ("o_orderkey", "o_custkey", "o_orderstatus", "o_orderpriority",
             "o_orderdate")
     ds = _read(sf_dir, "orders", SMALL_TABLE_BLOCKS, columns=list(COLS)).materialize()
@@ -6837,14 +6749,12 @@ def q_column_profile(sf_dir: str):
         part = df.groupby("col", sort=False).size().reset_index(name="nd")
         return shuffle_mod.from_pandas_clean(part)
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
     nd = (
-        ds.map_batches(distinct_pairs, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "val", nb), batch_format="pyarrow"
+        shuffle_mod.bucket_reduce(
+            ds.map_batches(distinct_pairs, batch_format="pyarrow"),
+            "val",
+            bucket_distinct,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
         .to_pandas()
         .groupby("col", sort=False)["nd"]
         .sum()
@@ -6880,8 +6790,6 @@ def q_fuzzy_token_match(sf_dir: str):
     (equal pairs hash to one bucket, so bucket-local dedup is global).
     The oracle is DuckDB's own levenshtein() over the cross join — the
     candidate join must reproduce it EXACTLY (recall 1.0)."""
-    from raycells.engine.shuffle import add_bucket
-
     W = 16  # baseline char-matrix width (fixture max is 8); the verify
     # WIDENS per candidate batch rather than raising on long tokens —
     # the chunk_docs length-cap lesson (VERDICT r4 #1)
@@ -6898,16 +6806,9 @@ def q_fuzzy_token_match(sf_dir: str):
         u = np.unique(g["word"].to_numpy(zero_copy_only=False))
         return pa.table({"word": pa.array(u.astype(object), pa.string())})
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    vocab = (
-        ds.map_batches(batch_tokens, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "word", nb), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
-        .materialize()  # feeds BOTH fan-out sides
-    )
+    vocab = shuffle_mod.bucket_reduce(
+        ds.map_batches(batch_tokens, batch_format="pyarrow"), "word", bucket_distinct
+    ).materialize()  # feeds BOTH fan-out sides
 
     def deletions(words: np.ndarray) -> tuple:
         """All 1-char deletions of each word → (variants, parent_idx).
@@ -6994,27 +6895,17 @@ def q_fuzzy_token_match(sf_dir: str):
         df["dist"] = (df["probe"] != df["word"]).astype(np.int64)
         return shuffle_mod.from_pandas_clean(df[["probe", "word", "dist"]])
 
-    pairs = (
-        fanned.map_batches(
-            lambda b, nb=nb: add_bucket(b, "variant", nb), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(candidates, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(
-                b.append_column(
-                    "pk",
-                    pc.binary_join_element_wise(b["probe"], b["word"], "\x01"),
-                ),
-                "pk",
-                nb,
+    cand = shuffle_mod.bucket_reduce(fanned, "variant", candidates)
+    return shuffle_mod.bucket_reduce(
+        cand.map_batches(
+            lambda b: b.append_column(
+                "pk", pc.binary_join_element_wise(b["probe"], b["word"], "\x01")
             ),
             batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(pair_dedup, batch_format="pyarrow")
+        ),
+        "pk",
+        pair_dedup,
     )
-    return pairs
 
 
 def q_embedding_profile(sf_dir: str):
@@ -7169,8 +7060,6 @@ def q_event_transitions(sf_dir: str):
     one vectorized lexsort + shifted comparison yields every
     transition, collapsed to ≤ types² partial rows per bucket; the
     driver folds the types²-bounded matrix (never row-scale)."""
-    from raycells.engine.shuffle import add_bucket
-
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["event_id", "user_id", "event_type", "ts"],
@@ -7210,17 +7099,9 @@ def q_event_transitions(sf_dir: str):
         part["n"] = part["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(part)
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    parts = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "user_id", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(transitions, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = shuffle_mod.bucket_reduce(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", transitions
+    ).to_pandas()
     out = (
         parts.groupby(["prev_type", "next_type"], sort=False, as_index=False)["n"]
         .sum()
@@ -7395,16 +7276,10 @@ def q_cell_value_hist(sf_dir: str):
         )
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    return (
-        _exploded(sf_dir)
-        .map_batches(tile_hists, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: shuffle_mod.add_bucket(b, "grid_cell", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(combine, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        _exploded(sf_dir).map_batches(tile_hists, batch_format="pyarrow"),
+        "grid_cell",
+        combine,
     )
 
 
@@ -7421,8 +7296,6 @@ def q_log_compaction(sf_dir: str):
     hash(user) coarse-bucket exchange co-locates each key's changes
     and a per-bucket vectorized lexsort takes the last row per key;
     output flows out of the buckets without touching the driver."""
-    from raycells.engine.shuffle import add_bucket
-
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["event_id", "user_id", "event_type", "ts", "value"],
@@ -7474,15 +7347,8 @@ def q_log_compaction(sf_dir: str):
             }
         )
 
-    nb = shuffle_mod.scaled_buckets()  # driver-side, once per pipeline
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "user_id", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(compact, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", compact
     )
 
 
@@ -7791,15 +7657,7 @@ def _order_pair_partials(sf_dir: str):
         part["n"] = part["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(part)
 
-    nb = shuffle_mod.scaled_buckets()
-    partials = (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "l_orderkey", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    partials = shuffle_mod.bucket_reduce(ds, "l_orderkey", pairs)
     return partials
 
 _PAIRKEY_CACHE: dict = {}
@@ -8242,15 +8100,7 @@ def q_interval_join(sf_dir: str):
             }
         )
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "user_id", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(probe, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(ds, "user_id", probe)
 
 
 def q_order_baskets(sf_dir: str):
@@ -8295,15 +8145,7 @@ def q_order_baskets(sf_dir: str):
             out[["o_orderkey", "n_items", "basket"]]
         )
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "l_orderkey", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(collect, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(ds, "l_orderkey", collect)
 
 
 def q_cell_band_delta(sf_dir: str):
@@ -8654,15 +8496,10 @@ def q_contiguous_regions(sf_dir: str):
         )
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
-    edges = (
-        base.map_batches(fan, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "key", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(match, batch_format="pyarrow")
+    edges = shuffle_mod.bucket_reduce(
+        base.map_batches(fan, batch_format="pyarrow"),
+        "key",
+        match,
     )
     comp = connected_components(edges)
     cells = (
@@ -9246,15 +9083,12 @@ def q_containment_pairs(sf_dir: str):
             }
         )
 
-    nb = shuffle_mod.scaled_buckets()
     folded = (
-        chunks.map_batches(proj, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "chunk_hash", n),
-            batch_format="pyarrow",
+        shuffle_mod.bucket_reduce(
+            chunks.map_batches(proj, batch_format="pyarrow"),
+            "chunk_hash",
+            bucket_pass,
         )
-        .groupby("_bucket")
-        .map_groups(bucket_pass, batch_format="pyarrow")
         .to_pandas()
     )
     sizes = (
@@ -9393,15 +9227,7 @@ def q_attribution_last_touch(sf_dir: str):
             }
         )
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "user_id", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(probe, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(ds, "user_id", probe)
 
 
 def q_journey_trigrams(sf_dir: str):
@@ -9441,14 +9267,8 @@ def q_journey_trigrams(sf_dir: str):
         part["n"] = part["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(part)
 
-    nb = shuffle_mod.scaled_buckets()
     folded = (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "user_id", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(tri, batch_format="pyarrow")
+        shuffle_mod.bucket_reduce(ds, "user_id", tri)
         .to_pandas()
         .groupby(["t1", "t2", "t3"], sort=False, as_index=False)["n"]
         .sum()
@@ -9728,15 +9548,7 @@ def q_demand_features(sf_dir: str):
         out = df.assign(lag1=lag1, lag2=lag2)
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        partials.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "l_partkey", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(lag, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(partials, "l_partkey", lag)
 
 
 def q_idw_interpolate(sf_dir: str):
@@ -10251,15 +10063,7 @@ def q_rate_limit_audit(sf_dir: str):
         out["n_events"] = out["n_events"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "user_id", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(probe, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(ds, "user_id", probe)
 
 
 def q_footprint_grid_cover(sf_dir: str):
@@ -10622,15 +10426,10 @@ def q_cf_candidates(sf_dir: str):
         part["n"] = part["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(part)
 
-    nb = shuffle_mod.scaled_buckets()
-    partials = (
-        ds.map_batches(incid, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "pk", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(pairs, batch_format="pyarrow")
+    partials = shuffle_mod.bucket_reduce(
+        ds.map_batches(incid, batch_format="pyarrow"),
+        "pk",
+        pairs,
     )
     agg = shuffle_mod.salted_aggregate(
         partials, key="pairkey", sums=("n",), count_alias="_np",
@@ -10685,20 +10484,13 @@ def q_grid_rle(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    def bucket_gy(b: pa.Table, n: int) -> pa.Table:
-        gy = b["grid_cell"].to_numpy(zero_copy_only=False) // NX
-        return b.append_column(
-            "_bucket", pa.array((gy % n).astype(np.int64))
-        )
-
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        base.map_batches(
-            lambda b, n=nb: bucket_gy(b, n), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(runs, batch_format="pyarrow")
+    with_gy = base.map_batches(
+        lambda b: b.append_column(
+            "gy", pa.array(b["grid_cell"].to_numpy(zero_copy_only=False) // NX)
+        ),
+        batch_format="pyarrow",
     )
+    return shuffle_mod.bucket_reduce(with_gy, "gy", runs)
 
 
 def q_seasonal_anomaly(sf_dir: str):
@@ -10889,15 +10681,10 @@ def q_ttr_by_source(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
     return (
-        ds.map_batches(tok, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "token", n),
-            batch_format="pyarrow",
+        shuffle_mod.bucket_reduce(
+            ds.map_batches(tok, batch_format="pyarrow"), "token", fold
         )
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
         .to_pandas()
         .groupby("source", sort=True, as_index=False)
         .sum()
@@ -11275,14 +11062,8 @@ def q_fulfillment_lag(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
     hist = (
-        both.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "key", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(lag_hist, batch_format="pyarrow")
+        shuffle_mod.bucket_reduce(both, "key", lag_hist)
         .to_pandas()
         .groupby(["prio", "lag"], sort=False, as_index=False)["n"]
         .sum()
@@ -11382,15 +11163,10 @@ def q_sourcing_concentration(sf_dir: str):
         )
         return shuffle_mod.from_pandas_clean(res)
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "l_partkey", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(conc, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(
+        ds.map_batches(counts, batch_format="pyarrow"),
+        "l_partkey",
+        conc,
     )
 
 
@@ -11509,15 +11285,7 @@ def q_brand_price_rank(sf_dir: str):
             out[["p_partkey", "p_brand", "price_c", "prank_e6"]]
         )
 
-    nb = shuffle_mod.scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "p_brand", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(rank, batch_format="pyarrow")
-    )
+    return shuffle_mod.bucket_reduce(ds, "p_brand", rank)
 
 
 def q_basket_size_hist(sf_dir: str):
@@ -11548,14 +11316,8 @@ def q_basket_size_hist(sf_dir: str):
         out["n_orders"] = out["n_orders"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    nb = shuffle_mod.scaled_buckets()
     f = (
-        ds.map_batches(
-            lambda b, n=nb: shuffle_mod.add_bucket(b, "l_orderkey", n),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(sizes, batch_format="pyarrow")
+        shuffle_mod.bucket_reduce(ds, "l_orderkey", sizes)
         .to_pandas()
         .groupby("basket_size", sort=True, as_index=False)["n_orders"]
         .sum()

@@ -14,8 +14,8 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
   recall for any radius) with blocked-SWAR Hamming verify.
 - **embedding cosine**: multi-table sign-LSH buckets + in-bucket cosine.
 
-Every shuffle keys on a COARSE hash bucket (``_coarse_bucket``), never
-on the raw high-cardinality key: Ray's sort-based groupby pays
+Every shuffle keys on a COARSE hash bucket (``shuffle.bucket_reduce``),
+never on the raw high-cardinality key: Ray's sort-based groupby pays
 per-distinct-group Python overhead, so real buckets are resolved
 vectorized inside each coarse group (CLAUDE.md platform notes). All hash
 seeds are fixed constants → deterministic under Ray task retries.
@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycells.engine.shuffle import from_pandas_clean, scaled_buckets
+from raycells.engine.shuffle import bucket_reduce, from_pandas_clean
 
 __all__ = [
     "content_hash64",
@@ -92,18 +92,11 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id"):
     )
 
     def keep_first(group: pa.Table) -> pa.Table:
-        df = group.to_pandas().drop(columns=["_cbucket"])
+        df = group.to_pandas()
         winners = df.loc[df.groupby("content_hash")[id_col].idxmin()]
         return from_pandas_clean(winners)
 
-    return (
-        hashed.map_batches(
-            lambda b, nb=scaled_buckets(): _coarse_bucket(b, ["content_hash"], nb),
-            batch_format="pyarrow"
-        )
-        .groupby("_cbucket")
-        .map_groups(keep_first, batch_format="pyarrow")
-    )
+    return bucket_reduce(hashed, ["content_hash"], keep_first)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +247,6 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
-N_COARSE = 64
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _coarse_bucket(batch: pa.Table, cols, num_buckets: int = N_COARSE) -> pa.Table:
-    """Append a coarse shuffle-bucket column derived from ``cols`` (the
-    real, possibly high-cardinality key). The groupby shuffles on ~64
-    distinct values; real-key boundaries are resolved inside each group."""
-    import pandas as pd
-
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for c in cols:
-            vals = batch[c].to_numpy(zero_copy_only=False)
-            if vals.dtype.kind not in "iuf":
-                vals = pd.util.hash_array(np.asarray(vals, dtype=object))
-            h = (h ^ vals.astype(np.uint64)) * _GOLD
-    return batch.append_column(
-        "_cbucket", pa.array(((h >> np.uint64(33)) % num_buckets).astype(np.int64))
-    )
-
-
 def _iter_real_buckets(group: pa.Table, cols):
     """Yield row-index arrays for each real key (≥ 2 members) inside a
     coarse group — one vectorized lexsort, then boundary scan."""
@@ -301,18 +272,11 @@ def _dedupe_pairs(pairs_ds):
     pandas drop_duplicates per bucket (pairs collide across bands/tables)."""
 
     def dedupe(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().drop(columns=["_cbucket"])
+        df = g.to_pandas()
         df = df.sort_values(["id_a", "id_b"]).drop_duplicates(["id_a", "id_b"])
         return from_pandas_clean(df)
 
-    return (
-        pairs_ds.map_batches(
-            lambda b, nb=scaled_buckets(): _coarse_bucket(b, ["id_a", "id_b"], nb),
-            batch_format="pyarrow"
-        )
-        .groupby("_cbucket")
-        .map_groups(dedupe, batch_format="pyarrow")
-    )
+    return bucket_reduce(pairs_ds, ["id_a", "id_b"], dedupe)
 
 
 def minhash_near_dup_pairs(
@@ -345,8 +309,6 @@ def minhash_near_dup_pairs(
     corpus-derived table is ever ``ray.get``-collected; only the final
     verified pairs (the output) come back to the driver.
     Returns a pyarrow Table (id_a < id_b, jaccard)."""
-    import ray
-
     def signatures(batch: pa.Table) -> pa.Table:
         mh = _minhasher(n_perm)
         texts = batch[col].to_pylist()
@@ -378,14 +340,10 @@ def minhash_near_dup_pairs(
             }
         )
 
-    cand = (
-        ds.map_batches(signatures, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=scaled_buckets(): _coarse_bucket(b, ["band", "band_hash"], nb),
-            batch_format="pyarrow"
-        )
-        .groupby("_cbucket")
-        .map_groups(pairs_of, batch_format="pyarrow")
+    cand = bucket_reduce(
+        ds.map_batches(signatures, batch_format="pyarrow"),
+        ["band", "band_hash"],
+        pairs_of,
     )
     empty = pa.table(
         {
@@ -1049,14 +1007,10 @@ def simhash_near_dup_pairs(ds, col: str = "text", id_col: str = "doc_id", max_ha
             }
         )
 
-    pairs = (
-        ds.map_batches(add_chunks, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=scaled_buckets(): _coarse_bucket(b, ["chunk_id", "chunk_val"], nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_cbucket")
-        .map_groups(verify, batch_format="pyarrow")
+    pairs = bucket_reduce(
+        ds.map_batches(add_chunks, batch_format="pyarrow"),
+        ["chunk_id", "chunk_val"],
+        verify,
     )
     # no _dedupe_pairs pass: first-matching-chunk emission already
     # guarantees each pair appears exactly once (minhash still needs the
@@ -1192,16 +1146,10 @@ def simhash128_near_dup_pairs(
             }
         )
 
-    return (
-        ds.map_batches(add_chunks, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=scaled_buckets(): _coarse_bucket(
-                b, ["chunk_id", "chunk_val"], nb
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("_cbucket")
-        .map_groups(verify, batch_format="pyarrow")
+    return bucket_reduce(
+        ds.map_batches(add_chunks, batch_format="pyarrow"),
+        ["chunk_id", "chunk_val"],
+        verify,
     )
 
 
@@ -1319,11 +1267,8 @@ def embedding_near_dup_pairs(
             }
         )
 
-    cand = (
-        ds.map_batches(add_lsh_bucket, batch_format="pyarrow")
-        .map_batches(lambda b, nb=scaled_buckets(): _coarse_bucket(b, ["bucket"], nb), batch_format="pyarrow")
-        .groupby("_cbucket")
-        .map_groups(pairs_of, batch_format="pyarrow")
+    cand = bucket_reduce(
+        ds.map_batches(add_lsh_bucket, batch_format="pyarrow"), ["bucket"], pairs_of
     )
     empty = pa.table(
         {
@@ -1382,7 +1327,6 @@ def dup_window_rows(ds, id_col="doc_id", col="text", w=None, s=None,
     shape; all occurrences of a fingerprint land in one bucket, so the
     bucket-local first row after an (wh, id, p) sort IS the global
     canonical). Returns the kept (id, p) Dataset."""
-    from raycells.engine.shuffle import add_bucket
     from raycells.text import analysis as ta
 
     w = ta.SPAN_W if w is None else w
@@ -1402,11 +1346,7 @@ def dup_window_rows(ds, id_col="doc_id", col="text", w=None, s=None,
             }
         )
 
-    nb = scaled_buckets()  # ONCE on the driver (CLAUDE.md)
-
     def dup_filter(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.to_pandas().sort_values(["wh", id_col, "p"], kind="stable")
         sizes = df.groupby("wh", sort=False)["wh"].transform("size")
         keep = sizes.to_numpy() > 1
@@ -1420,29 +1360,8 @@ def dup_window_rows(ds, id_col="doc_id", col="text", w=None, s=None,
             return g.select([id_col, "p"]).slice(0, 0)
         return from_pandas_clean(df)
 
-    return (
-        ds.map_batches(windows, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=nb: add_bucket(b, "wh", nb), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(dup_filter, batch_format="pyarrow")
-    )
-
-
-def _doc_bucket_reduce(kept, id_col, fn):
-    """Back half: exchange the kept (id, p) rows on an id bucket so each
-    doc's positions land in one group, then run the vectorized
-    per-bucket reducer ``fn``."""
-    from raycells.engine.shuffle import add_bucket
-
-    nb = scaled_buckets()
-    return (
-        kept.map_batches(
-            lambda b, nb=nb: add_bucket(b, id_col, nb), batch_format="pyarrow"
-        )
-        .groupby("_bucket")
-        .map_groups(fn, batch_format="pyarrow")
+    return bucket_reduce(
+        ds.map_batches(windows, batch_format="pyarrow"), "wh", dup_filter
     )
 
 
@@ -1509,7 +1428,8 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
 
     if not combine:
         kept = dup_window_rows(ds, id_col, col, w, s, drop_canonical=False)
-        spans = _doc_bucket_reduce(kept, id_col, merge_spans)
+        # back half: each doc's kept positions meet in one group
+        spans = bucket_reduce(kept, id_col, merge_spans)
         return _spans_out(spans, id_col, sink_dir)
 
     def windows_split(b: pa.Table) -> pa.Table:
@@ -1614,12 +1534,7 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
             return b.filter(keep)
         return fn
 
-    nb = scaled_buckets()
-    from raycells.engine.shuffle import add_bucket
-
     def singleton_dups(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.to_pandas()
         sizes = df.groupby("wh", sort=False)["wh"].transform("size")
         out = df.loc[(sizes.to_numpy() > 1) & (df["k"].to_numpy() == 0),
@@ -1628,17 +1543,13 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
             return g.select([id_col, "p"]).slice(0, 0)
         return from_pandas_clean(out)
 
-    ex1 = (
-        wtab.map_batches(pick([0, 2]), batch_format="pyarrow")
-        .map_batches(lambda b, nb=nb: add_bucket(b, "wh", nb),
-                     batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(singleton_dups, batch_format="pyarrow")
+    ex1 = bucket_reduce(
+        wtab.map_batches(pick([0, 2]), batch_format="pyarrow"), "wh", singleton_dups
     )
     confirmed = wtab.map_batches(
         lambda b: pick([1])(b).select([id_col, "p"]), batch_format="pyarrow"
     )
-    spans_ex = _doc_bucket_reduce(confirmed.union(ex1), id_col, merge_spans)
+    spans_ex = bucket_reduce(confirmed.union(ex1), id_col, merge_spans)
     spans_direct = wtab.map_batches(
         lambda b: pick([3])(b)
         .select([id_col, "p", "pe", "nw"])
@@ -1671,7 +1582,6 @@ def paragraph_dedup_manifest(
     id_col: str = "doc_id",
     col: str = "text",
     w: int = PARA_W,
-    num_buckets: int | None = None,
     sink_dir: str | None = None,
 ):
     """C4-style PARAGRAPH-level exact dedup manifest (Raffel et al. C4:
@@ -1698,11 +1608,6 @@ def paragraph_dedup_manifest(
     collect only at gate scales)."""
     import pandas as pd
 
-    from raycells.engine import shuffle as shuffle_mod
-
-    if num_buckets is None:
-        num_buckets = shuffle_mod.scaled_buckets()  # ONCE on the driver
-
     def segment(b: pa.Table) -> pa.Table:
         segs: list = []
         ids: list = []
@@ -1725,8 +1630,7 @@ def paragraph_dedup_manifest(
         )
 
     def mark(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().drop(columns=["_bucket"])
-        df = df.sort_values(["seg", id_col, "seg_idx"], kind="stable")
+        df = g.to_pandas().sort_values(["seg", id_col, "seg_idx"], kind="stable")
         dup = (df.groupby("seg", sort=False).cumcount() > 0).to_numpy()
         nch = df["seg"].str.len().to_numpy().astype(np.int64)
         part = (
@@ -1745,30 +1649,14 @@ def paragraph_dedup_manifest(
         return from_pandas_clean(part)
 
     def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().drop(columns=["_bucket"])
-        out = df.groupby(id_col, sort=False).sum().reset_index()
+        out = g.to_pandas().groupby(id_col, sort=False).sum().reset_index()
         out["n_kept"] = out["n_segs"] - out["n_removed"]
         return from_pandas_clean(
             out[[id_col, "n_segs", "n_kept", "n_removed", "chars_removed"]]
         )
 
-    parts = (
-        ds.map_batches(segment, batch_format="pyarrow")
-        .map_batches(
-            lambda b, nb=num_buckets: shuffle_mod.add_bucket(b, "seg", nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(mark, batch_format="pyarrow")
-    )
-    manifest = (
-        parts.map_batches(
-            lambda b, nb=num_buckets: shuffle_mod.add_bucket(b, id_col, nb),
-            batch_format="pyarrow",
-        )
-        .groupby("_bucket")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    parts = bucket_reduce(ds.map_batches(segment, batch_format="pyarrow"), "seg", mark)
+    manifest = bucket_reduce(parts, id_col, fold)
     if sink_dir is not None:
         from raycells.engine.checkpoint import sink_to_parquet
 

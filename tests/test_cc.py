@@ -61,7 +61,13 @@ def test_cc_edges_local_min_string_label():
 
 
 @pytest.mark.parametrize("num_buckets", [1, 7])
-def test_connected_components_matches_naive(ray_session, num_buckets):
+def test_connected_components_matches_naive(ray_session, num_buckets, monkeypatch):
+    # the exchange width resolves inside shuffle.bucket_reduce: pin it to
+    # one bucket (the whole graph contracted at once) and to 7 (forests
+    # that must be re-contracted on the driver)
+    from raycells.engine import shuffle
+
+    monkeypatch.setattr(shuffle, "scaled_buckets", lambda: num_buckets)
     rng = np.random.default_rng(42)
     # 60 nodes, random edges → several multi-bucket components
     edges = [
@@ -75,7 +81,7 @@ def test_connected_components_matches_naive(ray_session, num_buckets):
             "id_b": pa.array([e[1] for e in edges], pa.string()),
         }
     )
-    df = connected_components(t, num_buckets=num_buckets)
+    df = connected_components(t)
     got = dict(zip(df["node"], df["root"]))
     assert got == _naive_components(edges)
 

@@ -47,6 +47,14 @@ def _oracle_tiles(docs_dir):
     )
 
 
+def _decoded_stats(docs):
+    """Per-tile stats + cell ids through the fused decode task stage."""
+    ex = pipeline.explode_stage(pipeline.read_docs(docs))
+    return ex.map_batches(
+        lambda b: stages.decode_stats(b, emit="stats"), batch_format="pyarrow"
+    )
+
+
 def test_flagship_agg_matches_oracle(docs_dir, ray_session):
     agg = pipeline.flagship(docs_dir, with_join=False).to_pandas()
     oracle = _oracle_tiles(docs_dir)
@@ -60,14 +68,7 @@ def test_flagship_agg_matches_oracle(docs_dir, ray_session):
 
 def test_spatial_join_matches_bruteforce(docs_dir, ray_session):
     fps = generate_footprints(60)
-    # 4-CPU test session: 1 decode actor + 1 join actor leaves CPUs for tasks
-    ds = pipeline.cellid_stage(
-        pipeline.stats_stage(
-            pipeline.decode_stage(
-                pipeline.explode_stage(pipeline.read_docs(docs_dir)), concurrency=1
-            )
-        )
-    )
+    ds = _decoded_stats(docs_dir)
     joined = pipeline.join_stage(ds, footprints_table=fps).to_pandas()
     got = set(zip(joined["media_ref"], joined["doc_id"], joined["footprint_id"]))
 
@@ -82,13 +83,7 @@ def test_spatial_join_matches_bruteforce(docs_dir, ray_session):
 
 
 def test_salted_agg_matches_unsalted(docs_dir, ray_session):
-    stats = pipeline.cellid_stage(
-        pipeline.stats_stage(
-            pipeline.decode_stage(
-                pipeline.explode_stage(pipeline.read_docs(docs_dir)), concurrency=2
-            )
-        )
-    )
+    stats = _decoded_stats(docs_dir)
     df = stats.to_pandas()
     expect = (
         df.groupby("cell_id")
@@ -122,11 +117,7 @@ def test_checkpoint_resume_byte_identical(docs_dir, ray_session, tmp_path):
     out_b = str(tmp_path / "run_b")
 
     def process(frag, frag_out):
-        ds = pipeline.stats_stage(
-            pipeline.decode_stage(
-                pipeline.explode_stage(pipeline.read_docs(frag)), concurrency=2
-            )
-        )
+        ds = _decoded_stats(frag)
         df = ds.to_pandas().sort_values(["doc_id", "span_idx"]).reset_index(drop=True)
         os.makedirs(frag_out, exist_ok=True)
         df.to_parquet(os.path.join(frag_out, "part-0.parquet"))
@@ -311,13 +302,7 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session):
     np.testing.assert_allclose(a["min_val"], b["min_val"], rtol=0)
     np.testing.assert_allclose(a["max_val"], b["max_val"], rtol=0)
 
-    stats = pipeline.cellid_stage(
-        pipeline.stats_stage(
-            pipeline.decode_stage(
-                pipeline.explode_stage(pipeline.read_docs(docs_dir)), concurrency=1
-            )
-        )
-    )
+    stats = _decoded_stats(docs_dir)
     s1 = (
         shuffle.salted_cell_aggregate(stats, key="cell_id", salt=2)
         .to_pandas().sort_values("cell_id").reset_index(drop=True)
@@ -476,3 +461,32 @@ def test_block_tables_skips_empty_raises_on_schema_bug():
     bad = pa.table({"other": pa.array(["x"], pa.string())})
     with pytest.raises(KeyError, match="missing column 'k'"):
         block_tables([good, bad], "k")
+
+
+def test_diff_classify_rejects_duplicate_keys(ray_session):
+    """A key twice on one side has no single fingerprint to compare:
+    diff_classify raises naming the key column instead of silently
+    keeping one of the rows. Unique keys still classify."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    def both(ids, fps, sides):
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(ids, pa.int64()),
+                    "fp": pa.array(fps, pa.int64()),
+                    "side": pa.array(sides, pa.int64()),
+                }
+            )
+        )
+
+    ok = stages.diff_classify(
+        both([1, 1, 2, 3, 3, 4], [10, 11, 20, 30, 30, 40], [0, 1, 0, 0, 1, 1])
+    ).to_pandas()
+    assert dict(zip(ok["doc_id"], ok["status"])) == {
+        1: "changed", 2: "removed", 4: "added"
+    }
+    dup = both([1, 1, 2], [10, 11, 20], [0, 0, 1])
+    with pytest.raises(ValueError, match="duplicate 'doc_id'"):
+        stages.diff_classify(dup).to_pandas()

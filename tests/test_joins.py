@@ -321,8 +321,7 @@ def test_hash_join_int32_carried_schema_stable(ray_session):
         key_right="k",
         keep_left=["lv"],
         keep_right=["rv"],
-        num_buckets=16,  # 3 keys over 16 buckets → most buckets empty
-    )
+    )  # 3 keys over scaled_buckets() >= 64 buckets → most buckets empty
     # a downstream groupby forces Ray to unify block schemas — this is
     # where conflicting int32/int64 blocks blew up
     agg = out.groupby("lv").count().to_pandas()
