@@ -53,6 +53,11 @@ def _half_up(x):
     return np.floor(x + 0.5)
 
 
+def _i64(*names):
+    """int64 ``(name, type)`` fields for a ``shuffle_mod.fold`` schema."""
+    return [(n, pa.int64()) for n in names]
+
+
 def _strip_schema_metadata(t: pa.Table) -> pa.Table:
     """Drop the pandas schema metadata the driver's parquet files carry:
     the metadata dict makes ``hash(schema)`` raise, defeating Ray Data's
@@ -794,32 +799,23 @@ def q_corpus_mixture(sf_dir: str):
             [_MIX_RATES.get(s, _MIX_DEFAULT) for s in src], dtype=np.int64
         )
         keep = (did * 2654435761) % 1000 < rates
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "source": src,
-                "n_docs": 1,
+                "source": b["source"],
+                "n_docs": np.ones(len(src), np.int64),
                 "total_tokens": ntok,
                 "kept_docs": keep.astype(np.int64),
                 "kept_tokens": np.where(keep, ntok, 0),
             }
         )
-        out = df.groupby("source", sort=False, as_index=False).sum()
-        return shuffle_mod.from_pandas_clean(out)
 
-    folded = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("source", sort=False, as_index=False)
-        .sum()
-    )
-    return pa.table(
-        {
-            "source": pa.array(folded["source"], pa.string()),
-            "n_docs": pa.array(folded["n_docs"].to_numpy(np.int64)),
-            "total_tokens": pa.array(folded["total_tokens"].to_numpy(np.int64)),
-            "kept_docs": pa.array(folded["kept_docs"].to_numpy(np.int64)),
-            "kept_tokens": pa.array(folded["kept_tokens"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "source",
+        pa.schema(
+            [("source", pa.string()),
+             *_i64("n_docs", "total_tokens", "kept_docs", "kept_tokens")]
+        ),
     )
 
 
@@ -1050,33 +1046,24 @@ def q_cluster_quality(sf_dir: str):
         keep_right=["n_tokens", "stopword_hits", "quality_ok"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        out = df.groupby("cluster", sort=False).agg(
-            n_docs=("cluster", "size"),
-            total_tokens=("n_tokens", "sum"),
-            total_stopword_hits=("stopword_hits", "sum"),
-            n_quality_ok=("quality_ok", "sum"),
-        ).reset_index()
-        out["n_docs"] = out["n_docs"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "cluster": b["cluster"],
+                "n_docs": np.ones(b.num_rows, np.int64),
+                "total_tokens": b["n_tokens"],
+                "total_stopword_hits": b["stopword_hits"],
+                "n_quality_ok": b["quality_ok"],
+            }
+        )
 
-    folded = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("cluster", sort=False, as_index=False)
-        .sum()
-    )
-    return pa.table(
-        {
-            "cluster": pa.array(folded["cluster"].to_numpy(np.int64)),
-            "n_docs": pa.array(folded["n_docs"].to_numpy(np.int64)),
-            "total_tokens": pa.array(folded["total_tokens"].to_numpy(np.int64)),
-            "total_stopword_hits": pa.array(
-                folded["total_stopword_hits"].to_numpy(np.int64)
-            ),
-            "n_quality_ok": pa.array(folded["n_quality_ok"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        joined.map_batches(project, batch_format="pyarrow"),
+        "cluster",
+        pa.schema(
+            _i64("cluster", "n_docs", "total_tokens", "total_stopword_hits",
+                 "n_quality_ok")
+        ),
     )
 
 
@@ -1315,9 +1302,8 @@ def q_footprint_metrics(sf_dir: str):
     zonal stats. Coordinates quantize to e6 integers with the shared
     floor(x·1e6 + 0.5) recipe (exact given bit-identical parquet doubles
     on both engines), so the cross-product sum is pure int64 arithmetic:
-    order-free and hashable. Shape at scale: map-side partial sums per
-    footprint, driver fold of the O(blocks × footprints) partials (the
-    lineitem_pricing pattern — no exchange)."""
+    order-free and hashable. Shape at scale: one driver fold
+    (``shuffle.fold``) per footprint — no exchange."""
     import ray.data as rd
 
     from raycells.io import footprints as fp_mod
@@ -1330,33 +1316,22 @@ def q_footprint_metrics(sf_dir: str):
             c: _half_up(b[c].to_numpy(zero_copy_only=False) * 1e6).astype(np.int64)
             for c in ("x1", "y1", "x2", "y2")
         }
-        cross = q["x1"] * q["y2"] - q["x2"] * q["y1"]
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "footprint_id": b["footprint_id"].to_numpy(zero_copy_only=False),
-                "category": b["category"].to_numpy(zero_copy_only=False),
-                "cross": cross,
+                "footprint_id": b["footprint_id"],
+                "category": b["category"],
+                "n_edges": np.ones(b.num_rows, np.int64),
+                "area2_e12": q["x1"] * q["y2"] - q["x2"] * q["y1"],
             }
         )
-        out = df.groupby(["footprint_id", "category"], sort=False).agg(
-            n_edges=("cross", "size"), area2_e12=("cross", "sum")
-        ).reset_index()
-        out["n_edges"] = out["n_edges"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
 
-    folded = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["footprint_id", "category"], sort=False, as_index=False)
-        .agg(n_edges=("n_edges", "sum"), area2_e12=("area2_e12", "sum"))
-    )
-    return pa.table(
-        {
-            "footprint_id": pa.array(folded["footprint_id"], pa.string()),
-            "category": pa.array(folded["category"], pa.string()),
-            "n_edges": pa.array(folded["n_edges"].to_numpy(), pa.int64()),
-            "area2_e12": pa.array(folded["area2_e12"].to_numpy(), pa.int64()),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["footprint_id", "category"],
+        pa.schema(
+            [("footprint_id", pa.string()), ("category", pa.string()),
+             *_i64("n_edges", "area2_e12")]
+        ),
     )
 
 
@@ -1776,17 +1751,14 @@ def q_quantiles_qty(sf_dir: str):
 
     def counts(b: pa.Table) -> pa.Table:
         qty = _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        vals, n = np.unique(qty, return_counts=True)
-        return pa.table({"qty": pa.array(vals), "n": pa.array(n.astype(np.int64))})
+        return pa.table({"qty": qty, "n": np.ones(len(qty), np.int64)})
 
-    hist = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("qty", sort=True, as_index=False)["n"]
-        .sum()
+    hist = shuffle_mod.fold(
+        ds.map_batches(counts, batch_format="pyarrow"), "qty",
+        pa.schema(_i64("qty", "n")),
     )
-    total = int(hist["n"].sum())
-    cum = hist["n"].cumsum().to_numpy()
+    cum = np.cumsum(hist["n"].to_numpy())
+    total = int(cum[-1]) if len(cum) else 0
     vals = hist["qty"].to_numpy()
 
     def pick(q: float) -> int:
@@ -1890,16 +1862,13 @@ def q_revenue_by_nation(sf_dir: str):
 
 def q_lineitem_pricing(sf_dir: str):
     """TPC-H-Q1-style grouped aggregate with per-row computed columns;
-    multi-key map-side combine + driver fold over exact cent units."""
+    driver fold (≤ 6 groups) over exact cent units."""
     ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax"])
 
     def derive(b: pa.Table) -> pa.Table:
         # exact integer units per row (prices/discounts/taxes have 2
         # decimals): summing int64 is order-independent, so the DuckDB
         # oracle matches bit-for-bit — no float-rounding coin flips.
-        # MAP-SIDE COMBINE: the group key has ≤ 6 distinct values, so
-        # each batch collapses to ≤ 6 partial rows before the exchange —
-        # the groupby shuffles O(blocks·groups) rows, not O(input).
         ep_c = _half_up(
             b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
@@ -1910,56 +1879,26 @@ def q_lineitem_pricing(sf_dir: str):
             np.int64
         )
         disc_e4 = ep_c * (100 - dc_c)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "l_returnflag": b["l_returnflag"].to_numpy(zero_copy_only=False),
-                "l_linestatus": b["l_linestatus"].to_numpy(zero_copy_only=False),
-                "qty": _half_up(
+                "l_returnflag": b["l_returnflag"],
+                "l_linestatus": b["l_linestatus"],
+                "count_order": np.ones(b.num_rows, np.int64),
+                "sum_qty": _half_up(
                     b["l_quantity"].to_numpy(zero_copy_only=False)
                 ).astype(np.int64),
-                "disc_price_e4": disc_e4,
-                "charge_e6": disc_e4 * (100 + tx_c),
+                "sum_disc_price_e4": disc_e4,
+                "sum_charge_e6": disc_e4 * (100 + tx_c),
             }
         )
-        part = (
-            df.groupby(["l_returnflag", "l_linestatus"], sort=False)
-            .agg(
-                count_order=("qty", "size"),
-                sum_qty=("qty", "sum"),
-                sum_disc_price_e4=("disc_price_e4", "sum"),
-                sum_charge_e6=("charge_e6", "sum"),
-            )
-            .reset_index()
-        )
-        return shuffle_mod.from_pandas_clean(part)
 
-    # Final merge is a DRIVER FOLD over the combiner output — the
-    # collected set is O(blocks × groups) rows (384 here; bounded by the
-    # combiner, like HLL register merges), so no all-to-all is needed.
-    # Measured: Ray's sort Aggregate added ~2 s of pure exchange fixed
-    # cost to merge 384 rows into 6. At cluster scale with very many
-    # blocks, tree-fold the partials (repartition → second combine)
-    # before the driver collect.
-    parts = ds.map_batches(derive, batch_format="pyarrow").to_pandas()
-    out = (
-        parts.groupby(["l_returnflag", "l_linestatus"], sort=False)
-        .sum()
-        .reset_index()
-    )
-    return pa.table(
-        {
-            "l_returnflag": pa.array(out["l_returnflag"], pa.string()),
-            "l_linestatus": pa.array(out["l_linestatus"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in (
-                    "count_order",
-                    "sum_qty",
-                    "sum_disc_price_e4",
-                    "sum_charge_e6",
-                )
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(derive, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        pa.schema(
+            [("l_returnflag", pa.string()), ("l_linestatus", pa.string()),
+             *_i64("count_order", "sum_qty", "sum_disc_price_e4", "sum_charge_e6")]
+        ),
     )
 
 
@@ -1985,36 +1924,25 @@ def q_orders_by_segment(sf_dir: str):
             pos = np.searchsorted(self.keys, ck)
             pos = np.clip(pos, 0, len(self.keys) - 1)
             hit = self.keys[pos] == ck
-            seg = np.where(hit, self.segs[pos], None)
             price_c = _half_up(
                 b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
             ).astype(np.int64)
-            # MAP-SIDE COMBINE: ≤ |segments| partial rows leave each
-            # batch; the driver folds the O(blocks·segments) partials
-            part = (
-                pd.DataFrame({"c_mktsegment": seg, "price_c": price_c})
-                .dropna(subset=["c_mktsegment"])
-                .groupby("c_mktsegment", sort=False)
-                .agg(n_orders=("price_c", "size"), sum_totalprice_c=("price_c", "sum"))
-                .reset_index()
+            return pa.table(
+                {
+                    "c_mktsegment": pa.array(self.segs[pos[hit]], pa.string()),
+                    "n_orders": np.ones(int(hit.sum()), np.int64),
+                    "sum_totalprice_c": price_c[hit],
+                }
             )
-            return shuffle_mod.from_pandas_clean(part)
 
-    # driver fold over O(blocks × segments) combiner rows — see
-    # q_lineitem_pricing for the measured rationale
-    parts = (
+    return shuffle_mod.fold(
         _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
         .map_batches(stages.broadcast_task(SegmentJoiner, side_ref),
-                     batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = parts.groupby("c_mktsegment", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "c_mktsegment": pa.array(out["c_mktsegment"], pa.string()),
-            "n_orders": pa.array(out["n_orders"].to_numpy(np.int64)),
-            "sum_totalprice_c": pa.array(out["sum_totalprice_c"].to_numpy(np.int64)),
-        }
+                     batch_format="pyarrow"),
+        "c_mktsegment",
+        pa.schema(
+            [("c_mktsegment", pa.string()), *_i64("n_orders", "sum_totalprice_c")]
+        ),
     )
 
 
@@ -2129,41 +2057,35 @@ def q_lang_id(sf_dir: str):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def q_events_daily(sf_dir: str):
-    """Grouped aggregate over the events stream table by (type, day):
-    map-side combine to ≤ |types × days| partial rows per batch, driver
-    fold over the bounded partials (see q_lineitem_pricing)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
+_EVENT_DAY_SCHEMA = pa.schema(
+    [("event_type", pa.string()), ("day", pa.string()),
+     *_i64("n_events", "sum_value_c")]
+)
 
-    def project(b: pa.Table) -> pa.Table:
-        value_c = _half_up(b["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "day": pc.strftime(b["ts"], format="%Y-%m-%d").to_numpy(
-                    zero_copy_only=False
-                ),
-                "value_c": value_c,
-            }
-        )
-        part = (
-            df.groupby(["event_type", "day"], sort=False)
-            .agg(n_events=("value_c", "size"), sum_value_c=("value_c", "sum"))
-            .reset_index()
-        )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(project, batch_format="pyarrow").to_pandas()
-    out = parts.groupby(["event_type", "day"], sort=False).sum().reset_index()
+def _event_day_rows(b: pa.Table) -> pa.Table:
+    """One (event_type, day, 1, value in cents) row per event: the
+    projection the events_daily and events_rollup folds share."""
     return pa.table(
         {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "day": pa.array(out["day"], pa.string()),
-            "n_events": pa.array(out["n_events"].to_numpy(np.int64)),
-            "sum_value_c": pa.array(out["sum_value_c"].to_numpy(np.int64)),
+            "event_type": pc.cast(b["event_type"], pa.string()),
+            "day": pc.strftime(b["ts"], format="%Y-%m-%d"),
+            "n_events": np.ones(b.num_rows, np.int64),
+            "sum_value_c": _half_up(
+                b["value"].to_numpy(zero_copy_only=False) * 100
+            ).astype(np.int64),
         }
+    )
+
+
+def q_events_daily(sf_dir: str):
+    """Grouped aggregate over the events stream table by (type, day):
+    a driver fold over the ≤ |types × days| groups."""
+    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
+    return shuffle_mod.fold(
+        ds.map_batches(_event_day_rows, batch_format="pyarrow"),
+        ["event_type", "day"],
+        _EVENT_DAY_SCHEMA,
     )
 
 
@@ -2175,8 +2097,8 @@ def q_cohort_retention(sf_dir: str):
     customer-sized table, so at 100 TB it can neither broadcast nor
     land on the driver — it CO-PARTITIONS with the orders stream
     through the same hash_join exchange (both sides large). The final
-    (cohort, month) rollup is bounded by months², so it folds map-side
-    + driver (the q_lineitem_pricing pattern). Month strings compare
+    (cohort, month) rollup is bounded by months², so it goes through the
+    driver fold (``shuffle.fold``). Month strings compare
     lexicographically == chronologically ('%Y-%m'), keeping the MIN
     exact on both engines."""
     from raycells.engine.joins import hash_join
@@ -2207,29 +2129,20 @@ def q_cohort_retention(sf_dir: str):
         keep_left=["month"], keep_right=["cohort"],
     )
 
-    def partials(b: pa.Table) -> pa.Table:
-        df = (
-            pd.DataFrame(
-                {
-                    "cohort": b["cohort"].to_numpy(zero_copy_only=False),
-                    "month": b["month"].to_numpy(zero_copy_only=False),
-                }
-            )
-            .groupby(["cohort", "month"], sort=False)
-            .size()
-            .reset_index(name="n_orders")
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "cohort": b["cohort"],
+                "month": b["month"],
+                "n_orders": np.ones(b.num_rows, np.int64),
+            }
         )
-        df["n_orders"] = df["n_orders"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(df)
 
-    parts = joined.map_batches(partials, batch_format="pyarrow").to_pandas()
-    out = parts.groupby(["cohort", "month"], sort=False, as_index=False).sum()
-    return pa.table(
-        {
-            "cohort": pa.array(out["cohort"], pa.string()),
-            "month": pa.array(out["month"], pa.string()),
-            "n_orders": pa.array(out["n_orders"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        joined.map_batches(project, batch_format="pyarrow"),
+        ["cohort", "month"],
+        pa.schema([("cohort", pa.string()), ("month", pa.string()),
+                   *_i64("n_orders")]),
     )
 
 
@@ -2308,44 +2221,25 @@ def q_events_rollup(sf_dir: str):
     rollup/cube-lite reshape. Rolled-up dimensions carry the 'ALL'
     sentinel.
 
-    Shape at scale: aggregate ONCE at the finest grain ((type, day)
-    map-side partials, driver fold — the q_events_daily shape), then
-    derive every coarser level from the folded base on the driver:
-    counts and exact cent-sums are associative, so the three rollups
-    are O(|types × days|) pandas folds of the ~2k-row base, never a
-    second scan or a second exchange. The GROUPING SETS answer falls
-    out of one aggregation — the canonical partial-reuse pattern."""
-    base = q_events_daily(sf_dir).to_pandas()
+    Shape at scale: every event is emitted once per grouping set, with
+    'ALL' in the rolled-up dimensions, and one driver fold over
+    (event_type, day) yields all four levels — counts and exact cent
+    sums are associative, so there is no second scan or exchange."""
+    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def lvl(keys: list) -> pd.DataFrame:
-        g = (
-            base.groupby(keys, sort=False, as_index=False)[
-                ["n_events", "sum_value_c"]
-            ].sum()
-            if keys
-            else pd.DataFrame(
-                {
-                    "n_events": [base["n_events"].sum()],
-                    "sum_value_c": [base["sum_value_c"].sum()],
-                }
-            )
+    def grouping_sets(b: pa.Table) -> pa.Table:
+        t = _event_day_rows(b)
+        rolled = pa.array(["ALL"] * t.num_rows, pa.string())
+        no_day = t.set_column(1, "day", rolled)
+        return pa.concat_tables(
+            [t, no_day, t.set_column(0, "event_type", rolled),
+             no_day.set_column(0, "event_type", rolled)]
         )
-        for c in ("event_type", "day"):
-            if c not in g.columns:
-                g[c] = "ALL"
-        return g[["event_type", "day", "n_events", "sum_value_c"]]
 
-    out = pd.concat(
-        [lvl(["event_type", "day"]), lvl(["event_type"]), lvl(["day"]), lvl([])],
-        ignore_index=True,
-    )
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "day": pa.array(out["day"], pa.string()),
-            "n_events": pa.array(out["n_events"].to_numpy(np.int64)),
-            "sum_value_c": pa.array(out["sum_value_c"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(grouping_sets, batch_format="pyarrow"),
+        ["event_type", "day"],
+        _EVENT_DAY_SCHEMA,
     )
 
 
@@ -2642,8 +2536,6 @@ def q_fingerprint_docs(sf_dir: str):
     """Rolling-hash document fingerprints rolled up per source: count of
     distinct fingerprints (oracle-checked: the rolling polynomial hash
     in HUGEINT SQL; determinism pinned in tests)."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
     # Carry the hash as the int64 BIT PATTERN of the uint64 fingerprint:
     # Ray 2.49 groupby re-materializes key values as Python ints and Arrow
@@ -2788,37 +2680,27 @@ def q_bloom_semijoin(sf_dir: str):
             k = pc.cast(b["o_custkey"], pa.int64()).to_numpy(zero_copy_only=False)
             pos = bloom_probe(self.bitmap, k)
             tru = np.isin(k, self.keys)
-            df = pd.DataFrame(
+            return pa.table(
                 {
-                    "o_orderpriority": b["o_orderpriority"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "n_orders": 1,
+                    "o_orderpriority": b["o_orderpriority"],
+                    "n_orders": np.ones(len(k), np.int64),
                     "n_bloom_pos": pos.astype(np.int64),
                     "n_true": tru.astype(np.int64),
                 }
             )
-            out = df.groupby("o_orderpriority", sort=False, as_index=False).sum()
-            return shuffle_mod.from_pandas_clean(out)
 
     orders = _read(
         sf_dir, "orders", SMALL_TABLE_BLOCKS, columns=["o_custkey", "o_orderpriority"]
     )
-    folded = (
+    return shuffle_mod.fold(
         orders.map_batches(
             stages.broadcast_task(Probe, bm_ref, keys_ref), batch_format="pyarrow"
-        )
-        .to_pandas()
-        .groupby("o_orderpriority", sort=False, as_index=False)
-        .sum()
-    )
-    return pa.table(
-        {
-            "o_orderpriority": pa.array(folded["o_orderpriority"], pa.string()),
-            "n_orders": pa.array(folded["n_orders"].to_numpy(np.int64)),
-            "n_bloom_pos": pa.array(folded["n_bloom_pos"].to_numpy(np.int64)),
-            "n_true": pa.array(folded["n_true"].to_numpy(np.int64)),
-        }
+        ),
+        "o_orderpriority",
+        pa.schema(
+            [("o_orderpriority", pa.string()),
+             *_i64("n_orders", "n_bloom_pos", "n_true")]
+        ),
     )
 
 
@@ -2886,30 +2768,19 @@ def q_bloom_pruned_join(sf_dir: str):
         keep_right=["c_nationkey"],
     )
 
-    def fold(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "c_nationkey": b["c_nationkey"].to_numpy(zero_copy_only=False),
-                "n_orders": 1,
-                "sum_price_c": b["price_c"].to_numpy(zero_copy_only=False),
+                "c_nationkey": b["c_nationkey"],
+                "n_orders": np.ones(b.num_rows, np.int64),
+                "sum_price_c": b["price_c"],
             }
         )
-        out = df.groupby("c_nationkey", sort=False, as_index=False).sum()
-        return shuffle_mod.from_pandas_clean(out)
 
-    folded = (
-        joined.map_batches(fold, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("c_nationkey", sort=False, as_index=False)
-        .sum()
-        .sort_values("c_nationkey")
-    )
-    return pa.table(
-        {
-            "c_nationkey": pa.array(folded["c_nationkey"].to_numpy(np.int64)),
-            "n_orders": pa.array(folded["n_orders"].to_numpy(np.int64)),
-            "sum_price_c": pa.array(folded["sum_price_c"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        joined.map_batches(project, batch_format="pyarrow"),
+        "c_nationkey",
+        pa.schema(_i64("c_nationkey", "n_orders", "sum_price_c")),
     )
 
 
@@ -2963,29 +2834,18 @@ def q_events_props_k(sf_dir: str):
 
             for i, pr in enumerate(b["props"].to_pylist()):
                 ks[i] = int(json.loads(pr)["k"])
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                    "k_decade": (ks // 10) * 10,
-                }
-            )
-            .groupby(["event_type", "k_decade"], sort=False)
-            .size()
-            .rename("n_events")
-            .reset_index()
+        return pa.table(
+            {
+                "event_type": b["event_type"],
+                "k_decade": (ks // 10) * 10,
+                "n_events": np.ones(b.num_rows, np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    # map-side combine + driver fold over O(blocks × groups) partials
-    parts = ds.map_batches(extract, batch_format="pyarrow").to_pandas()
-    out = parts.groupby(["event_type", "k_decade"], sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "k_decade": pa.array(out["k_decade"].to_numpy(np.int64)),
-            "n_events": pa.array(out["n_events"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(extract, batch_format="pyarrow"),
+        ["event_type", "k_decade"],
+        pa.schema([("event_type", pa.string()), *_i64("k_decade", "n_events")]),
     )
 
 
@@ -2995,8 +2855,6 @@ def q_events_rolling7(sf_dir: str):
     tiny daily rollup; the rolling pass runs once over the aggregated
     table (O(days × types) rows). At petabyte scale the rollup is the
     shuffle; the window never touches raw rows."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
     def day_of(b: pa.Table) -> pa.Table:
@@ -3195,7 +3053,6 @@ def q_customers_no_orders(sf_dir: str):
     (Predicate pushdown at the read: only the two needed columns leave
     storage, rows filtered before the broadcast set is built.)"""
     import ray
-    from ray.data.aggregate import Count
 
     ot = pq.read_table(
         os.path.join(sf_dir, "orders.parquet"),
@@ -3512,8 +3369,8 @@ class _CanonSplitStage:
     """Broadcast-state stage for q_leakage_safe_split: the near-dup
     canonical-key map reads zero-copy from plasma once per worker
     (stages.broadcast_task memo), each batch maps docs to their
-    canonical id, derives the murmur split, and collapses map-side to
-    ≤ splits × langs partial rows. Module-level so the memo key works."""
+    canonical id and derives the murmur split. Module-level so the memo
+    key works."""
 
     def __init__(self, ref, val_mod: int):
         import ray
@@ -3527,24 +3384,14 @@ class _CanonSplitStage:
         dk = pd.Series(pc.cast(b["doc_id"], pa.string()).to_pylist())
         canon = dk.map(self.map).fillna(dk)
         h = _hash64(canon.astype(np.int64).to_numpy())
-        part = (
-            pd.DataFrame(
-                {
-                    "split": np.where(
-                        h % np.uint64(self.val_mod) == 0, "val", "train"
-                    ),
-                    "lang": b["lang"].to_numpy(zero_copy_only=False),
-                    "n_docs": np.ones(b.num_rows, np.int64),
-                    "sum_chars": b["n_chars"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                }
-            )
-            .groupby(["split", "lang"], sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "split": np.where(h % np.uint64(self.val_mod) == 0, "val", "train"),
+                "lang": b["lang"],
+                "n_docs": np.ones(b.num_rows, np.int64),
+                "sum_chars": pc.cast(b["n_chars"], pa.int64()),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
 
 def q_leakage_safe_split(sf_dir: str, val_mod: int = 10):
@@ -3560,9 +3407,8 @@ def q_leakage_safe_split(sf_dir: str, val_mod: int = 10):
     Shape at scale: the component table is NODE-sized (only docs that
     near-dup anything — the engine/cc.py contraction already folds it
     driver-side) and broadcasts ONCE via plasma; the documents scan
-    reads only (doc_id, lang, n_chars) — never text — and collapses
-    map-side to ≤ splits × langs rows per batch, so the driver folds
-    O(blocks × splits × langs) partials."""
+    reads only (doc_id, lang, n_chars) — never text — and the driver
+    fold holds O(blocks × splits × langs) partials."""
     import ray
 
     from raycells.engine.cc import connected_components
@@ -3576,24 +3422,14 @@ def q_leakage_safe_split(sf_dir: str, val_mod: int = 10):
         sf_dir, "documents", SMALL_TABLE_BLOCKS,
         columns=["doc_id", "lang", "n_chars"],
     )
-    parts = ds.map_batches(
-        stages.broadcast_task(_CanonSplitStage, ref, val_mod),
-        batch_format="pyarrow",
-    )
-    df = (
-        parts.to_pandas()
-        .groupby(["split", "lang"], sort=False)
-        .sum()
-        .reset_index()
-        .sort_values(["split", "lang"], kind="stable")
-    )
-    return pa.table(
-        {
-            "split": pa.array(df["split"], pa.string()),
-            "lang": pa.array(df["lang"], pa.string()),
-            "n_docs": pa.array(df["n_docs"].to_numpy(np.int64)),
-            "sum_chars": pa.array(df["sum_chars"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(
+            stages.broadcast_task(_CanonSplitStage, ref, val_mod),
+            batch_format="pyarrow",
+        ),
+        ["split", "lang"],
+        pa.schema([("split", pa.string()), ("lang", pa.string()),
+                   *_i64("n_docs", "sum_chars")]),
     )
 
 
@@ -3968,38 +3804,24 @@ def q_kcenter_assign(sf_dir: str):
         )
         a = np.argmin(d2, axis=1)  # first minimum = smallest rank on ties
         best = d2[np.arange(len(a)), a]
-        part = (
-            pd.DataFrame(
-                {
-                    "rank": a.astype(np.int64),
-                    "n_vectors": np.ones(len(a), np.int64),
-                    "sum_vec_id": b["vec_id"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "sum_d2": best.astype(np.int64),
-                }
-            )
-            .groupby("rank", sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "rank": a.astype(np.int64),
+                "n_vectors": np.ones(len(a), np.int64),
+                "sum_vec_id": pc.cast(b["vec_id"], pa.int64()),
+                "sum_d2": best.astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(assign, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("rank", sort=True).sum().reset_index()
-    ranks = sel["rank"].to_numpy(zero_copy_only=False)
-    vec_ids = sel["vec_id"].to_numpy(zero_copy_only=False)
-    center_of = dict(zip(ranks.tolist(), vec_ids.tolist()))
-    return pa.table(
-        {
-            "rank": pa.array(out["rank"].to_numpy(np.int64)),
-            "center_vec_id": pa.array(
-                [center_of[r] for r in out["rank"]], pa.int64()
-            ),
-            "n_vectors": pa.array(out["n_vectors"].to_numpy(np.int64)),
-            "sum_vec_id": pa.array(out["sum_vec_id"].to_numpy(np.int64)),
-            "sum_d2": pa.array(out["sum_d2"].to_numpy(np.int64)),
-        }
+    out = shuffle_mod.fold(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        "rank",
+        pa.schema(_i64("rank", "n_vectors", "sum_vec_id", "sum_d2")),
+    )
+    center_of = dict(zip(sel["rank"].to_pylist(), sel["vec_id"].to_pylist()))
+    return out.add_column(
+        1, "center_vec_id",
+        pa.array([center_of[r] for r in out["rank"].to_pylist()], pa.int64()),
     )
 
 
@@ -4421,7 +4243,7 @@ def q_ngram_novelty(sf_dir: str):
         df["cnt"] = df["cnt"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(df)
 
-    def fold(g: pa.Table) -> pa.Table:
+    def novelty(g: pa.Table) -> pa.Table:
         df = (
             g.to_pandas()
             .groupby(["h", "shard"], sort=False, as_index=False)["cnt"]
@@ -4429,32 +4251,23 @@ def q_ngram_novelty(sf_dir: str):
         )
         ms = df.groupby("h", sort=False)["shard"].transform("min")
         novel = (df["shard"] == ms).to_numpy()
-        out = (
-            pd.DataFrame(
-                {
-                    "shard": df["shard"],
-                    "n_windows": df["cnt"],
-                    "n_novel_windows": np.where(novel, df["cnt"], 0),
-                    "n_new_hashes": novel.astype(np.int64),
-                }
-            )
-            .groupby("shard", sort=False, as_index=False)
-            .sum()
+        return pa.table(
+            {
+                "shard": df["shard"].to_numpy(np.int64),
+                "n_windows": df["cnt"].to_numpy(np.int64),
+                "n_novel_windows": np.where(novel, df["cnt"], 0).astype(np.int64),
+                "n_new_hashes": novel.astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(out)
 
-    parts = shuffle_mod.bucket_reduce(
-        ds.map_batches(partials, batch_format="pyarrow"), "h", fold
-    ).to_pandas()
-    out = parts.groupby("shard", sort=False, as_index=False).sum()
-    return pa.table(
-        {
-            "shard": pa.array(out["shard"].to_numpy(np.int64)),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_windows", "n_novel_windows", "n_new_hashes")
-            },
-        }
+    return shuffle_mod.fold(
+        shuffle_mod.bucket_reduce(
+            ds.map_batches(partials, batch_format="pyarrow"), "h", novelty
+        ),
+        "shard",
+        pa.schema(
+            _i64("shard", "n_windows", "n_novel_windows", "n_new_hashes")
+        ),
     )
 
 
@@ -4470,21 +4283,18 @@ def q_grouped_quantiles(sf_dir: str):
 
     def counts(b: pa.Table) -> pa.Table:
         qty = _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        flags = b["l_returnflag"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"l_returnflag": flags, "qty": qty})
-        out = df.groupby(["l_returnflag", "qty"], sort=False).size().rename("n").reset_index()
-        out["n"] = out["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
+        return pa.table(
+            {"l_returnflag": b["l_returnflag"], "qty": qty,
+             "n": np.ones(len(qty), np.int64)}
+        )
 
-    hist = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "qty"], sort=False, as_index=False)["n"]
-        .sum()
-    )
+    hist = shuffle_mod.fold(
+        ds.map_batches(counts, batch_format="pyarrow"),
+        ["l_returnflag", "qty"],
+        pa.schema([("l_returnflag", pa.string()), *_i64("qty", "n")]),
+    ).to_pandas()
     rows = []
     for flag, sub in hist.groupby("l_returnflag", sort=True):
-        sub = sub.sort_values("qty")
         total = int(sub["n"].sum())
         cum = sub["n"].cumsum().to_numpy()
         vals = sub["qty"].to_numpy()
@@ -4730,19 +4540,15 @@ def q_quantiles_price(sf_dir: str):
     def bcounts(b: pa.Table) -> pa.Table:
         v = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         idx = np.clip(((v - lo) * K / span).astype(np.int64), 0, K - 1)
-        u, c = np.unique(idx, return_counts=True)
-        return pa.table({"bucket": pa.array(u), "n": pa.array(c.astype(np.int64))})
+        return pa.table({"bucket": idx, "n": np.ones(len(idx), np.int64)})
 
     # driver fold of the O(blocks × K) partials: a 4096-distinct-group
-    # Ray aggregate pays ~0.3 ms per group (CLAUDE.md), the fold is one
-    # vectorized pandas groupby over ≤ blocks·K tiny rows
-    hist = (
-        ds.map_batches(bcounts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("bucket", sort=True, as_index=False)["n"]
-        .sum()
+    # Ray aggregate pays ~0.3 ms per group (CLAUDE.md)
+    hist = shuffle_mod.fold(
+        ds.map_batches(bcounts, batch_format="pyarrow"), "bucket",
+        pa.schema(_i64("bucket", "n")),
     )
-    cum = hist["n"].cumsum().to_numpy()
+    cum = np.cumsum(hist["n"].to_numpy())
     buckets = hist["bucket"].to_numpy()
     targets = {}
     for q in (0.5, 0.9, 0.99):
@@ -4788,10 +4594,8 @@ def q_repetition_filter(sf_dir: str):
     exact integer counts so the DuckDB oracle hash-matches), and the
     derived "repetitive" flag — dup-token fraction > 1/2 OR dup-bigram
     fraction > 1/4. Shape at scale: every per-doc metric is row-local
-    (one vectorized pass per batch, no exchange), the map-side combine
-    reduces each batch to ≤ |sources| partial rows, and the final merge
-    is a driver fold over the O(blocks × sources) partials (see
-    q_lineitem_pricing — no exchange at all)."""
+    (one vectorized pass per batch, no exchange), and the per-source
+    rollup is a driver fold (``shuffle.fold``)."""
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
 
     def partials(b: pa.Table) -> pa.Table:
@@ -4811,41 +4615,26 @@ def q_repetition_filter(sf_dir: str):
         repetitive = ((n_tokens - n_distinct) * 2 > n_tokens) | (
             (n_bigrams - n_dbig) * 4 > n_bigrams
         )
-        agg = (
-            pd.DataFrame(
-                {
-                    "source": b["source"].to_numpy(zero_copy_only=False),
-                    "n_docs": np.ones(n, np.int64),
-                    "n_repetitive": repetitive.astype(np.int64),
-                    "sum_tokens": n_tokens,
-                    "sum_distinct_tokens": n_distinct,
-                    "sum_bigrams": n_bigrams,
-                    "sum_distinct_bigrams": n_dbig,
-                }
-            )
-            .groupby("source", sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "source": b["source"],
+                "n_docs": np.ones(n, np.int64),
+                "n_repetitive": repetitive.astype(np.int64),
+                "sum_tokens": n_tokens,
+                "sum_distinct_tokens": n_distinct,
+                "sum_bigrams": n_bigrams,
+                "sum_distinct_bigrams": n_dbig,
+            }
         )
-        return shuffle_mod.from_pandas_clean(agg)
 
-    parts = ds.map_batches(partials, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("source", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "source": pa.array(out["source"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in (
-                    "n_docs",
-                    "n_repetitive",
-                    "sum_tokens",
-                    "sum_distinct_tokens",
-                    "sum_bigrams",
-                    "sum_distinct_bigrams",
-                )
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(partials, batch_format="pyarrow"),
+        "source",
+        pa.schema(
+            [("source", pa.string()),
+             *_i64("n_docs", "n_repetitive", "sum_tokens", "sum_distinct_tokens",
+                   "sum_bigrams", "sum_distinct_bigrams")]
+        ),
     )
 
 
@@ -4870,10 +4659,8 @@ def q_quality_filter(sf_dir: str):
     hash-matches.
 
     Shape at scale: all metrics are row-local Arrow kernels (utf8_length
-    / count_substring_regex / one split per batch), the map-side combine
-    collapses each batch to ≤ |sources| partial rows, and the merge is a
-    driver fold over O(blocks × sources) partials — no exchange (the
-    q_lineitem_pricing pattern)."""
+    / count_substring_regex / one split per batch), and the per-source
+    rollup is a driver fold (``shuffle.fold``) — no exchange."""
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
     return _quality_filter_over(ds)
 
@@ -4912,45 +4699,28 @@ def _quality_filter_over(ds):
         drop_sym = 10 * m["n_other"] > m["n_chars"]
         drop_stop = nstop < QF_MIN_STOP
         kept = ~(drop_len | drop_wl | drop_sym | drop_stop)
-        agg = (
-            pd.DataFrame(
-                {
-                    "source": b["source"].to_numpy(zero_copy_only=False),
-                    "n_docs": np.ones(b.num_rows, np.int64),
-                    "n_drop_len": drop_len.astype(np.int64),
-                    "n_drop_word_len": drop_wl.astype(np.int64),
-                    "n_drop_symbol": drop_sym.astype(np.int64),
-                    "n_drop_stopword": drop_stop.astype(np.int64),
-                    "n_kept": kept.astype(np.int64),
-                    "sum_tokens": ntok,
-                    "sum_tok_chars": tok_chars,
-                }
-            )
-            .groupby("source", sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "source": b["source"],
+                "n_docs": np.ones(b.num_rows, np.int64),
+                "n_drop_len": drop_len.astype(np.int64),
+                "n_drop_word_len": drop_wl.astype(np.int64),
+                "n_drop_symbol": drop_sym.astype(np.int64),
+                "n_drop_stopword": drop_stop.astype(np.int64),
+                "n_kept": kept.astype(np.int64),
+                "sum_tokens": ntok,
+                "sum_tok_chars": tok_chars,
+            }
         )
-        return shuffle_mod.from_pandas_clean(agg)
 
-    parts = ds.map_batches(partials, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("source", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "source": pa.array(out["source"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in (
-                    "n_docs",
-                    "n_drop_len",
-                    "n_drop_word_len",
-                    "n_drop_symbol",
-                    "n_drop_stopword",
-                    "n_kept",
-                    "sum_tokens",
-                    "sum_tok_chars",
-                )
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(partials, batch_format="pyarrow"),
+        "source",
+        pa.schema(
+            [("source", pa.string()),
+             *_i64("n_docs", "n_drop_len", "n_drop_word_len", "n_drop_symbol",
+                   "n_drop_stopword", "n_kept", "sum_tokens", "sum_tok_chars")]
+        ),
     )
 
 
@@ -5171,9 +4941,9 @@ def q_cluster_embeddings(sf_dir: str):
     (sim/ivf.train_centroids_int — integer sum-vector centroids, so the
     10 unrolled iterations are SQL-reproducible) on a bounded
     driver-side sample, every batch assigns with one matmul against the
-    broadcast centroid matrix, and each batch collapses map-side to
-    ≤ n_centroids rollup rows (count + vec_id sum — any assignment flip
-    changes the hash). At 100 TB the sample stays a constant, the
+    broadcast centroid matrix, and the per-cluster rollup (count +
+    vec_id sum — any assignment flip changes the hash) is a driver
+    fold. At 100 TB the sample stays a constant, the
     centroid matrix is KBs, and assignment is the same streaming matmul
     profile as brute-force kNN."""
     from raycells.sim.ivf import _assign, train_from_ds
@@ -5189,30 +4959,18 @@ def q_cluster_embeddings(sf_dir: str):
             np.asarray(b["embedding"].to_pylist(), dtype=np.float64)
         )
         a = _assign(eq, sums)  # the (C, d) int64 matrix ships in the closure (KBs)
-        part = (
-            pd.DataFrame(
-                {
-                    "cluster": a.astype(np.int64),
-                    "n_vectors": np.ones(len(a), np.int64),
-                    "sum_vec_id": b["vec_id"].to_numpy(zero_copy_only=False).astype(
-                        np.int64
-                    ),
-                }
-            )
-            .groupby("cluster", sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "cluster": a.astype(np.int64),
+                "n_vectors": np.ones(len(a), np.int64),
+                "sum_vec_id": pc.cast(b["vec_id"], pa.int64()),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(assign, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("cluster", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "cluster": pa.array(out["cluster"].to_numpy(np.int64)),
-            "n_vectors": pa.array(out["n_vectors"].to_numpy(np.int64)),
-            "sum_vec_id": pa.array(out["sum_vec_id"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        "cluster",
+        pa.schema(_i64("cluster", "n_vectors", "sum_vec_id")),
     )
 
 
@@ -5278,9 +5036,8 @@ def q_customer_set_ops(sf_dir: str):
     each batch collapses map-side to per-custkey 0/1 flags (MAX is the
     set-membership combiner), the shared salted_aggregate merges flags
     per key, the LEFT hash join carries the full customer set (the
-    'neither' complement needs outer semantics), the per-segment rollup
-    happens INSIDE the join's output stage, and only the
-    O(blocks × segments) partials reach the driver."""
+    'neither' complement needs outer semantics), and the per-segment
+    rollup is a driver fold (``shuffle.fold``)."""
     from raycells.engine.joins import hash_join
 
     orders = _read(
@@ -5323,36 +5080,26 @@ def q_customer_set_ops(sf_dir: str):
     )
 
     def rollup(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        a = df["max_in_a"].fillna(0).to_numpy(np.int64)
-        b = df["max_in_b"].fillna(0).to_numpy(np.int64)
-        part = (
-            pd.DataFrame(
-                {
-                    "c_mktsegment": df["c_mktsegment"],
-                    "n_customers": np.ones(len(df), np.int64),
-                    "n_both": ((a == 1) & (b == 1)).astype(np.int64),
-                    "n_only_a": ((a == 1) & (b == 0)).astype(np.int64),
-                    "n_only_b": ((a == 0) & (b == 1)).astype(np.int64),
-                    "n_neither": ((a == 0) & (b == 0)).astype(np.int64),
-                }
-            )
-            .groupby("c_mktsegment", sort=False)
-            .sum()
-            .reset_index()
+        a = pc.fill_null(t["max_in_a"], 0).to_numpy(zero_copy_only=False) == 1
+        b = pc.fill_null(t["max_in_b"], 0).to_numpy(zero_copy_only=False) == 1
+        return pa.table(
+            {
+                "c_mktsegment": t["c_mktsegment"],
+                "n_customers": np.ones(t.num_rows, np.int64),
+                "n_both": (a & b).astype(np.int64),
+                "n_only_a": (a & ~b).astype(np.int64),
+                "n_only_b": (~a & b).astype(np.int64),
+                "n_neither": (~a & ~b).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = j.map_batches(rollup, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("c_mktsegment", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "c_mktsegment": pa.array(out["c_mktsegment"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_customers", "n_both", "n_only_a", "n_only_b", "n_neither")
-            },
-        }
+    return shuffle_mod.fold(
+        j.map_batches(rollup, batch_format="pyarrow"),
+        "c_mktsegment",
+        pa.schema(
+            [("c_mktsegment", pa.string()),
+             *_i64("n_customers", "n_both", "n_only_a", "n_only_b", "n_neither")]
+        ),
     )
 
 
@@ -5372,20 +5119,14 @@ def q_hist_quantiles(sf_dir: str):
         price_c = _half_up(
             b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        part = (
-            pd.Series(price_c // W)
-            .value_counts()
-            .rename("c")
-            .rename_axis("b")
-            .reset_index()
-        )
-        part["c"] = part["c"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
+        return pa.table({"b": price_c // W, "c": np.ones(len(price_c), np.int64)})
 
-    parts = ds.map_batches(bucket_counts, batch_format="pyarrow").to_pandas()
-    h = parts.groupby("b", sort=True)["c"].sum()
-    buckets = h.index.to_numpy(np.int64)
-    cum = np.cumsum(h.to_numpy(np.int64))
+    h = shuffle_mod.fold(
+        ds.map_batches(bucket_counts, batch_format="pyarrow"), "b",
+        pa.schema(_i64("b", "c")),
+    )
+    buckets = h["b"].to_numpy()
+    cum = np.cumsum(h["c"].to_numpy())
     n = np.int64(cum[-1]) if len(cum) else np.int64(0)
 
     def est(q100: int) -> int:
@@ -5464,31 +5205,22 @@ def q_event_bursts(sf_dir: str):
 
     def rollup(b: pa.Table) -> pa.Table:
         m = b["m"].to_numpy(zero_copy_only=False) - 1  # drop the self-match
-        part = (
-            pd.DataFrame(
-                {"event_type": b["event_type"].to_numpy(zero_copy_only=False), "m": m}
-            )
-            .groupby("event_type", sort=False)
-            .agg(
-                n_events=("m", "size"),
-                sum_matches=("m", "sum"),
-                n_matched=("m", lambda s: int((s > 0).sum())),
-            )
-            .reset_index()
+        return pa.table(
+            {
+                "event_type": b["event_type"],
+                "n_events": np.ones(len(m), np.int64),
+                "sum_matches": m.astype(np.int64),
+                "n_matched": (m > 0).astype(np.int64),
+            }
         )
-        part["n_matched"] = part["n_matched"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = counted.map_batches(rollup, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("event_type", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_events", "sum_matches", "n_matched")
-            },
-        }
+    return shuffle_mod.fold(
+        counted.map_batches(rollup, batch_format="pyarrow"),
+        "event_type",
+        pa.schema(
+            [("event_type", pa.string()),
+             *_i64("n_events", "sum_matches", "n_matched")]
+        ),
     )
 
 
@@ -5510,23 +5242,21 @@ def q_doc_surprisal(sf_dir: str):
 
     def tok_counts(b: pa.Table) -> pa.Table:
         _, flat, _ = ta._split(b["text"])
-        toks = flat.to_numpy(zero_copy_only=False)
-        part = (
-            pd.Series(toks).value_counts().rename("c").rename_axis("tok").reset_index()
-        )
-        part["c"] = part["c"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
+        return pa.table({"tok": flat, "c": np.ones(len(flat), np.int64)})
 
-    cparts = ds.map_batches(tok_counts, batch_format="pyarrow").to_pandas()
-    cnt = cparts.groupby("tok", sort=False)["c"].sum()
-    total = np.int64(cnt.to_numpy(np.int64).sum())
+    cnt = shuffle_mod.fold(
+        ds.map_batches(tok_counts, batch_format="pyarrow"), "tok",
+        pa.schema([("tok", pa.string()), *_i64("c")]),
+    )
+    c = cnt["c"].to_numpy()
+    total = np.int64(c.sum())
     # bit_length(total // c) - 1 == floor(log2(total / c)), exact in
     # PYTHON-INT arithmetic (a frexp detour through float64 would round
     # int64 values >= 2^53 across power-of-two boundaries and overstate
     # the cost by a bit); the loop is vocab-sized, driver-side, cheap
     cost = {
         t: int(v).bit_length() - 1
-        for t, v in zip(cnt.index, (total // cnt.to_numpy(np.int64)))
+        for t, v in zip(cnt["tok"].to_pylist(), total // c)
     }
 
     def score(b: pa.Table) -> pa.Table:
@@ -5538,32 +5268,23 @@ def q_doc_surprisal(sf_dir: str):
         n = b.num_rows
         ntok = np.bincount(parent, minlength=n).astype(np.int64)
         sc = np.bincount(parent, weights=s_flat, minlength=n).astype(np.int64)
-        part = (
-            pd.DataFrame(
-                {
-                    "source": b["source"].to_numpy(zero_copy_only=False),
-                    "n_docs": np.ones(n, np.int64),
-                    "sum_tokens": ntok,
-                    "sum_surprisal_bits": sc,
-                    "n_flagged": (sc > ntok * 5).astype(np.int64),
-                }
-            )
-            .groupby("source", sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "source": b["source"],
+                "n_docs": np.ones(n, np.int64),
+                "sum_tokens": ntok,
+                "sum_surprisal_bits": sc,
+                "n_flagged": (sc > ntok * 5).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("source", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "source": pa.array(out["source"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_docs", "sum_tokens", "sum_surprisal_bits", "n_flagged")
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(score, batch_format="pyarrow"),
+        "source",
+        pa.schema(
+            [("source", pa.string()),
+             *_i64("n_docs", "sum_tokens", "sum_surprisal_bits", "n_flagged")]
+        ),
     )
 
 
@@ -5586,47 +5307,33 @@ def q_qty_price_corr(sf_dir: str):
         y = _half_up(b["l_extendedprice"].to_numpy(zero_copy_only=False)).astype(
             np.int64
         )
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "l_returnflag": b["l_returnflag"].to_numpy(zero_copy_only=False),
-                "x": x,
-                "y": y,
-                "xx": x * x,
-                "yy": y * y,
-                "xy": x * y,
+                "l_returnflag": b["l_returnflag"],
+                "n_rows": np.ones(len(x), np.int64),
+                "sum_qty": x,
+                "sum_price_d": y,
+                "sxx": x * x,
+                "syy": y * y,
+                "sxy": x * y,
             }
         )
-        part = (
-            df.groupby("l_returnflag", sort=False)
-            .agg(
-                n_rows=("x", "size"),
-                sum_qty=("x", "sum"),
-                sum_price_d=("y", "sum"),
-                sxx=("xx", "sum"),
-                syy=("yy", "sum"),
-                sxy=("xy", "sum"),
-            )
-            .reset_index()
-        )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(moments, batch_format="pyarrow").to_pandas()
-    s = parts.groupby("l_returnflag", sort=False).sum().reset_index()
-    n = s["n_rows"].to_numpy(np.int64).astype(np.float64)
-    sx = s["sum_qty"].to_numpy(np.int64).astype(np.float64)
-    sy = s["sum_price_d"].to_numpy(np.int64).astype(np.float64)
-    sxx = s["sxx"].to_numpy(np.int64).astype(np.float64)
-    syy = s["syy"].to_numpy(np.int64).astype(np.float64)
-    sxy = s["sxy"].to_numpy(np.int64).astype(np.float64)
+    s = shuffle_mod.fold(
+        ds.map_batches(moments, batch_format="pyarrow"),
+        "l_returnflag",
+        pa.schema(
+            [("l_returnflag", pa.string()),
+             *_i64("n_rows", "sum_qty", "sum_price_d", "sxx", "syy", "sxy")]
+        ),
+    )
+    n, sx, sy, sxx, syy, sxy = (
+        s[c].to_numpy().astype(np.float64)
+        for c in ("n_rows", "sum_qty", "sum_price_d", "sxx", "syy", "sxy")
+    )
     corr = (n * sxy - sx * sy) / (np.sqrt(n * sxx - sx * sx) * np.sqrt(n * syy - sy * sy))
-    return pa.table(
-        {
-            "l_returnflag": pa.array(s["l_returnflag"], pa.string()),
-            "n_rows": pa.array(s["n_rows"].to_numpy(np.int64)),
-            "sum_qty": pa.array(s["sum_qty"].to_numpy(np.int64)),
-            "sum_price_d": pa.array(s["sum_price_d"].to_numpy(np.int64)),
-            "corr_qty_price": pa.array(corr, pa.float64()),
-        }
+    return s.drop_columns(["sxx", "syy", "sxy"]).append_column(
+        "corr_qty_price", pa.array(corr, pa.float64())
     )
 
 
@@ -5707,40 +5414,29 @@ def q_funnel_coverage(sf_dir: str):
 
 def q_events_pivot(sf_dir: str):
     """Pivot / wide reshape: one row per day, one count column per event
-    type (the feature-matrix layout). Shape at scale: the long→wide turn
-    happens on the ALREADY-AGGREGATED (day, type) partials — each batch
-    combines map-side to ≤ |days × types| rows, the driver folds the
-    bounded partials, and only then pivots; no wide row ever crosses an
-    exchange. The type set is a fixed schema (pivot columns must be
-    static for a stable output schema — same contract as SQL FILTER)."""
+    type (the feature-matrix layout). Shape at scale: each event becomes
+    one row with a 0/1 column per type (the SQL FILTER shape), and the
+    per-day driver fold sums them; no wide row ever crosses an exchange.
+    The type set is a fixed schema (pivot columns must be static for a
+    stable output schema — same contract as SQL FILTER)."""
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
     def project(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                    "day": pc.strftime(b["ts"], format="%Y-%m-%d").to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            )
-            .groupby(["day", "event_type"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
+        et = b["event_type"]
+        return pa.table(
+            {
+                "day": pc.strftime(b["ts"], format="%Y-%m-%d"),
+                **{
+                    f"n_{t}": pc.cast(pc.equal(et, t), pa.int64())
+                    for t in EVENT_TYPES
+                },
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(project, batch_format="pyarrow").to_pandas()
-    folded = parts.groupby(["day", "event_type"], sort=False)["n"].sum()
-    wide = folded.unstack("event_type").reindex(columns=list(EVENT_TYPES))
-    wide = wide.fillna(0).astype(np.int64).reset_index()
-    return pa.table(
-        {
-            "day": pa.array(wide["day"], pa.string()),
-            **{f"n_{t}": pa.array(wide[t].to_numpy(np.int64)) for t in EVENT_TYPES},
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(project, batch_format="pyarrow"),
+        "day",
+        pa.schema([("day", pa.string()), *_i64(*(f"n_{t}" for t in EVENT_TYPES))]),
     )
 
 
@@ -5819,49 +5515,30 @@ def q_regex_tokens(sf_dir: str):
     COUNTING on the raw Arrow string buffer (text/analysis.
     regex_token_counts) — one shifted comparison over the whole buffer,
     no per-row regex — and equals DuckDB ``regexp_extract_all`` lengths
-    exactly. Map-side combine + driver fold (see q_lineitem_pricing)."""
+    exactly. Driver fold per event type (``shuffle.fold``)."""
     ds = _read(sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["event_type", "props"])
 
     def count(b: pa.Table) -> pa.Table:
         c = ta.regex_token_counts(b["props"])
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "tokens": c["tokens"],
-                "alpha": c["alpha"],
-                "digit": c["digit"],
-                "punct": c["punct"],
+                "event_type": b["event_type"],
+                "n_rows": np.ones(b.num_rows, np.int64),
+                "sum_tokens": c["tokens"],
+                "sum_alpha_tokens": c["alpha"],
+                "sum_digit_tokens": c["digit"],
+                "sum_punct_tokens": c["punct"],
             }
         )
-        part = (
-            df.groupby("event_type", sort=False)
-            .agg(
-                n_rows=("tokens", "size"),
-                sum_tokens=("tokens", "sum"),
-                sum_alpha_tokens=("alpha", "sum"),
-                sum_digit_tokens=("digit", "sum"),
-                sum_punct_tokens=("punct", "sum"),
-            )
-            .reset_index()
-        )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(count, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("event_type", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in (
-                    "n_rows",
-                    "sum_tokens",
-                    "sum_alpha_tokens",
-                    "sum_digit_tokens",
-                    "sum_punct_tokens",
-                )
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(count, batch_format="pyarrow"),
+        "event_type",
+        pa.schema(
+            [("event_type", pa.string()),
+             *_i64("n_rows", "sum_tokens", "sum_alpha_tokens", "sum_digit_tokens",
+                   "sum_punct_tokens")]
+        ),
     )
 
 
@@ -5871,50 +5548,30 @@ def q_redact_props(sf_dir: str):
     length deltas. Arrow's RE2 ``replace_substring_regex`` mirrors
     DuckDB's RE2 ``regexp_replace(..., 'g')`` byte-for-byte, so the
     oracle hash-matches. Shape at scale: the scrub is a zero-exchange
-    vectorized batch kernel; each batch collapses map-side to
-    ≤ |event_type| partial rows and the final merge is a driver fold
-    over the O(blocks × types) partials (see q_lineitem_pricing)."""
+    vectorized batch kernel, and the per-type rollup is a driver fold
+    (``shuffle.fold``)."""
     ds = _read(sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["event_type", "props"])
 
     def scrub(b: pa.Table) -> pa.Table:
         props = b["props"]
         red = pc.replace_substring_regex(props, "[0-9]+", "#")
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "changed": pc.cast(pc.not_equal(red, props), pa.int64()).to_numpy(
-                    zero_copy_only=False
-                ),
-                "len_orig": pc.cast(pc.utf8_length(props), pa.int64()).to_numpy(
-                    zero_copy_only=False
-                ),
-                "len_red": pc.cast(pc.utf8_length(red), pa.int64()).to_numpy(
-                    zero_copy_only=False
-                ),
+                "event_type": b["event_type"],
+                "n_rows": np.ones(b.num_rows, np.int64),
+                "n_changed": pc.cast(pc.not_equal(red, props), pa.int64()),
+                "sum_len_orig": pc.cast(pc.utf8_length(props), pa.int64()),
+                "sum_len_redacted": pc.cast(pc.utf8_length(red), pa.int64()),
             }
         )
-        part = (
-            df.groupby("event_type", sort=False)
-            .agg(
-                n_rows=("changed", "size"),
-                n_changed=("changed", "sum"),
-                sum_len_orig=("len_orig", "sum"),
-                sum_len_redacted=("len_red", "sum"),
-            )
-            .reset_index()
-        )
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = ds.map_batches(scrub, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("event_type", sort=False).sum().reset_index()
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_rows", "n_changed", "sum_len_orig", "sum_len_redacted")
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(scrub, batch_format="pyarrow"),
+        "event_type",
+        pa.schema(
+            [("event_type", pa.string()),
+             *_i64("n_rows", "n_changed", "sum_len_orig", "sum_len_redacted")]
+        ),
     )
 
 
@@ -6107,12 +5764,14 @@ def q_lexical_search(sf_dir: str, k: int = 10):
             }
         )
 
-    parts = ds.map_batches(df_partials, batch_format="pyarrow").to_pandas()
-    folded = parts.groupby("term", sort=False).sum()
-    total_toks = int(folded.loc["\x01total", "toks"])
-    df_map = {t: int(folded.loc[t, "df"]) for t in terms if t in folded.index}
-
-    T, D = total_toks, int(n_docs)
+    folded = shuffle_mod.fold(
+        ds.map_batches(df_partials, batch_format="pyarrow"),
+        "term",
+        pa.schema([("term", pa.string()), *_i64("df", "toks")]),
+    ).to_pydict()
+    df_map = dict(zip(folded["term"], folded["df"]))
+    T = sum(folded["toks"])
+    D = int(n_docs)
 
     def score(b: pa.Table) -> pa.Table:
         _, flat, parent = ta._split(b["text"])
@@ -6215,9 +5874,9 @@ def q_event_ohlc(sf_dir: str):
     total order. Shape at scale: argmin/argmax are associative — each
     batch emits ONE partial row per (type, day) carrying its candidate
     first/last (with their (ts, id) keys) plus the commutative sums;
-    the driver folds the O(blocks × bars) partials (the
-    q_lineitem_pricing no-exchange pattern — bar count is bounded by
-    types × days, never by rows)."""
+    the driver folds the O(blocks × bars) partials by hand (first/last
+    is not a ``shuffle.fold`` op) with no exchange — bar count is
+    bounded by types × days, never by rows)."""
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["event_id", "ts", "event_type", "value"],
@@ -6440,36 +6099,7 @@ def q_cusum_daily(sf_dir: str):
     inherently sequential recurrence runs on the BAR table (types ×
     days, bounded by the calendar — never by event rows), so the
     driver loop is O(bars)."""
-    ds = _read(
-        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type", "value"]
-    )
-
-    def daily(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "day": pc.strftime(b["ts"], format="%Y-%m-%d").to_numpy(
-                    zero_copy_only=False
-                ),
-                "x": _half_up(
-                    b["value"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        )
-        part = (
-            df.groupby(["event_type", "day"], sort=False)["x"]
-            .sum()
-            .reset_index(name="x_c")
-        )
-        return shuffle_mod.from_pandas_clean(part)
-
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)["x_c"]
-        .sum()
-        .sort_values(["event_type", "day"], kind="stable")
-    )
+    bars = q_events_daily(sf_dir).to_pandas().rename(columns={"sum_value_c": "x_c"})
     out_rows = {"event_type": [], "day": [], "x_c": [], "dev_n": [], "cusum_n": []}
     for et, sub in bars.groupby("event_type", sort=False):
         x = sub["x_c"].to_numpy(np.int64)
@@ -6544,17 +6174,17 @@ def q_value_ntiles(sf_dir: str):
         return np.clip((x - lo) * K // span, 0, K - 1).astype(np.int64)
 
     def hist(b: pa.Table) -> pa.Table:
-        et, x, _ = keyed(b)
-        df = pd.DataFrame({"event_type": et, "bucket": bidx(x)})
-        part = df.groupby(["event_type", "bucket"], sort=False).size()
-        return shuffle_mod.from_pandas_clean(part.reset_index(name="n"))
+        _, x, _ = keyed(b)
+        return pa.table(
+            {"event_type": b["event_type"], "bucket": bidx(x),
+             "n": np.ones(len(x), np.int64)}
+        )
 
-    h = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "bucket"], sort=True, as_index=False)["n"]
-        .sum()
-    )
+    h = shuffle_mod.fold(
+        ds.map_batches(hist, batch_format="pyarrow"),
+        ["event_type", "bucket"],
+        pa.schema([("event_type", pa.string()), *_i64("bucket", "n")]),
+    ).to_pandas()
     # NTILE cut ranks per type; target (type, range) pairs for pass 2
     cuts: dict = {}
     need: set = set()
@@ -6610,30 +6240,20 @@ def q_value_ntiles(sf_dir: str):
                 + (key[m] > k2)
                 + (key[m] > k3)
             )
-        df = pd.DataFrame({"event_type": et, "ntile": nt, "x": x})
-        part = df.groupby(["event_type", "ntile"], sort=False).agg(
-            n_rows=("x", "size"), sum_c=("x", "sum"),
-            min_c=("x", "min"), max_c=("x", "max"),
+        return pa.table(
+            {"event_type": b["event_type"], "ntile": nt,
+             "n_rows": np.ones(len(x), np.int64), "sum_c": x, "min_c": x,
+             "max_c": x}
         )
-        return shuffle_mod.from_pandas_clean(part.reset_index())
 
-    parts = ds.map_batches(assign, batch_format="pyarrow").to_pandas()
-    out = (
-        parts.groupby(["event_type", "ntile"], sort=False, as_index=False)
-        .agg(
-            n_rows=("n_rows", "sum"), sum_c=("sum_c", "sum"),
-            min_c=("min_c", "min"), max_c=("max_c", "max"),
-        )
-    )
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "ntile": pa.array(out["ntile"].to_numpy(np.int64)),
-            **{
-                c: pa.array(out[c].to_numpy(np.int64))
-                for c in ("n_rows", "sum_c", "min_c", "max_c")
-            },
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        ["event_type", "ntile"],
+        pa.schema(
+            [("event_type", pa.string()),
+             *_i64("ntile", "n_rows", "sum_c", "min_c", "max_c")]
+        ),
+        ops={"min_c": "min", "max_c": "max"},
     )
 
 
@@ -6710,20 +6330,20 @@ def q_column_profile(sf_dir: str):
             }
         )
 
-    stats = (
-        ds.map_batches(stat_partials, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("col", sort=False)
-        .agg(
-            n_nonnull=("n_nonnull", "sum"), n_null=("n_null", "sum"),
-            min_i=("min_i", "min"), max_i=("max_i", "max"),
-            min_s=("min_s", "min"), max_s=("max_s", "max"),
+    stats = shuffle_mod.fold(
+        ds.map_batches(stat_partials, batch_format="pyarrow"),
+        "col",
+        pa.schema(
+            [("col", pa.string()), *_i64("n_nonnull", "n_null", "min_i", "max_i"),
+             ("min_s", pa.string()), ("max_s", pa.string())]
+        ),
+        ops={"min_i": "min", "max_i": "max", "min_s": "min", "max_s": "max"},
+    ).to_pandas()
+    is_int = stats["col"].isin(INT_COLS)
+    for c in ("min", "max"):
+        stats.loc[is_int, f"{c}_s"] = (
+            stats.loc[is_int, f"{c}_i"].astype(np.int64).astype(str)
         )
-    )
-    for c in INT_COLS:
-        stats.loc[c, "min_s"] = str(int(stats.loc[c, "min_i"]))
-        stats.loc[c, "max_s"] = str(int(stats.loc[c, "max_i"]))
-    stats = stats.drop(columns=["min_i", "max_i"])
 
     def distinct_pairs(b: pa.Table) -> pa.Table:
         vals = as_strings(b)
@@ -6740,27 +6360,24 @@ def q_column_profile(sf_dir: str):
         )
 
     def bucket_distinct(g: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "col": g["col"].to_numpy(zero_copy_only=False),
-                "val": g["val"].to_numpy(zero_copy_only=False),
-            }
-        ).drop_duplicates()
-        part = df.groupby("col", sort=False).size().reset_index(name="nd")
-        return shuffle_mod.from_pandas_clean(part)
+        df = g.select(["col", "val"]).to_pandas().drop_duplicates()
+        return pa.table(
+            {"col": pa.array(df["col"], pa.string()),
+             "nd": np.ones(len(df), np.int64)}
+        )
 
-    nd = (
+    nd = shuffle_mod.fold(
         shuffle_mod.bucket_reduce(
             ds.map_batches(distinct_pairs, batch_format="pyarrow"),
             "val",
             bucket_distinct,
-        )
-        .to_pandas()
-        .groupby("col", sort=False)["nd"]
-        .sum()
+        ),
+        "col",
+        pa.schema([("col", pa.string()), *_i64("nd")]),
     )
-    stats["n_distinct"] = nd
-    stats = stats.reset_index().sort_values("col", kind="stable")
+    stats["n_distinct"] = stats["col"].map(
+        dict(zip(nd["col"].to_pylist(), nd["nd"].to_pylist()))
+    )
     return pa.table(
         {
             "col": pa.array(stats["col"], pa.string()),
@@ -6954,22 +6571,11 @@ def q_embedding_profile(sf_dir: str):
             }
         )
 
-    folded = (
-        ds.map_batches(parts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("dim", sort=True)
-        .agg(
-            n=("n", "sum"), sum_q=("sum_q", "sum"),
-            min_q=("min_q", "min"), max_q=("max_q", "max"),
-            n_pos=("n_pos", "sum"), sum_q2=("sum_q2", "sum"),
-        )
-        .reset_index()
-    )
-    return pa.table(
-        {
-            c: pa.array(folded[c].to_numpy(np.int64))
-            for c in ("dim", "n", "sum_q", "min_q", "max_q", "n_pos", "sum_q2")
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(parts, batch_format="pyarrow"),
+        "dim",
+        pa.schema(_i64("dim", "n", "sum_q", "min_q", "max_q", "n_pos", "sum_q2")),
+        ops={"min_q": "min", "max_q": "max"},
     )
 
 
@@ -7366,33 +6972,7 @@ def q_gap_fill(sf_dir: str):
     strings compare lexicographically == chronologically."""
     import datetime as _dt
 
-    ds = _read(
-        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type", "value"]
-    )
-
-    def daily(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "day": pc.strftime(b["ts"], format="%Y-%m-%d").to_numpy(
-                    zero_copy_only=False
-                ),
-                "x": _half_up(
-                    b["value"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        )
-        part = df.groupby(["event_type", "day"], sort=False).agg(
-            n_events=("x", "size"), sum_c=("x", "sum")
-        ).reset_index()
-        return shuffle_mod.from_pandas_clean(part)
-
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)
-        .sum()
-    )
+    bars = q_events_daily(sf_dir).to_pandas().rename(columns={"sum_value_c": "sum_c"})
     d0 = _dt.date.fromisoformat(bars["day"].min())
     d1 = _dt.date.fromisoformat(bars["day"].max())
     days = [
@@ -7440,25 +7020,20 @@ def q_morans_i(sf_dir: str):
         from raycells.geo import cellid
 
         gc = b["grid_cell"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        return pa.table(
             {
                 "sgx": (gc % cellid.GRID_NX) >> 4,
                 "sgy": (gc // cellid.GRID_NX) >> 4,
-                "x": b["n_tiles"].to_numpy(zero_copy_only=False),
+                "x": b["n_tiles"],
             }
         )
-        part = df.groupby(["sgx", "sgy"], sort=False, as_index=False)["x"].sum()
-        return shuffle_mod.from_pandas_clean(part)
 
-    cells = (
-        base.map_batches(sup, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["sgx", "sgy"], sort=False, as_index=False)["x"]
-        .sum()
+    cells = shuffle_mod.fold(
+        base.map_batches(sup, batch_format="pyarrow"),
+        ["sgx", "sgy"],
+        pa.schema(_i64("sgx", "sgy", "x")),
     )
-    sgx = cells["sgx"].to_numpy(np.int64)
-    sgy = cells["sgy"].to_numpy(np.int64)
-    x = cells["x"].to_numpy(np.int64)
+    sgx, sgy, x = (cells[c].to_numpy() for c in ("sgx", "sgy", "x"))
     n = x.size
     S = int(x.sum())
     d = n * x - S  # integer deviations scaled by n
@@ -7722,25 +7297,16 @@ def q_pagerank_parts(sf_dir: str):
 
     edges = dedup.map_batches(both_dirs, batch_format="pyarrow").materialize()
 
-    def deg_part(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame({"s": b["s"].to_numpy(zero_copy_only=False)})
-            .groupby("s", sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    degs = (
-        edges.map_batches(deg_part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("s", sort=False, as_index=False)["n"]
-        .sum()
-        .sort_values("s", kind="stable")
+    degs = shuffle_mod.fold(
+        edges.map_batches(
+            lambda b: pa.table({"s": b["s"], "n": np.ones(b.num_rows, np.int64)}),
+            batch_format="pyarrow",
+        ),
+        "s",
+        pa.schema(_i64("s", "n")),
     )
-    nodes = degs["s"].to_numpy(np.int64)
-    deg = degs["n"].to_numpy(np.int64)
+    nodes = degs["s"].to_numpy()
+    deg = degs["n"].to_numpy()
     rank = np.full(nodes.size, SCALE, np.int64)
     if nodes.size and 85 * nodes.size * SCALE >= 2**62:  # pragma: no cover
         raise OverflowError("pagerank_parts: shrink SCALE for this node count")
@@ -7760,14 +7326,13 @@ def q_pagerank_parts(sf_dir: str):
                 {"node": pa.array(nd[nz]), "part": pa.array(acc[nz])}
             )
 
-        incoming = (
-            edges.map_batches(pass_t, batch_format="pyarrow")
-            .to_pandas()
-            .groupby("node", sort=False)["part"]
-            .sum()
-            .reindex(nodes, fill_value=0)
-            .to_numpy(np.int64)
+        inc = shuffle_mod.fold(
+            edges.map_batches(pass_t, batch_format="pyarrow"),
+            "node",
+            pa.schema(_i64("node", "part")),
         )
+        incoming = np.zeros(nodes.size, np.int64)
+        incoming[np.searchsorted(nodes, inc["node"].to_numpy())] = inc["part"].to_numpy()
         rank = BASE + (85 * incoming) // 100
 
     return pa.table(
@@ -7836,6 +7401,29 @@ def q_pareto_front(sf_dir: str):
     )
 
 
+def _type_day_counts(sf_dir: str) -> pd.DataFrame:
+    """Events per (event_type, epoch day) as ``y``, sorted by both: the
+    day-bar driver fold the trend and type-correlation queries read."""
+    ds = _read(
+        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type"]
+    )
+
+    def daily(b: pa.Table) -> pa.Table:
+        day = b["ts"].to_numpy(zero_copy_only=False).view(np.int64) // np.int64(
+            86_400_000_000
+        )
+        return pa.table(
+            {"event_type": b["event_type"], "day": day,
+             "y": np.ones(len(day), np.int64)}
+        )
+
+    return shuffle_mod.fold(
+        ds.map_batches(daily, batch_format="pyarrow"),
+        ["event_type", "day"],
+        pa.schema([("event_type", pa.string()), *_i64("day", "y")]),
+    ).to_pandas()
+
+
 def q_trend_by_type(sf_dir: str):
     """Per-group OLS TREND estimation (NEW round 5) — the grouped
     linear-regression reduce feature pipelines run over time series
@@ -7849,36 +7437,7 @@ def q_trend_by_type(sf_dir: str):
     regression folds the day-sized series on the driver — bounded by
     the CALENDAR, never by events. Day indexes are absolute epoch days
     (non-negative ints), so every moment term is exact int64."""
-    ds = _read(
-        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type"]
-    )
-
-    def daily(b: pa.Table) -> pa.Table:
-        day = b["ts"].to_numpy(zero_copy_only=False).view(np.int64) // np.int64(
-            86_400_000_000
-        )
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "day": day,
-                }
-            )
-            .groupby(["event_type", "day"], sort=False)
-            .size()
-            .reset_index(name="y")
-        )
-        part["y"] = part["y"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)["y"]
-        .sum()
-    )
+    bars = _type_day_counts(sf_dir)
     rows = []
     for etype, g in bars.groupby("event_type", sort=True):
         x = g["day"].to_numpy(np.int64)
@@ -7926,41 +7485,48 @@ def q_seasonality_profile(sf_dir: str):
 
     def cells(b: pa.Table) -> pa.Table:
         us = b["ts"].to_numpy(zero_copy_only=False).view(np.int64)
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "dow": (us // np.int64(86_400_000_000) + 3) % 7,
-                    "hour": (us // np.int64(3_600_000_000)) % 24,
-                    "x": _half_up(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["event_type", "dow", "hour"], sort=False)
-            .agg(n_events=("x", "size"), sum_c=("x", "sum"))
-            .reset_index()
+        return pa.table(
+            {
+                "event_type": b["event_type"],
+                "dow": (us // np.int64(86_400_000_000) + 3) % 7,
+                "hour": (us // np.int64(3_600_000_000)) % 24,
+                "n_events": np.ones(len(us), np.int64),
+                "sum_c": _half_up(
+                    b["value"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+            }
         )
-        part["n_events"] = part["n_events"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    out = (
-        ds.map_batches(cells, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "dow", "hour"], sort=False, as_index=False)
-        .sum()
+    return shuffle_mod.fold(
+        ds.map_batches(cells, batch_format="pyarrow"),
+        ["event_type", "dow", "hour"],
+        pa.schema(
+            [("event_type", pa.string()),
+             *_i64("dow", "hour", "n_events", "sum_c")]
+        ),
     )
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "dow": pa.array(out["dow"].to_numpy(np.int64)),
-            "hour": pa.array(out["hour"].to_numpy(np.int64)),
-            "n_events": pa.array(out["n_events"].to_numpy(np.int64)),
-            "sum_c": pa.array(out["sum_c"].to_numpy(np.int64)),
-        }
-    )
+
+
+def _type_cent_hist(ds) -> pd.DataFrame:
+    """Events per (event_type, value in cents ``x``) as ``n``, sorted by
+    both: the exact value histogram the MAD and mode queries read."""
+
+    def counts(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "event_type": b["event_type"],
+                "x": _half_up(
+                    b["value"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+                "n": np.ones(b.num_rows, np.int64),
+            }
+        )
+
+    return shuffle_mod.fold(
+        ds.map_batches(counts, batch_format="pyarrow"),
+        ["event_type", "x"],
+        pa.schema([("event_type", pa.string()), *_i64("x", "n")]),
+    ).to_pandas()
 
 
 def q_mad_outliers(sf_dir: str):
@@ -7982,30 +7548,7 @@ def q_mad_outliers(sf_dir: str):
         columns=["event_id", "event_type", "value"],
     )
 
-    def counts(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "x": _half_up(
-                    b["value"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        )
-        out = (
-            df.groupby(["event_type", "x"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
-        )
-        out["n"] = out["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
-
-    hist = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "x"], sort=False, as_index=False)["n"]
-        .sum()
-    )
+    hist = _type_cent_hist(ds)
 
     def wmedian(vals: np.ndarray, wts: np.ndarray) -> int:
         order = np.argsort(vals, kind="stable")
@@ -8202,7 +7745,6 @@ def q_zonal_histogram(sf_dir: str):
     with their containing footprints (rings ray.put once, memoized per
     worker); ONE salted aggregate sums per-zone — histogram rows, never
     pixels, cross the exchange."""
-    from raycells.geo import cellid  # noqa: F401  (parity with hist kin)
     from raycells.io import tilestore
 
     WINDOW, WSIZE = (0, 0), (8, 8)
@@ -8307,7 +7849,7 @@ class _NearBoundary:
         return pa.table(
             {
                 "footprint_id": pa.array(ids, pa.string()),
-                "n": pa.array(np.asarray(ns, np.int64)),
+                "n_near_tiles": pa.array(np.asarray(ns, np.int64)),
             }
         )
 
@@ -8342,20 +7884,13 @@ def q_near_boundary_tiles(sf_dir: str):
 
     fps = fp_mod.rings_as_numpy(fp_mod.generate_footprints())
     ref = ray.put(fps)
-    parts = (
+    return shuffle_mod.fold(
         _exploded(sf_dir)
         .map_batches(pts, batch_format="pyarrow")
         .map_batches(stages.broadcast_task(_NearBoundary, ref),
-                     batch_format="pyarrow")
-        .to_pandas()
-        .groupby("footprint_id", sort=False, as_index=False)["n"]
-        .sum()
-    )
-    return pa.table(
-        {
-            "footprint_id": pa.array(parts["footprint_id"], pa.string()),
-            "n_near_tiles": pa.array(parts["n"].to_numpy(np.int64)),
-        }
+                     batch_format="pyarrow"),
+        "footprint_id",
+        pa.schema([("footprint_id", pa.string()), *_i64("n_near_tiles")]),
     )
 
 
@@ -8372,36 +7907,7 @@ def q_type_corr_matrix(sf_dir: str):
     Shape at scale: the daily rollup is the map-side partial fold; the
     pairwise pass folds a (days × types) matrix bounded by the calendar
     on the driver — never by events."""
-    ds = _read(
-        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type"]
-    )
-
-    def daily(b: pa.Table) -> pa.Table:
-        day = b["ts"].to_numpy(zero_copy_only=False).view(np.int64) // np.int64(
-            86_400_000_000
-        )
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "day": day,
-                }
-            )
-            .groupby(["event_type", "day"], sort=False)
-            .size()
-            .reset_index(name="y")
-        )
-        part["y"] = part["y"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)["y"]
-        .sum()
-    )
+    bars = _type_day_counts(sf_dir)
     days = np.arange(bars["day"].min(), bars["day"].max() + 1)
     types = sorted(bars["event_type"].unique())
     mat = (
@@ -8596,27 +8102,19 @@ def q_minmax_scale(sf_dir: str):
     )
 
     def mm(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(zero_copy_only=False),
-                "x": _half_up(
-                    b["value"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
+        x = _half_up(b["value"].to_numpy(zero_copy_only=False) * 100).astype(
+            np.int64
         )
-        part = df.groupby("event_type", sort=False).agg(
-            mn=("x", "min"), mx=("x", "max")
-        ).reset_index()
-        return shuffle_mod.from_pandas_clean(part)
+        return pa.table({"event_type": b["event_type"], "mn": x, "mx": x})
 
-    lim = (
-        ds.map_batches(mm, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("event_type", sort=False)
-        .agg(mn=("mn", "min"), mx=("mx", "max"))
-    )
-    mins = lim["mn"].to_dict()
-    maxs = lim["mx"].to_dict()
+    lim = shuffle_mod.fold(
+        ds.map_batches(mm, batch_format="pyarrow"),
+        "event_type",
+        pa.schema([("event_type", pa.string()), *_i64("mn", "mx")]),
+        ops={"mn": "min", "mx": "max"},
+    ).to_pydict()
+    mins = dict(zip(lim["event_type"], lim["mn"]))
+    maxs = dict(zip(lim["event_type"], lim["mx"]))
 
     def scale(b: pa.Table, mns=mins, mxs=maxs) -> pa.Table:
         et = b["event_type"].to_numpy(zero_copy_only=False)
@@ -8656,28 +8154,16 @@ def q_audience_hhi(sf_dir: str):
     )
 
     def counts(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-                }
-            )
-            .groupby(["event_type", "user_id"], sort=False)
-            .size()
-            .reset_index(name="c")
+        return pa.table(
+            {"event_type": b["event_type"], "user_id": b["user_id"],
+             "c": np.ones(b.num_rows, np.int64)}
         )
-        part["c"] = part["c"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    cu = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "user_id"], sort=False, as_index=False)["c"]
-        .sum()
-    )
+    cu = shuffle_mod.fold(
+        ds.map_batches(counts, batch_format="pyarrow"),
+        ["event_type", "user_id"],
+        pa.schema([("event_type", pa.string()), *_i64("user_id", "c")]),
+    ).to_pandas()
     rows = []
     for etype, g in cu.groupby("event_type", sort=True):
         c = g["c"].to_numpy(np.int64)
@@ -8716,29 +8202,23 @@ def q_rfm_segments(sf_dir: str):
     )
 
     def part(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-                "ts_us": b["ts"].to_numpy(zero_copy_only=False).view(np.int64),
-                "c": _half_up(
+                "user_id": b["user_id"],
+                "last_us": b["ts"].to_numpy(zero_copy_only=False).view(np.int64),
+                "freq": np.ones(b.num_rows, np.int64),
+                "mon_c": _half_up(
                     b["value"].to_numpy(zero_copy_only=False) * 100
                 ).astype(np.int64),
             }
         )
-        out = df.groupby("user_id", sort=False).agg(
-            last_us=("ts_us", "max"), freq=("ts_us", "size"), mon_c=("c", "sum")
-        ).reset_index()
-        out["freq"] = out["freq"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
 
-    u = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("user_id", sort=False)
-        .agg(last_us=("last_us", "max"), freq=("freq", "sum"),
-             mon_c=("mon_c", "sum"))
-        .reset_index()
-    )
+    u = shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "user_id",
+        pa.schema(_i64("user_id", "last_us", "freq", "mon_c")),
+        ops={"last_us": "max"},
+    ).to_pandas()
     n = len(u)
     uid = u["user_id"].to_numpy(np.int64)
 
@@ -8790,36 +8270,24 @@ def q_lttb_downsample(sf_dir: str):
     )
 
     def daily(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "day": b["ts"].to_numpy(zero_copy_only=False).view(
-                        np.int64
-                    )
-                    // np.int64(86_400_000_000),
-                    "c": _half_up(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["event_type", "day"], sort=False)["c"]
-            .sum()
-            .reset_index(name="y")
+        return pa.table(
+            {
+                "event_type": b["event_type"],
+                "day": b["ts"].to_numpy(zero_copy_only=False).view(np.int64)
+                // np.int64(86_400_000_000),
+                "y": _half_up(
+                    b["value"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)["y"]
-        .sum()
-    )
+    bars = shuffle_mod.fold(
+        ds.map_batches(daily, batch_format="pyarrow"),
+        ["event_type", "day"],
+        pa.schema([("event_type", pa.string()), *_i64("day", "y")]),
+    ).to_pandas()
     out_rows = []
     for etype, g in bars.groupby("event_type", sort=True):
-        g = g.sort_values("day")
         x = g["day"].to_numpy(np.int64)
         y = g["y"].to_numpy(np.int64)
         n = x.size
@@ -8926,18 +8394,17 @@ def q_triangle_count(sf_dir: str):
         nz = np.nonzero(acc)[0]
         return pa.table({"node": pa.array(nd[nz]), "part": pa.array(acc[nz])})
 
-    folded = (
-        edges.map_batches(scan, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("node", sort=False)["part"]
-        .sum()
+    folded = shuffle_mod.fold(
+        edges.map_batches(scan, batch_format="pyarrow"),
+        "node",
+        pa.schema(_i64("node", "part")),
     )
-    tri = (folded // 2).astype(np.int64)
-    tri = tri[tri > 0]
+    tri = folded["part"].to_numpy() // 2
+    keep = pa.array(tri > 0)
     return pa.table(
         {
-            "p_partkey": pa.array(tri.index.to_numpy(np.int64)),
-            "triangles": pa.array(tri.to_numpy(np.int64)),
+            "p_partkey": folded["node"].filter(keep),
+            "triangles": pa.array(tri).filter(keep),
         }
     )
 
@@ -8965,20 +8432,15 @@ def q_hist_equalize(sf_dir: str):
         seeds = tilestore.seed_of_refs(b["media_ref"])
         v = tilestore.synth_band_window(seeds, 4, WINDOW, WSIZE, WSIZE).ravel()
         v = v[v > 0].astype(np.int64)
-        vals, cnts = np.unique(v, return_counts=True)
-        return pa.table(
-            {"v": pa.array(vals), "c": pa.array(cnts.astype(np.int64))}
-        )
+        return pa.table({"v": v, "c": np.ones(v.size, np.int64)})
 
-    hist = (
-        _exploded(sf_dir)
-        .map_batches(vhist, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("v", sort=True)["c"]
-        .sum()
+    hist = shuffle_mod.fold(
+        _exploded(sf_dir).map_batches(vhist, batch_format="pyarrow"),
+        "v",
+        pa.schema(_i64("v", "c")),
     )
-    vals = hist.index.to_numpy(np.int64)
-    cdf = hist.to_numpy(np.int64).cumsum()
+    vals = hist["v"].to_numpy()
+    cdf = hist["c"].to_numpy().cumsum()
     T, cmin = int(cdf[-1]), int(cdf[0])
     lut = np.zeros(65521, np.int64)
     lut[vals] = (
@@ -9083,24 +8545,18 @@ def q_containment_pairs(sf_dir: str):
             }
         )
 
-    folded = (
+    folded = shuffle_mod.fold(
         shuffle_mod.bucket_reduce(
             chunks.map_batches(proj, batch_format="pyarrow"),
             "chunk_hash",
             bucket_pass,
-        )
-        .to_pandas()
-    )
-    sizes = (
-        folded[folded["kind"] == 0]
-        .groupby("a", sort=False)["cnt"]
-        .sum()
-    )
-    pairs = (
-        folded[folded["kind"] == 1]
-        .groupby(["a", "b"], sort=False, as_index=False)["cnt"]
-        .sum()
-    )
+        ),
+        ["kind", "a", "b"],
+        pa.schema([("kind", pa.int64()), ("a", pa.string()), ("b", pa.string()),
+                   *_i64("cnt")]),
+    ).to_pandas()
+    sizes = folded[folded["kind"] == 0].set_index("a")["cnt"]
+    pairs = folded[folded["kind"] == 1]
     n_a = sizes.reindex(pairs["a"]).to_numpy(np.int64)
     m = pairs["cnt"].to_numpy(np.int64)
     keep = 2 * m >= n_a
@@ -9129,18 +8585,11 @@ def q_semivariogram(sf_dir: str):
     from raycells.geo import cellid
 
     NX = cellid.GRID_NX
-    base = (
-        _cell_base_agg(sf_dir)
-        .map_batches(
-            lambda b: b.select(["grid_cell", "n_tiles"]),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .groupby("grid_cell", sort=True, as_index=False)["n_tiles"]
-        .sum()
+    base = shuffle_mod.fold(
+        _cell_base_agg(sf_dir), "grid_cell", pa.schema(_i64("grid_cell", "n_tiles"))
     )
-    gc = base["grid_cell"].to_numpy(np.int64)
-    z = base["n_tiles"].to_numpy(np.int64)
+    gc = base["grid_cell"].to_numpy()
+    z = base["n_tiles"].to_numpy()
     gx, gy = gc % NX, gc // NX
     key = gy * np.int64(1 << 20) + gx
     order = np.argsort(key, kind="stable")
@@ -9252,36 +8701,22 @@ def q_journey_trigrams(sf_dir: str):
         order = np.lexsort((eid, ts, user))
         u, t = user[order], et[order]
         same2 = u[:-2] == u[2:]
-        part = (
-            pd.DataFrame(
-                {
-                    "t1": t[:-2][same2],
-                    "t2": t[1:-1][same2],
-                    "t3": t[2:][same2],
-                }
-            )
-            .groupby(["t1", "t2", "t3"], sort=False)
-            .size()
-            .reset_index(name="n")
+        return pa.table(
+            {
+                "t1": pa.array(t[:-2][same2], pa.string()),
+                "t2": pa.array(t[1:-1][same2], pa.string()),
+                "t3": pa.array(t[2:][same2], pa.string()),
+                "n": np.ones(int(same2.sum()), np.int64),
+            }
         )
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    folded = (
-        shuffle_mod.bucket_reduce(ds, "user_id", tri)
-        .to_pandas()
-        .groupby(["t1", "t2", "t3"], sort=False, as_index=False)["n"]
-        .sum()
+    folded = shuffle_mod.fold(
+        shuffle_mod.bucket_reduce(ds, "user_id", tri),
+        ["t1", "t2", "t3"],
+        pa.schema([("t1", pa.string()), ("t2", pa.string()), ("t3", pa.string()),
+                   *_i64("n")]),
     )
-    folded = folded[folded["n"] >= 5]
-    return pa.table(
-        {
-            "t1": pa.array(folded["t1"], pa.string()),
-            "t2": pa.array(folded["t2"], pa.string()),
-            "t3": pa.array(folded["t3"], pa.string()),
-            "n": pa.array(folded["n"].to_numpy(np.int64)),
-        }
-    )
+    return folded.filter(pc.greater_equal(folded["n"], 5))
 
 
 def q_rolling_wau(sf_dir: str):
@@ -9410,42 +8845,25 @@ def q_survival_table(sf_dir: str):
             b["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         conv = (et == "purchase") & (cents >= THR)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "user_id": b["user_id"].to_numpy(zero_copy_only=False),
+                "user_id": b["user_id"],
                 "t0": ts,
                 "tp": np.where(conv, ts, np.int64(1 << 62)),
+                "t_last": ts,
             }
         )
-        out = df.groupby("user_id", sort=False).agg(
-            t0=("t0", "min"), tp=("tp", "min")
-        ).reset_index()
-        return shuffle_mod.from_pandas_clean(out)
 
-    u = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("user_id", sort=False)
-        .agg(t0=("t0", "min"), tp=("tp", "min"))
+    u = shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "user_id",
+        pa.schema(_i64("user_id", "t0", "tp", "t_last")),
+        ops={"t0": "min", "tp": "min", "t_last": "max"},
     )
-    # global observation end from the same fold inputs (max event ts)
-    tmax = int(
-        ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "m": pa.array(
-                        [b["ts"].to_numpy(zero_copy_only=False)
-                         .view(np.int64).max()]
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()["m"]
-        .max()
-    )
-    t0 = u["t0"].to_numpy(np.int64)
-    tp = u["tp"].to_numpy(np.int64)
+    t0 = u["t0"].to_numpy()
+    tp = u["tp"].to_numpy()
+    # global observation end: the latest event of any user
+    tmax = int(pc.max(u["t_last"]).as_py())
     converted = tp < np.int64(1 << 62)
     ed = np.where(converted, (tp - t0) // DAY, np.int64(-1))
     cd = (tmax - t0) // DAY
@@ -9595,28 +9013,20 @@ def q_idw_interpolate(sf_dir: str):
             }
         )
 
-    f = (
-        _exploded(sf_dir)
-        .map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("query_id", sort=True)
-        .sum()
+    f = shuffle_mod.fold(
+        _exploded(sf_dir).map_batches(part, batch_format="pyarrow"),
+        "query_id",
+        pa.schema(_i64("query_id", "n", "sw", "swv")),
     )
     # every swv term is w · mean ≤ W0 · VAL_MOD, so the int64 fold is
     # exact while the summed tile count keeps n · W0 · VAL_MOD < 2^63
-    if int(f["n"].sum()) * W0 * tilestore.VAL_MOD >= 2**63:  # pragma: no cover
+    if sum(f["n"].to_pylist()) * W0 * tilestore.VAL_MOD >= 2**63:  # pragma: no cover
         raise OverflowError("idw_interpolate: too many in-radius tiles for int64 swv")
-    sw = f["sw"].to_numpy(np.int64)
-    swv = f["swv"].to_numpy(np.int64)
+    sw = f["sw"].to_numpy()
+    swv = f["swv"].to_numpy()
     idw = np.where(sw > 0, swv.astype(np.float64) / sw.astype(np.float64), 0.0)
-    return pa.table(
-        {
-            "query_id": pa.array(f.index.to_numpy(np.int64)),
-            "n_tiles": pa.array(f["n"].to_numpy(np.int64)),
-            "sw": pa.array(sw),
-            "swv": pa.array(swv),
-            "idw": pa.array(idw, pa.float64()),
-        }
+    return f.rename_columns(["query_id", "n_tiles", "sw", "swv"]).append_column(
+        "idw", pa.array(idw, pa.float64())
     )
 
 
@@ -9636,36 +9046,25 @@ def q_weighted_median(sf_dir: str):
     )
 
     def wh(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "l_returnflag": b["l_returnflag"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "qty": _half_up(
-                        b["l_quantity"].to_numpy(zero_copy_only=False)
-                    ).astype(np.int64),
-                    "w": _half_up(
-                        b["l_extendedprice"].to_numpy(zero_copy_only=False)
-                        * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["l_returnflag", "qty"], sort=False)["w"]
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "l_returnflag": b["l_returnflag"],
+                "qty": _half_up(
+                    b["l_quantity"].to_numpy(zero_copy_only=False)
+                ).astype(np.int64),
+                "w": _half_up(
+                    b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(part)
 
-    hist = (
-        ds.map_batches(wh, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "qty"], sort=False, as_index=False)["w"]
-        .sum()
-    )
+    hist = shuffle_mod.fold(
+        ds.map_batches(wh, batch_format="pyarrow"),
+        ["l_returnflag", "qty"],
+        pa.schema([("l_returnflag", pa.string()), *_i64("qty", "w")]),
+    ).to_pandas()
     rows = []
     for flag, g in hist.groupby("l_returnflag", sort=True):
-        g = g.sort_values("qty")
         cum = g["w"].cumsum().to_numpy(np.int64)
         W = int(cum[-1])
         k = (W + 1) // 2
@@ -9692,31 +9091,7 @@ def q_modal_value(sf_dir: str):
         sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["event_type", "value"]
     )
 
-    def counts(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "x": _half_up(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["event_type", "x"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    hist = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "x"], sort=False, as_index=False)["n"]
-        .sum()
-    )
+    hist = _type_cent_hist(ds)
     rows = []
     for etype, g in hist.groupby("event_type", sort=True):
         order = np.lexsort((g["x"].to_numpy(), -g["n"].to_numpy()))[0]
@@ -9744,39 +9119,9 @@ def q_theilsen_trend(sf_dir: str):
     Shape at scale: the distributed stage is the daily fold; pairwise
     slopes are calendar-bounded (days² per type), generated and ranked
     on the driver."""
-    ds = _read(
-        sf_dir, "events", SMALL_TABLE_BLOCKS, columns=["ts", "event_type"]
-    )
-
-    def daily(b: pa.Table) -> pa.Table:
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "day": b["ts"].to_numpy(zero_copy_only=False).view(
-                        np.int64
-                    )
-                    // np.int64(86_400_000_000),
-                }
-            )
-            .groupby(["event_type", "day"], sort=False)
-            .size()
-            .reset_index(name="y")
-        )
-        part["y"] = part["y"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    bars = (
-        ds.map_batches(daily, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "day"], sort=False, as_index=False)["y"]
-        .sum()
-    )
+    bars = _type_day_counts(sf_dir)
     rows = []
     for etype, g in bars.groupby("event_type", sort=True):
-        g = g.sort_values("day")
         x = g["day"].to_numpy(np.int64)
         y = g["y"].to_numpy(np.int64)
         i, j = np.triu_indices(x.size, k=1)
@@ -9834,33 +9179,22 @@ def q_segment_momentum(sf_dir: str):
         ts = pd.DatetimeIndex(
             b["o_orderdate"].to_numpy(zero_copy_only=False)
         )
-        out = (
-            pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series(ck).map(so),
-                    "month": ts.year.to_numpy(np.int64) * 12
-                    + ts.month.to_numpy(np.int64) - 1,
-                    "rev": _half_up(
-                        b["o_totalprice"].to_numpy(zero_copy_only=False)
-                        * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["c_mktsegment", "month"], sort=False)["rev"]
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "c_mktsegment": pa.array(pd.Series(ck).map(so), pa.string()),
+                "month": ts.year.to_numpy(np.int64) * 12
+                + ts.month.to_numpy(np.int64) - 1,
+                "rev": _half_up(
+                    b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(out)
 
-    bars = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["c_mktsegment", "month"], sort=False, as_index=False)[
-            "rev"
-        ]
-        .sum()
-        .sort_values(["c_mktsegment", "month"], kind="stable")
-    )
+    bars = shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        ["c_mktsegment", "month"],
+        pa.schema([("c_mktsegment", pa.string()), *_i64("month", "rev")]),
+    ).to_pandas()
     seg = bars["c_mktsegment"].to_numpy(object)
     rev = bars["rev"].to_numpy(np.int64)
     prev = np.full(rev.size, -1, np.int64)
@@ -9980,25 +9314,21 @@ def q_ab_test_zscore(sf_dir: str):
         cents = _half_up(
             b["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-                "conv": ((et == "purchase") & (cents >= THR)).astype(
-                    np.int64
-                ),
+                "user_id": b["user_id"],
+                "conv": ((et == "purchase") & (cents >= THR)).astype(np.int64),
             }
         )
-        out = df.groupby("user_id", sort=False)["conv"].max().reset_index()
-        return shuffle_mod.from_pandas_clean(out)
 
-    u = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("user_id", sort=False)["conv"]
-        .max()
+    u = shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "user_id",
+        pa.schema(_i64("user_id", "conv")),
+        ops={"conv": "max"},
     )
-    uid = u.index.to_numpy(np.int64)
-    conv = u.to_numpy(np.int64)
+    uid = u["user_id"].to_numpy()
+    conv = u["conv"].to_numpy()
     arm = uid % 2
     stats = {}
     for a in (0, 1):
@@ -10149,22 +9479,13 @@ def q_key_skew_report(sf_dir: str):
         ds = _read(sf_dir, table, SMALL_TABLE_BLOCKS, columns=[col])
 
         def part(b: pa.Table, c=col) -> pa.Table:
-            out = (
-                pd.DataFrame({"k": b[c].to_numpy(zero_copy_only=False)})
-                .groupby("k", sort=False)
-                .size()
-                .reset_index(name="n")
-            )
-            out["n"] = out["n"].astype(np.int64)
-            return shuffle_mod.from_pandas_clean(out)
+            return pa.table({"k": b[c], "n": np.ones(b.num_rows, np.int64)})
 
-        cnt = (
-            ds.map_batches(part, batch_format="pyarrow")
-            .to_pandas()
-            .groupby("k", sort=False)["n"]
-            .sum()
-            .to_numpy(np.int64)
-        )
+        cnt = shuffle_mod.fold(
+            ds.map_batches(part, batch_format="pyarrow"),
+            "k",
+            pa.schema(_i64("k", "n")),
+        )["n"].to_numpy()
         cnt_sorted = np.sort(cnt)
         nk = cnt.size
         p99 = int(cnt_sorted[int(np.ceil(0.99 * nk)) - 1])
@@ -10257,37 +9578,18 @@ def q_benford_audit(sf_dir: str):
         cents = _half_up(
             b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        d = cents.astype("U1").astype(np.int64)  # leading digit
-        part = (
-            pd.DataFrame(
-                {
-                    "o_orderpriority": b["o_orderpriority"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "digit": d,
-                }
-            )
-            .groupby(["o_orderpriority", "digit"], sort=False)
-            .size()
-            .reset_index(name="n")
+        return pa.table(
+            {
+                "o_orderpriority": b["o_orderpriority"],
+                "digit": cents.astype("U1").astype(np.int64),  # leading digit
+                "n": np.ones(len(cents), np.int64),
+            }
         )
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    out = (
-        ds.map_batches(digits, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["o_orderpriority", "digit"], sort=False, as_index=False)[
-            "n"
-        ]
-        .sum()
-    )
-    return pa.table(
-        {
-            "o_orderpriority": pa.array(out["o_orderpriority"], pa.string()),
-            "digit": pa.array(out["digit"].to_numpy(np.int64)),
-            "n": pa.array(out["n"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(digits, batch_format="pyarrow"),
+        ["o_orderpriority", "digit"],
+        pa.schema([("o_orderpriority", pa.string()), *_i64("digit", "n")]),
     )
 
 
@@ -10306,32 +9608,22 @@ def q_pareto_8020(sf_dir: str):
     )
 
     def part(b: pa.Table) -> pa.Table:
-        out = (
-            pd.DataFrame(
-                {
-                    "o_custkey": b["o_custkey"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "rev": _half_up(
-                        b["o_totalprice"].to_numpy(zero_copy_only=False)
-                        * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby("o_custkey", sort=False)["rev"]
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "o_custkey": b["o_custkey"],
+                "rev": _half_up(
+                    b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
+                ).astype(np.int64),
+            }
         )
-        return shuffle_mod.from_pandas_clean(out)
 
-    u = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("o_custkey", sort=False)["rev"]
-        .sum()
+    u = shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "o_custkey",
+        pa.schema(_i64("o_custkey", "rev")),
     )
-    ck = u.index.to_numpy(np.int64)
-    rev = u.to_numpy(np.int64)
+    ck = u["o_custkey"].to_numpy()
+    rev = u["rev"].to_numpy()
     order = np.lexsort((ck, -rev))
     rank = np.arange(order.size, dtype=np.int64)
     decile = rank * 10 // order.size
@@ -10503,40 +9795,16 @@ def q_seasonal_anomaly(sf_dir: str):
     Shape at scale: pass 1 is the seasonality_profile fold (bounded by
     types × 168 cells); pass 2 re-streams events through a stateless
     broadcast filter."""
+    prof = (
+        q_seasonality_profile(sf_dir)
+        .to_pandas()
+        .rename(columns={"n_events": "n", "sum_c": "s"})
+    )
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["event_id", "ts", "event_type", "value"],
     )
 
-    def cells(b: pa.Table) -> pa.Table:
-        us = b["ts"].to_numpy(zero_copy_only=False).view(np.int64)
-        part = (
-            pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "dow": (us // np.int64(86_400_000_000) + 3) % 7,
-                    "hour": (us // np.int64(3_600_000_000)) % 24,
-                    "x": _half_up(
-                        b["value"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
-                }
-            )
-            .groupby(["event_type", "dow", "hour"], sort=False)["x"]
-            .agg(["size", "sum"])
-            .reset_index()
-        )
-        part.columns = ["event_type", "dow", "hour", "n", "s"]
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
-
-    prof = (
-        ds.map_batches(cells, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["event_type", "dow", "hour"], sort=False, as_index=False)
-        .sum()
-    )
     def flag(b: pa.Table, pf=prof) -> pa.Table:
         us = b["ts"].to_numpy(zero_copy_only=False).view(np.int64)
         df = pd.DataFrame(
@@ -10659,45 +9927,31 @@ def q_ttr_by_source(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(out)
 
-    def fold(g: pa.Table) -> pa.Table:
+    def per_type(g: pa.Table) -> pa.Table:
         df = (
-            pd.DataFrame(
-                {
-                    "source": g["source"].to_numpy(zero_copy_only=False),
-                    "token": g["token"].to_numpy(zero_copy_only=False),
-                    "n": g["n"].to_numpy(zero_copy_only=False),
-                }
-            )
+            g.select(["source", "token", "n"]).to_pandas()
             .groupby(["source", "token"], sort=False)["n"]
             .sum()
             .reset_index()
         )
-        out = df.groupby("source", sort=False).agg(
-            n_tokens=("n", "sum"),
-            n_types=("n", "size"),
-            n_hapax=("n", lambda s: int((s == 1).sum())),
-        ).reset_index()
-        for c in ("n_tokens", "n_types", "n_hapax"):
-            out[c] = out[c].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
+        n = df["n"].to_numpy(np.int64)
+        return pa.table(
+            {
+                "source": pa.array(df["source"], pa.string()),
+                "n_tokens": n,
+                "n_types": np.ones(len(n), np.int64),
+                "n_hapax": (n == 1).astype(np.int64),
+            }
+        )
 
-    return (
+    return shuffle_mod.fold(
         shuffle_mod.bucket_reduce(
-            ds.map_batches(tok, batch_format="pyarrow"), "token", fold
-        )
-        .to_pandas()
-        .groupby("source", sort=True, as_index=False)
-        .sum()
-        .pipe(
-            lambda df: pa.table(
-                {
-                    "source": pa.array(df["source"], pa.string()),
-                    "n_tokens": pa.array(df["n_tokens"].to_numpy(np.int64)),
-                    "n_types": pa.array(df["n_types"].to_numpy(np.int64)),
-                    "n_hapax": pa.array(df["n_hapax"].to_numpy(np.int64)),
-                }
-            )
-        )
+            ds.map_batches(tok, batch_format="pyarrow"), "token", per_type
+        ),
+        "source",
+        pa.schema(
+            [("source", pa.string()), *_i64("n_tokens", "n_types", "n_hapax")]
+        ),
     )
 
 
@@ -10865,22 +10119,14 @@ def q_footprint_selectivity(sf_dir: str):
                 }
             )
 
-    f = (
+    return shuffle_mod.fold(
         _exploded(sf_dir)
         .map_batches(pts, batch_format="pyarrow")
         .map_batches(
             stages.broadcast_task(_Selectivity, ref), batch_format="pyarrow"
-        )
-        .to_pandas()
-        .groupby("footprint_id", sort=True, as_index=False)
-        .sum()
-    )
-    return pa.table(
-        {
-            "footprint_id": pa.array(f["footprint_id"], pa.string()),
-            "n_bbox": pa.array(f["n_bbox"].to_numpy(np.int64)),
-            "n_exact": pa.array(f["n_exact"].to_numpy(np.int64)),
-        }
+        ),
+        "footprint_id",
+        pa.schema([("footprint_id", pa.string()), *_i64("n_bbox", "n_exact")]),
     )
 
 
@@ -11052,25 +10298,19 @@ def q_fulfillment_lag(sf_dir: str):
         )
         od = df[df["side"] == 1].set_index("key")
         j = od.join(li_max.rename("ship_max"), how="inner")
-        lag = ((j["ship_max"] - j["ship_us"]) // DAY).astype(np.int64)
-        out = (
-            pd.DataFrame({"prio": j["prio"].to_numpy(object), "lag": lag})
-            .groupby(["prio", "lag"], sort=False)
-            .size()
-            .reset_index(name="n")
+        lag = ((j["ship_max"] - j["ship_us"]) // DAY).to_numpy(np.int64)
+        return pa.table(
+            {"prio": pa.array(j["prio"].to_numpy(object), pa.string()),
+             "lag": lag, "n": np.ones(len(lag), np.int64)}
         )
-        out["n"] = out["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
 
-    hist = (
-        shuffle_mod.bucket_reduce(both, "key", lag_hist)
-        .to_pandas()
-        .groupby(["prio", "lag"], sort=False, as_index=False)["n"]
-        .sum()
-    )
+    hist = shuffle_mod.fold(
+        shuffle_mod.bucket_reduce(both, "key", lag_hist),
+        ["prio", "lag"],
+        pa.schema([("prio", pa.string()), *_i64("lag", "n")]),
+    ).to_pandas()
     rows = []
     for prio, g in hist.groupby("prio", sort=True):
-        g = g.sort_values("lag")
         cum = g["n"].cumsum().to_numpy(np.int64)
         total = int(cum[-1])
         vals = g["lag"].to_numpy(np.int64)
@@ -11183,6 +10423,10 @@ def q_vector_norm_audit(sf_dir: str):
         columns=["embedding", "label"],
     )
 
+    schema = pa.schema(
+        _i64("label", "n", "min_norm2", "max_norm2", "sum_norm2", "n_zero")
+    )
+
     def part(b: pa.Table) -> pa.Table:
         col = b["embedding"]
         if isinstance(col, pa.ChunkedArray):
@@ -11190,60 +10434,25 @@ def q_vector_norm_audit(sf_dir: str):
         flat = col.flatten().to_numpy(zero_copy_only=False)
         n = b.num_rows
         if n == 0:
-            return pa.table(
-                {
-                    "label": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "min_norm2": pa.array([], pa.int64()),
-                    "max_norm2": pa.array([], pa.int64()),
-                    "sum_norm2": pa.array([], pa.int64()),
-                    "n_zero": pa.array([], pa.int64()),
-                }
-            )
-        dim = len(flat) // n
-        q = dd.quantize_embeddings(flat.reshape(n, dim))
-        norm2 = np.sum(q * q, axis=1)
-        df = pd.DataFrame(
+            return schema.empty_table()
+        q = dd.quantize_embeddings(flat.reshape(n, len(flat) // n))
+        norm2 = np.sum(q * q, axis=1).astype(np.int64)
+        return pa.table(
             {
-                "label": b["label"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-                "norm2": norm2,
-                "zero": (norm2 == 0).astype(np.int64),
+                "label": pc.cast(b["label"], pa.int64()),
+                "n": np.ones(n, np.int64),
+                "min_norm2": norm2,
+                "max_norm2": norm2,
+                "sum_norm2": norm2,
+                "n_zero": (norm2 == 0).astype(np.int64),
             }
         )
-        out = df.groupby("label", sort=False).agg(
-            n=("norm2", "size"),
-            min_norm2=("norm2", "min"),
-            max_norm2=("norm2", "max"),
-            sum_norm2=("norm2", "sum"),
-            n_zero=("zero", "sum"),
-        ).reset_index()
-        out["n"] = out["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
 
-    f = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("label", sort=True)
-        .agg(
-            n=("n", "sum"),
-            min_norm2=("min_norm2", "min"),
-            max_norm2=("max_norm2", "max"),
-            sum_norm2=("sum_norm2", "sum"),
-            n_zero=("n_zero", "sum"),
-        )
-        .reset_index()
-    )
-    return pa.table(
-        {
-            "label": pa.array(f["label"].to_numpy(np.int64)),
-            "n": pa.array(f["n"].to_numpy(np.int64)),
-            "min_norm2": pa.array(f["min_norm2"].to_numpy(np.int64)),
-            "max_norm2": pa.array(f["max_norm2"].to_numpy(np.int64)),
-            "sum_norm2": pa.array(f["sum_norm2"].to_numpy(np.int64)),
-            "n_zero": pa.array(f["n_zero"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        ds.map_batches(part, batch_format="pyarrow"),
+        "label",
+        schema,
+        ops={"min_norm2": "min", "max_norm2": "max"},
     )
 
 
@@ -11308,23 +10517,11 @@ def q_basket_size_hist(sf_dir: str):
                 "p": g["l_partkey"].to_numpy(zero_copy_only=False),
             }
         ).drop_duplicates()
-        s = df.groupby("o", sort=False).size()
-        out = s.value_counts().rename_axis("basket_size").reset_index(
-            name="n_orders"
-        )
-        out["basket_size"] = out["basket_size"].astype(np.int64)
-        out["n_orders"] = out["n_orders"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
+        s = df.groupby("o", sort=False).size().to_numpy(np.int64)
+        return pa.table({"basket_size": s, "n_orders": np.ones(len(s), np.int64)})
 
-    f = (
-        shuffle_mod.bucket_reduce(ds, "l_orderkey", sizes)
-        .to_pandas()
-        .groupby("basket_size", sort=True, as_index=False)["n_orders"]
-        .sum()
-    )
-    return pa.table(
-        {
-            "basket_size": pa.array(f["basket_size"].to_numpy(np.int64)),
-            "n_orders": pa.array(f["n_orders"].to_numpy(np.int64)),
-        }
+    return shuffle_mod.fold(
+        shuffle_mod.bucket_reduce(ds, "l_orderkey", sizes),
+        "basket_size",
+        pa.schema(_i64("basket_size", "n_orders")),
     )

@@ -548,7 +548,6 @@ def _verify_join_collect(
     "n_files"}`` summary comes back.
     """
     import ray
-    import ray.data as rd
 
     from raycells.engine.joins import hash_join
     from raycells.engine.stages import broadcast_task
@@ -1433,8 +1432,6 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
         return _spans_out(spans, id_col, sink_dir)
 
     def windows_split(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
         dids = b[id_col].to_numpy(zero_copy_only=False)
         ri, pos, h = ta.strided_window_fps(b[col].to_pylist(), w, s)
         if len(ri) == 0:

@@ -1,7 +1,10 @@
-"""The one bucket exchange (engine/shuffle.bucket_reduce): key placement
-for every key kind, the reducer's view of the group, the pinned bucket
-hash, and a source scan that keeps hand-rolled exchanges out."""
+"""The engine's two reductions in engine/shuffle.py: the bucket exchange
+(bucket_reduce: key placement for every key kind, the reducer's view of
+the group, the pinned bucket hash) and the driver fold (fold: answers
+against a plain pandas fold, ordering and typing), plus a source scan
+that keeps hand-rolled exchanges and driver folds out."""
 
+import ast
 import pathlib
 import re
 
@@ -130,6 +133,114 @@ def test_bucket_reduce_width_is_resolved_once(ray_session, monkeypatch):
     assert len(out) <= 3 and out["n_keys"].sum() == 11
 
 
+# --- fold ------------------------------------------------------------------
+
+_OPS = {"lo": "min", "hi": "max"}  # "n" and "total" default to sum
+
+
+def _fold_schema(kind: str) -> pa.Schema:
+    key_fields = {
+        "int64": [("k", pa.int64())],
+        "uint64_high": [("k", pa.uint64())],
+        "string": [("k", pa.string())],
+        "pair": [("k", pa.int64()), ("k2", pa.string())],
+    }[kind]
+    return pa.schema(
+        key_fields
+        + [(c, pa.int64()) for c in ("n", "total", "lo", "hi")]
+    )
+
+
+def _fold_rows(kind: str) -> tuple:
+    tab, key = _keyed_table(kind, n_keys=200, reps=5)
+    rid = tab["rid"].to_numpy()
+    vals = (rid * 7919) % 1009 - 500  # negative and positive values
+    tab = tab.drop_columns(["rid"])
+    for c, v in (("n", np.ones(len(rid), np.int64)), ("total", vals),
+                 ("lo", vals), ("hi", vals)):
+        tab = tab.append_column(c, pa.array(v, pa.int64()))
+    return tab, key
+
+
+def _pandas_fold(tab: pa.Table, keys: list) -> list:
+    out = (
+        tab.to_pandas()
+        .groupby(keys)
+        .agg(n=("n", "sum"), total=("total", "sum"), lo=("lo", "min"),
+             hi=("hi", "max"))
+        .reset_index()
+        .sort_values(keys)
+    )
+    return out.to_dict("records")
+
+
+@pytest.mark.parametrize("kind", ["int64", "uint64_high", "string", "pair"])
+def test_fold_matches_pandas_fold(ray_session, kind):
+    import ray.data as rd
+
+    tab, key = _fold_rows(kind)
+    keys = [key] if isinstance(key, str) else key
+    schema = _fold_schema(kind)
+    # several blocks, with empty blocks between them
+    empty = tab.slice(0, 0)
+    blocks = []
+    for i in range(0, tab.num_rows, 250):
+        blocks += [tab.slice(i, 250), empty]
+    out = shuffle.fold(rd.from_arrow([empty] + blocks), key, schema, _OPS)
+
+    assert out.schema == schema
+    got = out.to_pylist()
+    assert got == _pandas_fold(tab, keys)
+    # sorted by the key columns
+    key_rows = [tuple(r[k] for k in keys) for r in got]
+    assert key_rows == sorted(key_rows)
+    assert len(got) == 200
+
+
+def test_fold_zero_rows_is_a_typed_empty(ray_session):
+    import ray.data as rd
+
+    tab, key = _fold_rows("string")
+    schema = _fold_schema("string")
+    out = shuffle.fold(rd.from_arrow([tab.slice(0, 0)] * 3), key, schema, _OPS)
+    assert out.num_rows == 0
+    assert out.schema == schema
+    filtered = rd.from_arrow(tab).filter(lambda r: False)
+    assert shuffle.fold(filtered, key, schema).schema == schema
+
+
+def test_fold_refolds_combined_batches(ray_session):
+    """A producer that already combines its batch (a broadcast stage
+    with its own per-batch groupby) folds to the same answer."""
+    import ray.data as rd
+
+    tab, key = _fold_rows("int64")
+    schema = _fold_schema("int64")
+
+    def combine(b: pa.Table) -> pa.Table:
+        part = (
+            b.to_pandas().groupby("k", sort=False)
+            .agg(n=("n", "sum"), total=("total", "sum"), lo=("lo", "min"),
+                 hi=("hi", "max"))
+            .reset_index()
+        )
+        return shuffle.from_pandas_clean(part)
+
+    ds = rd.from_arrow([tab.slice(i, 300) for i in range(0, tab.num_rows, 300)])
+    out = shuffle.fold(ds.map_batches(combine, batch_format="pyarrow"), key,
+                       schema, _OPS)
+    assert out.to_pylist() == _pandas_fold(tab, ["k"])
+
+
+def test_fold_rejects_unknown_op(ray_session):
+    import ray.data as rd
+
+    tab, key = _fold_rows("int64")
+    with pytest.raises(ValueError, match="mean"):
+        shuffle.fold(rd.from_arrow(tab), key, _fold_schema("int64"),
+                     {"total": "mean"})
+
+
 # --- source scan ---------------------------------------------------------
 
 def _sources():
@@ -137,10 +248,131 @@ def _sources():
         yield p.relative_to(ROOT).as_posix(), p.read_text()
 
 
+# Driver folds that are not a sum/min/max, so shuffle.fold cannot express
+# them: first/last by time (q_event_ohlc, q_curation_funnel,
+# q_shuffle_shards), exact Python-int sums (q_value_outliers), and other
+# folds (q_event_transitions, q_ann_recall_eval, q_knn_tiles_haversine,
+# q_events_rolling7); the XOR, HLL-register and CC-forest folds live in
+# whole files.
+_FOLD_FILES = {"engine/shuffle.py", "engine/driver.py", "sim/sketch.py",
+               "sim/hll.py", "engine/cc.py"}
+_FOLD_FUNCS = {"q_event_ohlc", "q_curation_funnel", "q_shuffle_shards",
+               "q_value_outliers", "q_event_transitions", "q_ann_recall_eval",
+               "q_knn_tiles_haversine", "q_events_rolling7"}
+_FOLD_ATTRS = {"sum", "agg", "aggregate", "min", "max"}
+_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _receiver_chain(node):
+    """``node`` and every receiver under it: a.b(x)[c].d() → the call,
+    its attribute, the subscript, ... down to the name ``a``."""
+    while True:
+        yield node
+        if isinstance(node, ast.Call):
+            node = node.func
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        else:
+            return
+
+
+def _is_dataset_to_pandas(node) -> bool:
+    """A ``.to_pandas()`` call whose receiver is not a parquet file read
+    straight into a ``pa.Table`` (``pq.read_table(...)``)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_pandas"
+        and not node.args
+        and not any(
+            isinstance(n, ast.Attribute) and n.attr == "read_table"
+            for n in _receiver_chain(node.func.value)
+        )
+    )
+
+
+def _function_level(fn):
+    """Nodes of ``fn``'s own body; nested functions (map-side UDFs and
+    per-bucket reducers, whose ``to_pandas`` is on a block) are skipped."""
+    stack = [n for n in fn.body if not isinstance(n, _NESTED)]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(c for c in ast.iter_child_nodes(n) if not isinstance(c, _NESTED))
+
+
+def _driver_fold_sites(tree) -> list:
+    """Module-level functions where a function-level ``to_pandas()``
+    result (directly, or through a name bound to it) feeds
+    ``.groupby(...)`` followed by ``.sum()/.agg()/.min()/.max()``."""
+    sites = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(_function_level(fn))
+        names = {
+            t.id
+            for n in nodes
+            if isinstance(n, ast.Assign)
+            and any(_is_dataset_to_pandas(c) for c in _receiver_chain(n.value))
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for n in nodes:
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in _FOLD_ATTRS):
+                continue
+            gb = [
+                c for c in _receiver_chain(n.func.value)
+                if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                and c.func.attr == "groupby"
+            ]
+            if gb and any(
+                _is_dataset_to_pandas(c) or (isinstance(c, ast.Name) and c.id in names)
+                for c in _receiver_chain(gb[0].func.value)
+            ):
+                sites.append(fn.name)
+                break
+    return sites
+
+
+def test_driver_fold_scan_sees_hand_rolled_folds():
+    """The scan below is not vacuous: both spellings of a hand-rolled
+    fold are found, block-level folds inside UDFs are not."""
+    src = """
+def direct(ds):
+    return ds.map_batches(f).to_pandas().groupby("k", sort=False).sum()
+
+def named(ds):
+    parts = ds.map_batches(f).to_pandas()
+    return parts.groupby(["k", "d"])["n"].agg("sum")
+
+def udf_only(ds):
+    def partial(b):
+        return b.to_pandas().groupby("k").sum()
+    return fold(ds.map_batches(partial), "k", schema)
+
+def table_read(path):
+    return pq.read_table(path).to_pandas().groupby("k").sum()
+"""
+    assert _driver_fold_sites(ast.parse(src)) == ["direct", "named"]
+
+
 def test_exchange_is_written_once():
     """Hand-rolled add_bucket → groupby → map_groups chains stay gone:
     the bucket groupby and the width resolution live in engine/shuffle.py
-    only, and the second bucket column is not coming back."""
+    only, and the second bucket column is not coming back. Hand-rolled
+    to_pandas → groupby → sum/min/max driver folds stay gone too: they
+    go through shuffle.fold, except the named non-sum/min/max folds."""
+    fold_sites = []
+    for rel, text in _sources():
+        if rel not in _FOLD_FILES:
+            fold_sites += [
+                f"{rel}:{name}"
+                for name in _driver_fold_sites(ast.parse(text))
+                if name not in _FOLD_FUNCS
+            ]
+    assert fold_sites == []
     groupby_sites, width_sites, cbucket_sites = [], [], []
     for rel, text in _sources():
         for line in text.splitlines():

@@ -386,6 +386,32 @@ def test_pmi_collocations_no_candidates(ray_session, tmp_path, contract):
     assert len(got) == len(want) == 0
 
 
+def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
+    """Driver-fold queries over 0-row inputs return a TYPED empty table,
+    as DuckDB does: a Dataset with no rows used to reach the driver as a
+    pandas frame with no columns, and the driver groupby raised
+    KeyError. documents, orders, lineitem and events are 0-row copies
+    with their schema; the side tables (customer, ...) keep their
+    rows."""
+    import pyarrow.parquet as pq
+
+    queries, sqls = contract
+    emptied = {"documents", "orders", "lineitem", "events"}
+    con2 = duckdb.connect()
+    for t in TABLES:
+        src = f"{SF}/{t}.parquet"
+        dst = tmp_path / f"{t}.parquet"
+        tab = pq.read_table(src)
+        pq.write_table(tab.schema.empty_table() if t in emptied else tab, str(dst))
+        con2.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{dst}')")
+    for name in ("corpus_mixture", "orders_by_segment", "lineitem_pricing",
+                 "events_daily"):
+        got = _norm(_to_df(queries[name](str(tmp_path))))
+        want = _norm(con2.sql(sqls[name]).df())
+        assert list(got.columns) == list(want.columns), name
+        assert len(got) == len(want) == 0, name
+
+
 def test_bpe_merges_boundary_anchor(ray_session, tmp_path, contract):
     """The '\\x02sym ' encoding must anchor merges to symbol boundaries:
     with corpus 'xab×2 xa×3 ab×2', step 1 merges (x,a) n=5, step 2
