@@ -120,7 +120,8 @@ _TILE_COUNTS: dict = {}
 
 def run_flagship(sf_dir: str, docs_dir: str = None) -> dict:
     """Headline: interleaved docs → explode → fused erased-cell decode +
-    masked stats + Hilbert cells + map-side partials → merge shuffle."""
+    masked stats + Hilbert cells + map-side partials → per-cell fold
+    (``merge_cell_agg``)."""
     from raycells.engine import pipeline as pl
 
     if docs_dir is None:

@@ -30,6 +30,8 @@ from raycells.engine import shuffle as shuffle_mod
 
 def process_fragment(frag_path: str, frag_out: str, level: int = 8) -> dict:
     """One fragment: flagship per-cell aggregate + span-digest lineage."""
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
 
     from raycells.engine import stages
@@ -57,7 +59,6 @@ def process_fragment(frag_path: str, frag_out: str, level: int = 8) -> dict:
     os.makedirs(frag_out, exist_ok=True)
     agg.write_parquet(frag_out)
     pipe_sec = time.perf_counter() - t0
-    exec_stats = agg.stats()  # per-fragment Ray Data execution profile
 
     # lineage: per-fragment XOR of span-sequence digests (order-free,
     # verifiable against the source at any later point). XOR is
@@ -73,23 +74,15 @@ def process_fragment(frag_path: str, frag_out: str, level: int = 8) -> dict:
     for hi, lo in zip(parts["xor_hi"], parts["xor_lo"]):
         xor ^= ((int(hi) & mask) << 64) | (int(lo) & mask)
     n_docs_in = int(parts["n_docs"].sum())
-    # tile count = Σ n_tiles over the per-cell aggregate just written —
-    # summing the few-thousand-row output parquet is free, where
-    # ``ex.count()`` re-executed the whole read+explode a third time
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    n_tiles = pc.sum(
-        pq.read_table(frag_out, columns=["n_tiles"])["n_tiles"]
-    ).as_py() or 0
+    # tile count = Σ n_tiles over the per-cell table the merge folded on
+    # the driver (merge_cell_agg returns it as in-memory blocks)
+    n_tiles = sum(pc.sum(t["n_tiles"]).as_py() or 0
+                  for t in ray.get(agg.to_arrow_refs()))
     return {
         "rows_in": n_docs_in,
-        "tiles": int(n_tiles),
+        "tiles": n_tiles,
         "span_digest_xor": f"{xor:032x}",
         "pipeline_sec": round(pipe_sec, 3),
-        # per-partition metrics (SURVEY.md §4.2): the fragment's Ray Data
-        # execution profile rides in its manifest for later inspection
-        "dataset_stats": exec_stats[:8192],
     }
 
 

@@ -7,12 +7,16 @@
         (masked min/max/mean) + Hilbert cell ids   map_batches task stage]
       → PIP join vs broadcast footprints          [task stage, memoized
                                                    broadcast state]
-      → salted two-stage per-cell aggregation     [the only shuffle]
+      → salted two-stage per-cell aggregation     [map-side partials,
+                                                   then shuffle.fold]
       → partitioned parquet sink + manifest
 
-Nothing materializes the full dataset: every step is a streaming
-``Dataset`` transform; only the final per-cell aggregate (≈ thousands of
-rows) is small enough to collect.
+Nothing materializes the full dataset: every step up to the per-cell
+partials is a streaming ``Dataset`` transform. ``shuffle.fold``
+materializes the narrow partials and merges them on the driver while
+they are under ``shuffle.FOLD_DRIVER_ROWS`` (the flagship's ≈8k rows
+are), else through the bucket exchange; the per-cell aggregate
+(≈ thousands of rows) comes back as a driver-built table.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def flagship(
     else:
         # fully fused fast path: decode→stats→cellid→partials in ONE task
         # operator (stateless synthetic decode; scratch persists in reused
-        # workers), then the tiny merge
+        # workers), then the per-cell merge (a driver fold while the
+        # partials are small)
         partials = ex.map_batches(
             lambda b: stages.decode_stats(b, emit="partials", level=level),
             batch_format="pyarrow",

@@ -2,9 +2,9 @@
 
 - ``bucket_reduce``: the one wide exchange — bucket rows on a key,
   co-locate each bucket, reduce it with a vectorized function.
-- ``fold``: the driver fold — sum/min/max per key inside each batch,
-  then once more over those partials on the driver; for results with
-  few groups, where an exchange's fixed cost dominates.
+- ``fold``: sum/min/max per key inside each batch, then once more over
+  those partials. Up to ``FOLD_DRIVER_ROWS`` partial rows the second
+  step runs on the driver; above it, through ``bucket_reduce``.
 
 Wide operations (groupby over ``cell_id``) are the engine's only
 all-to-all exchanges. Two defenses:
@@ -14,10 +14,11 @@ all-to-all exchanges. Two defenses:
    not tiles. At 100 TB the pre-aggregated exchange is ~10^4× smaller
    than shuffling raw tile rows.
 2. **Salting**: 60% of tiles land in 3 dense city boxes, so raw
-   ``cell_id`` keys are heavily skewed. Partials are keyed by
-   ``(cell_id, hash(doc) % SALT)``; the final (small) groupby re-merges
-   over ``cell_id``. SALT defaults to 8 — enough to split a hot cell
-   across executors without inflating the partial count.
+   ``cell_id`` keys are heavily skewed. Map-side partials are keyed by
+   ``(cell_id, hash(doc) % SALT)``; the merge re-folds them over
+   ``cell_id``. ``bucket_reduce`` buckets on that key alone, so the salt
+   only splits a hot cell's map-side partial rows: every row of one
+   cell still reaches one reducer.
 """
 
 from __future__ import annotations
@@ -223,30 +224,46 @@ def bucket_reduce(ds, key, fn, num_buckets: int | None = None):
 
 FOLD_OPS = ("sum", "min", "max")
 
+# Most map-side partial rows ``fold`` collects onto the driver: 2M rows
+# of the flagship's eight 8-byte partial columns is ~130 MB. Above it,
+# the partials merge through ``bucket_reduce`` and the driver collects
+# only the output.
+FOLD_DRIVER_ROWS = 1 << 21
+
 
 def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
-    """The engine's driver fold: reduce ``ds`` to one row per ``keys``
-    value and return it as a ``pa.Table`` sorted by ``keys`` and typed
+    """The engine's fold: reduce ``ds`` to one row per ``keys`` value
+    and return it as a ``pa.Table`` sorted by ``keys`` and typed
     exactly as ``schema`` (``schema.empty_table()`` when no row is
     left). ``keys`` is one column or a list, as in ``bucket_reduce``.
 
     Every non-key column of ``schema`` folds with ``ops.get(col,
     "sum")``, one of ``FOLD_OPS``; a row count is a column of int64
     ones. Those ops give the same answer when re-applied to their own
-    partials, so the one declaration drives both sides: inside one
+    partials, so the one declaration drives every step: inside one
     ``map_batches`` each batch collapses to one row per key
-    (``groupby(keys, sort=False)``), and the driver collects those
-    partials once (rowless blocks skipped through ``block_tables``) and
-    applies the same ops. Callers emit row-level projections; a batch
-    that is already combined (a broadcast stage with its own combiner)
-    folds to itself.
+    (``groupby(keys, sort=False)``), and the partials fold once more.
+    Callers emit row-level projections; a batch that is already
+    combined (a broadcast stage with its own combiner) folds to itself.
 
-    Use it when the group count is small: the driver holds O(blocks ×
-    groups) partial rows and no all-to-all runs. Measured on the
-    6-group lineitem pricing aggregate: Ray's sort Aggregate added ~2 s
-    of pure exchange fixed cost to merge 384 partial rows into 6. With
-    very many blocks, tree-fold the partials before the collect;
-    unbounded group counts go through ``bucket_reduce``."""
+    The partials are materialized and their row count read from block
+    metadata (no second execution). Up to ``FOLD_DRIVER_ROWS`` rows the
+    driver collects them (rowless blocks skipped through
+    ``block_tables``) and folds them: no all-to-all runs, where Ray's
+    sort exchange costs seconds of fixed cost however small its input
+    (~2 s to merge lineitem pricing's 384 partial rows into 6 groups;
+    0.5 s for the flagship's 7.8k cell partials at 64 buckets). Above
+    it, the partials go through ``bucket_reduce`` with the same
+    per-batch combine, and the driver collects only the output. Driver
+    memory is bounded by the constant or by the output, never by the
+    input size."""
+    return _fold(ds, keys, schema, ops)
+
+
+def _fold(ds, keys, schema: pa.Schema, ops: dict | None = None,
+          num_buckets: int | None = None) -> pa.Table:
+    """``fold`` with the exchange width of its ``bucket_reduce`` branch
+    (``scaled_buckets()`` when ``None``); for ``merge_cell_agg``."""
     import ray
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -262,7 +279,14 @@ def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
     def partial(b: pa.Table) -> pa.Table:
         return from_pandas_clean(combine(b.select(keys + list(spec)).to_pandas()))
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    if parts.count() > FOLD_DRIVER_ROWS:
+        # one column keeps add_bucket's single-column hash, the one
+        # the benchmark's merge trace buckets with; materialized, since
+        # to_arrow_refs() on a lazy Dataset executes it a second time
+        # (under limit=1, for the schema), which would rerun the exchange
+        by = keys[0] if len(keys) == 1 else keys
+        parts = bucket_reduce(parts, by, partial, num_buckets).materialize()
     tabs = block_tables(ray.get(parts.to_arrow_refs()), keys[0])
     if not tabs:
         return schema.empty_table()
@@ -329,28 +353,25 @@ def exact_dedup_winners(
 def merge_cell_agg(
     ds, key: str = "key", key_out: str = "cell_id", num_buckets: int | None = None
 ):
-    """Final merge over the partials: hash-bucket exchange + ONE
-    vectorized pandas groupby per bucket (map_groups). Returns per-cell
-    aggregates. This sidesteps Ray's per-distinct-group aggregate
-    overhead — the shuffle key has num_buckets distinct values however
-    many cells exist."""
+    """Final merge of ``partial_cell_agg`` partials into one row per
+    cell: ``n_tiles``/``valid_count``/``nodata_count`` sum, ``min_val``
+    min, ``max_val`` max, and ``avg_tile_mean = Σ sum_mean / n_tiles``.
+    The merge is a ``fold`` (``salt`` is not folded); ``num_buckets``
+    sets the exchange width when the partials exceed
+    ``FOLD_DRIVER_ROWS``. Returns a one-block Dataset sorted by
+    ``key_out`` (uint64), typed even when empty."""
+    import pyarrow.compute as pc
+    import ray.data as rd
 
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        out = df.groupby("key", sort=False).agg(
-            n_tiles=("n_tiles", "sum"),
-            sum_mean=("sum_mean", "sum"),
-            valid_count=("valid_count", "sum"),
-            nodata_count=("nodata_count", "sum"),
-            min_val=("min_val", "min"),
-            max_val=("max_val", "max"),
-        ).reset_index()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out["avg_tile_mean"] = out["sum_mean"] / out["n_tiles"]
-        out = out.drop(columns=["sum_mean"]).rename(columns={"key": key_out})
-        return from_pandas_clean(out)
-
-    return bucket_reduce(ds, key, combine, num_buckets)
+    schema = pa.schema(
+        [(key, pa.uint64()), ("n_tiles", pa.int64()), ("sum_mean", pa.float64()),
+         ("valid_count", pa.int64()), ("nodata_count", pa.int64()),
+         ("min_val", pa.float64()), ("max_val", pa.float64())]
+    )
+    t = _fold(ds, key, schema, {"min_val": "min", "max_val": "max"}, num_buckets)
+    avg = pc.divide(t["sum_mean"], pc.cast(t["n_tiles"], pa.float64()))
+    t = t.drop_columns(["sum_mean"]).append_column("avg_tile_mean", avg)
+    return rd.from_arrow(t.rename_columns([key_out, *t.column_names[1:]]))
 
 
 def salted_aggregate(

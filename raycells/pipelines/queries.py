@@ -4520,20 +4520,22 @@ def q_quantiles_price(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
 
-    # pass 0: per-batch (min, max, count) partials, driver fold — Ray's
-    # sort Aggregate costs ~2 s FIXED at this block count (CLAUDE.md)
+    # pass 0: global (min, max, count), one fold group (constant key)
     def mmc(b: pa.Table) -> pa.Table:
-        v = b["l_extendedprice"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "lo": pa.array([float(v.min())] if v.size else [np.inf]),
-                "hi": pa.array([float(v.max())] if v.size else [-np.inf]),
-                "n": pa.array([int(v.size)], pa.int64()),
-            }
-        )
+        v = b["l_extendedprice"]
+        return pa.table({"k": np.zeros(len(v), np.int64), "lo": v, "hi": v,
+                         "n": np.ones(len(v), np.int64)})
 
-    g = ds.map_batches(mmc, batch_format="pyarrow").to_pandas()
-    lo, hi, n = float(g["lo"].min()), float(g["hi"].max()), int(g["n"].sum())
+    g = shuffle_mod.fold(
+        ds.map_batches(mmc, batch_format="pyarrow"), "k",
+        pa.schema([("k", pa.int64()), ("lo", pa.float64()),
+                   ("hi", pa.float64()), ("n", pa.int64())]),
+        ops={"lo": "min", "hi": "max"},
+    )
+    if not g.num_rows:  # DuckDB: quantile_disc over no rows is NULL
+        nulls = {c: pa.nulls(1, pa.float64()) for c in ("p50", "p90", "p99")}
+        return pa.table({**nulls, "n_rows": pa.array([0], pa.int64())})
+    lo, hi, n = g["lo"][0].as_py(), g["hi"][0].as_py(), g["n"][0].as_py()
     K = 4096
     span = hi - lo or 1.0
 
@@ -6156,18 +6158,23 @@ def q_value_ntiles(sf_dir: str):
 
     K = 4096
 
-    # pass 0: global cent-value span, O(blocks) driver partials
+    out_schema = pa.schema(
+        [("event_type", pa.string()),
+         *_i64("ntile", "n_rows", "sum_c", "min_c", "max_c")]
+    )
+
+    # pass 0: global cent-value span, one fold group (constant key)
     def mmc(b: pa.Table) -> pa.Table:
         _, x, _ = keyed(b)
-        return pa.table(
-            {
-                "lo": pa.array([int(x.min())] if x.size else [np.iinfo(np.int64).max]),
-                "hi": pa.array([int(x.max())] if x.size else [np.iinfo(np.int64).min]),
-            }
-        )
+        return pa.table({"k": np.zeros(len(x), np.int64), "lo": x, "hi": x})
 
-    g0 = ds.map_batches(mmc, batch_format="pyarrow").to_pandas()
-    lo, hi = int(g0["lo"].min()), int(g0["hi"].max())
+    g0 = shuffle_mod.fold(
+        ds.map_batches(mmc, batch_format="pyarrow"), "k",
+        pa.schema(_i64("k", "lo", "hi")), ops={"lo": "min", "hi": "max"},
+    )
+    if not g0.num_rows:
+        return out_schema.empty_table()
+    lo, hi = g0["lo"][0].as_py(), g0["hi"][0].as_py()
     span = max(hi - lo, 1)
 
     def bidx(x: np.ndarray) -> np.ndarray:
@@ -6248,11 +6255,7 @@ def q_value_ntiles(sf_dir: str):
 
     return shuffle_mod.fold(
         ds.map_batches(assign, batch_format="pyarrow"),
-        ["event_type", "ntile"],
-        pa.schema(
-            [("event_type", pa.string()),
-             *_i64("ntile", "n_rows", "sum_c", "min_c", "max_c")]
-        ),
+        ["event_type", "ntile"], out_schema,
         ops={"min_c": "min", "max_c": "max"},
     )
 

@@ -280,10 +280,12 @@ def test_zonal_stats_matches_bruteforce(ray_session):
     )
 
 
-def test_flagship_partitioning_invariance(docs_dir, ray_session):
+def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
     """Distributed-correctness property: the per-cell aggregate must be
-    identical under different read block counts and salt factors — no
-    result may depend on how work was partitioned."""
+    identical under different read block counts, salt factors and merge
+    branches (driver fold, or the bucket exchange forced by a 0-row
+    FOLD_DRIVER_ROWS) — no result may depend on how work was
+    partitioned."""
     def run(num_blocks):
         return (
             pipeline.flagship(docs_dir, with_join=False, num_blocks=num_blocks)
@@ -293,14 +295,18 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session):
         )
 
     a, b = run(2), run(11)
+    with monkeypatch.context() as m:
+        m.setattr(shuffle, "FOLD_DRIVER_ROWS", 0)
+        exchanged = run(11)
     int_like = [c for c in a.columns if a[c].dtype.kind in "iu" or c == "cell_id"]
-    pd.testing.assert_frame_equal(a[int_like], b[int_like], check_exact=True)
-    # float means may differ in the final ulp across partitionings
-    # (summation order) — the documented reason oracles never hash
-    # float sums; everything integer must be bit-identical
-    np.testing.assert_allclose(a["avg_tile_mean"], b["avg_tile_mean"], rtol=1e-12)
-    np.testing.assert_allclose(a["min_val"], b["min_val"], rtol=0)
-    np.testing.assert_allclose(a["max_val"], b["max_val"], rtol=0)
+    for other in (b, exchanged):
+        pd.testing.assert_frame_equal(a[int_like], other[int_like], check_exact=True)
+        # float means may differ in the final ulp across partitionings
+        # (summation order) — the documented reason oracles never hash
+        # float sums; everything integer must be bit-identical
+        np.testing.assert_allclose(a["avg_tile_mean"], other["avg_tile_mean"], rtol=1e-12)
+        np.testing.assert_allclose(a["min_val"], other["min_val"], rtol=0)
+        np.testing.assert_allclose(a["max_val"], other["max_val"], rtol=0)
 
     stats = _decoded_stats(docs_dir)
     s1 = (
@@ -320,6 +326,31 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session):
     assert flt_cols, "expected float output columns (min/max/avg)"
     for c in flt_cols:
         np.testing.assert_allclose(s1[c].values, s2[c].values, rtol=1e-12)
+
+
+def test_merge_cell_agg_of_no_partials_is_typed(ray_session):
+    """0 partial rows still give the 7-column cell schema, both as the
+    Dataset schema and on its blocks (checked on Arrow: Ray's
+    to_pandas() drops the columns of an empty Dataset)."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    f64, i64 = pa.float64(), pa.int64()
+    partials = pa.schema(
+        [("key", pa.uint64()), ("salt", i64), ("n_tiles", i64), ("sum_mean", f64),
+         ("valid_count", i64), ("nodata_count", i64), ("min_val", f64),
+         ("max_val", f64)]
+    ).empty_table()
+    want = pa.schema(
+        [("cell_id", pa.uint64()), ("n_tiles", i64), ("valid_count", i64),
+         ("nodata_count", i64), ("min_val", f64), ("max_val", f64),
+         ("avg_tile_mean", f64)]
+    )
+    agg = shuffle.merge_cell_agg(rd.from_arrow(partials))
+    assert agg.schema().base_schema == want
+    tabs = ray.get(agg.to_arrow_refs())
+    assert tabs and all(t.schema == want and t.num_rows == 0 for t in tabs)
 
 
 def test_flagship_correct_under_task_retry(docs_dir, ray_session, tmp_path):

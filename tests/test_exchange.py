@@ -174,10 +174,22 @@ def _pandas_fold(tab: pa.Table, keys: list) -> list:
     return out.to_dict("records")
 
 
-@pytest.mark.parametrize("kind", ["int64", "uint64_high", "string", "pair"])
-def test_fold_matches_pandas_fold(ray_session, kind):
+_KINDS = ["int64", "uint64_high", "string", "pair"]
+
+
+# each key kind through both branches of fold: the driver fold (the
+# partials are far below FOLD_DRIVER_ROWS), and the bucket exchange,
+# forced by a 0-row limit
+@pytest.mark.parametrize(
+    "kind,exchange",
+    [pytest.param(k, False, id=k) for k in _KINDS]
+    + [pytest.param(k, True, id=f"exchange-{k}") for k in _KINDS],
+)
+def test_fold_matches_pandas_fold(ray_session, monkeypatch, kind, exchange):
     import ray.data as rd
 
+    if exchange:
+        monkeypatch.setattr(shuffle, "FOLD_DRIVER_ROWS", 0)
     tab, key = _fold_rows(kind)
     keys = [key] if isinstance(key, str) else key
     schema = _fold_schema(kind)
@@ -230,6 +242,49 @@ def test_fold_refolds_combined_batches(ray_session):
     out = shuffle.fold(ds.map_batches(combine, batch_format="pyarrow"), key,
                        schema, _OPS)
     assert out.to_pylist() == _pandas_fold(tab, ["k"])
+
+
+def _spy_bucket_reduce(monkeypatch) -> list:
+    calls = []
+    real = shuffle.bucket_reduce
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "bucket_reduce", spy)
+    return calls
+
+
+def test_fold_exchanges_only_above_the_row_limit(ray_session, monkeypatch):
+    """Partials above FOLD_DRIVER_ROWS go through bucket_reduce; at or
+    below it the driver folds them. Every key is distinct, so the
+    partials have exactly one row per input row however Ray batches."""
+    import ray.data as rd
+
+    tab, key = _fold_rows("int64")
+    tab = tab.set_column(0, "k", pa.array(np.arange(tab.num_rows), pa.int64()))
+    ds = rd.from_arrow([tab.slice(i, 250) for i in range(0, tab.num_rows, 250)])
+    schema = _fold_schema("int64")
+    calls = _spy_bucket_reduce(monkeypatch)
+    want = _pandas_fold(tab, ["k"])
+    for limit, exchanged in ((tab.num_rows, False), (tab.num_rows - 1, True)):
+        calls.clear()
+        monkeypatch.setattr(shuffle, "FOLD_DRIVER_ROWS", limit)
+        assert shuffle.fold(ds, key, schema, _OPS).to_pylist() == want
+        assert calls == (["k"] if exchanged else []), limit
+
+
+def test_flagship_merges_without_an_exchange(ray_session, monkeypatch, tmp_path):
+    """The flagship's per-cell partials are far below FOLD_DRIVER_ROWS:
+    the merge is a driver fold, with no bucket exchange."""
+    from raycells.engine import pipeline
+    from raycells.io import docsource
+
+    docsource.generate_interleaved_docs(str(tmp_path), 60, n_fragments=2)
+    calls = _spy_bucket_reduce(monkeypatch)
+    cells = pipeline.flagship(str(tmp_path)).to_pandas()
+    assert len(cells) > 0 and calls == []
 
 
 def test_fold_rejects_unknown_op(ray_session):

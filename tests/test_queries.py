@@ -392,7 +392,9 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     pandas frame with no columns, and the driver groupby raised
     KeyError. documents, orders, lineitem and events are 0-row copies
     with their schema; the side tables (customer, ...) keep their
-    rows."""
+    rows. quantiles_price and value_ntiles first fold the global value
+    range (one constant-key group); over no rows DuckDB answers one
+    all-NULL quantile row with n_rows 0, and 0 rows, respectively."""
     import pyarrow.parquet as pq
 
     queries, sqls = contract
@@ -404,12 +406,14 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
         tab = pq.read_table(src)
         pq.write_table(tab.schema.empty_table() if t in emptied else tab, str(dst))
         con2.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{dst}')")
-    for name in ("corpus_mixture", "orders_by_segment", "lineitem_pricing",
-                 "events_daily"):
+    for name, n_rows in (("corpus_mixture", 0), ("orders_by_segment", 0),
+                         ("lineitem_pricing", 0), ("events_daily", 0),
+                         ("quantiles_price", 1), ("value_ntiles", 0)):
         got = _norm(_to_df(queries[name](str(tmp_path))))
         want = _norm(con2.sql(sqls[name]).df())
         assert list(got.columns) == list(want.columns), name
-        assert len(got) == len(want) == 0, name
+        assert len(got) == len(want) == n_rows, name
+        pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
 
 def test_bpe_merges_boundary_anchor(ray_session, tmp_path, contract):
