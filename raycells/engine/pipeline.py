@@ -13,10 +13,10 @@
 
 Nothing materializes the full dataset: every step up to the per-cell
 partials is a streaming ``Dataset`` transform. ``shuffle.fold``
-materializes the narrow partials and merges them on the driver while
-they are under ``shuffle.FOLD_DRIVER_ROWS`` (the flagship's ≈8k rows
-are), else through the bucket exchange; the per-cell aggregate
-(≈ thousands of rows) comes back as a driver-built table.
+merges the narrow partials on the driver as they stream out, at most
+``shuffle.FOLD_DRIVER_ROWS`` rows at a time (the flagship's ≈8k rows
+are one chunk), with no exchange; the per-cell aggregate (≈ thousands
+of rows) comes back as a driver-built table.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def flagship(
     else:
         # fully fused fast path: decode→stats→cellid→partials in ONE task
         # operator (stateless synthetic decode; scratch persists in reused
-        # workers), then the per-cell merge (a driver fold while the
-        # partials are small)
+        # workers), then the per-cell merge (a driver fold)
         partials = ex.map_batches(
             lambda b: stages.decode_stats(b, emit="partials", level=level),
             batch_format="pyarrow",

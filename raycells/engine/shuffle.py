@@ -3,8 +3,8 @@
 - ``bucket_reduce``: the one wide exchange — bucket rows on a key,
   co-locate each bucket, reduce it with a vectorized function.
 - ``fold``: sum/min/max per key inside each batch, then once more over
-  those partials. Up to ``FOLD_DRIVER_ROWS`` partial rows the second
-  step runs on the driver; above it, through ``bucket_reduce``.
+  those partials on the driver, ``FOLD_DRIVER_ROWS`` partial rows at a
+  time, with no exchange.
 
 Wide operations (groupby over ``cell_id``) are the engine's only
 all-to-all exchanges. Two defenses:
@@ -16,9 +16,9 @@ all-to-all exchanges. Two defenses:
 2. **Salting**: 60% of tiles land in 3 dense city boxes, so raw
    ``cell_id`` keys are heavily skewed. Map-side partials are keyed by
    ``(cell_id, hash(doc) % SALT)``; the merge re-folds them over
-   ``cell_id``. ``bucket_reduce`` buckets on that key alone, so the salt
-   only splits a hot cell's map-side partial rows: every row of one
-   cell still reaches one reducer.
+   ``cell_id``. ``salted_aggregate``'s ``bucket_reduce`` buckets on that
+   key alone, so the salt only splits a hot key's map-side partial rows:
+   every row of one key still reaches one reducer.
 """
 
 from __future__ import annotations
@@ -224,10 +224,16 @@ def bucket_reduce(ds, key, fn, num_buckets: int | None = None):
 
 FOLD_OPS = ("sum", "min", "max")
 
-# Most map-side partial rows ``fold`` collects onto the driver: 2M rows
-# of the flagship's eight 8-byte partial columns is ~130 MB. Above it,
-# the partials merge through ``bucket_reduce`` and the driver collects
-# only the output.
+# Most map-side partial rows ``fold`` fetches onto the driver at once.
+# Measured on 1 CPU over 60k-key cell partials (driver heap peak): one
+# pass over all partials grew with them (+151 MB at 1.92M rows, +506 MB
+# at 7.68M); 2M-row chunks held +162 MB at 3.84M and +261 MB at 7.68M,
+# and 256k-row chunks a flat +46-49 MB from 1.92M to 7.68M, none slower
+# than one pass. A bucket exchange of the same partials was 2.5-5x
+# slower at every size and did not bound the driver heap either (+357
+# MB at 3.84M, +1066 MB at 7.68M over 128 blocks): Ray keeps shuffle
+# pieces under its 100 KB inline-object limit in the driver, their
+# owner.
 FOLD_DRIVER_ROWS = 1 << 21
 
 
@@ -246,24 +252,14 @@ def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
     Callers emit row-level projections; a batch that is already
     combined (a broadcast stage with its own combiner) folds to itself.
 
-    The partials are materialized and their row count read from block
-    metadata (no second execution). Up to ``FOLD_DRIVER_ROWS`` rows the
-    driver collects them (rowless blocks skipped through
-    ``block_tables``) and folds them: no all-to-all runs, where Ray's
-    sort exchange costs seconds of fixed cost however small its input
-    (~2 s to merge lineitem pricing's 384 partial rows into 6 groups;
-    0.5 s for the flagship's 7.8k cell partials at 64 buckets). Above
-    it, the partials go through ``bucket_reduce`` with the same
-    per-batch combine, and the driver collects only the output. Driver
-    memory is bounded by the constant or by the output, never by the
-    input size."""
-    return _fold(ds, keys, schema, ops)
-
-
-def _fold(ds, keys, schema: pa.Schema, ops: dict | None = None,
-          num_buckets: int | None = None) -> pa.Table:
-    """``fold`` with the exchange width of its ``bucket_reduce`` branch
-    (``scaled_buckets()`` when ``None``); for ``merge_cell_agg``."""
+    The driver folds the partials as their blocks stream out, in
+    chunks of at most ``FOLD_DRIVER_ROWS`` rows (a bigger single block
+    is its own chunk) counted from block metadata; each chunk folds
+    together with the running result. No all-to-all runs: Ray's sort
+    exchange costs seconds of fixed cost however small its input (~2 s
+    to merge lineitem pricing's 384 partial rows into 6 groups; 0.5 s
+    for the flagship's 7.8k cell partials at 64 buckets). Driver memory
+    is bounded by the chunk plus the output, never by the input size."""
     import ray
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -279,18 +275,29 @@ def _fold(ds, keys, schema: pa.Schema, ops: dict | None = None,
     def partial(b: pa.Table) -> pa.Table:
         return from_pandas_clean(combine(b.select(keys + list(spec)).to_pandas()))
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    if parts.count() > FOLD_DRIVER_ROWS:
-        # one column keeps add_bucket's single-column hash, the one
-        # the benchmark's merge trace buckets with; materialized, since
-        # to_arrow_refs() on a lazy Dataset executes it a second time
-        # (under limit=1, for the schema), which would rerun the exchange
-        by = keys[0] if len(keys) == 1 else keys
-        parts = bucket_reduce(parts, by, partial, num_buckets).materialize()
-    tabs = block_tables(ray.get(parts.to_arrow_refs()), keys[0])
-    if not tabs:
+    def chunks():
+        refs, rows = [], 0
+        parts = ds.map_batches(partial, batch_format="pyarrow")
+        for bundle in parts.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                if meta.num_rows == 0:
+                    continue
+                if refs and rows + meta.num_rows > FOLD_DRIVER_ROWS:
+                    yield refs
+                    refs, rows = [], 0
+                refs.append(ref)
+                rows += meta.num_rows
+        if refs:
+            yield refs
+
+    df = None
+    for refs in chunks():
+        tabs = block_tables(ray.get(refs), keys[0])
+        if df is not None:
+            tabs.append(from_pandas_clean(df))
+        df = combine(pa.concat_tables(tabs, promote_options="permissive").to_pandas())
+    if df is None:
         return schema.empty_table()
-    df = combine(pa.concat_tables(tabs, promote_options="permissive").to_pandas())
     df = df.sort_values(keys, kind="stable")[schema.names]
     return from_pandas_clean(df).cast(schema)
 
@@ -356,9 +363,9 @@ def merge_cell_agg(
     """Final merge of ``partial_cell_agg`` partials into one row per
     cell: ``n_tiles``/``valid_count``/``nodata_count`` sum, ``min_val``
     min, ``max_val`` max, and ``avg_tile_mean = Σ sum_mean / n_tiles``.
-    The merge is a ``fold`` (``salt`` is not folded); ``num_buckets``
-    sets the exchange width when the partials exceed
-    ``FOLD_DRIVER_ROWS``. Returns a one-block Dataset sorted by
+    The merge is a ``fold`` (``salt`` is not folded), so it runs no
+    exchange and ``num_buckets`` has no effect; the parameter stays for
+    callers that pass it. Returns a one-block Dataset sorted by
     ``key_out`` (uint64), typed even when empty."""
     import pyarrow.compute as pc
     import ray.data as rd
@@ -368,7 +375,7 @@ def merge_cell_agg(
          ("valid_count", pa.int64()), ("nodata_count", pa.int64()),
          ("min_val", pa.float64()), ("max_val", pa.float64())]
     )
-    t = _fold(ds, key, schema, {"min_val": "min", "max_val": "max"}, num_buckets)
+    t = fold(ds, key, schema, {"min_val": "min", "max_val": "max"})
     avg = pc.divide(t["sum_mean"], pc.cast(t["n_tiles"], pa.float64()))
     t = t.drop_columns(["sum_mean"]).append_column("avg_tile_mean", avg)
     return rd.from_arrow(t.rename_columns([key_out, *t.column_names[1:]]))
@@ -441,7 +448,7 @@ def salted_aggregate(
 
 def salted_cell_aggregate(ds, key: str = "cell_id", salt: int = DEFAULT_SALT):
     """The standard two-stage pattern: map-side partials on (key, salt) →
-    shuffle on the partials → final merge per key."""
+    ``merge_cell_agg``'s driver fold of the partials per key."""
     partials = ds.map_batches(
         lambda b: partial_cell_agg(b, key=key, salt=salt), batch_format="pyarrow"
     )

@@ -283,7 +283,7 @@ def test_zonal_stats_matches_bruteforce(ray_session):
 def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
     """Distributed-correctness property: the per-cell aggregate must be
     identical under different read block counts, salt factors and merge
-    branches (driver fold, or the bucket exchange forced by a 0-row
+    chunkings (one driver fold, or one chunk per block under a 0-row
     FOLD_DRIVER_ROWS) — no result may depend on how work was
     partitioned."""
     def run(num_blocks):
@@ -297,9 +297,9 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
     a, b = run(2), run(11)
     with monkeypatch.context() as m:
         m.setattr(shuffle, "FOLD_DRIVER_ROWS", 0)
-        exchanged = run(11)
+        chunked = run(11)
     int_like = [c for c in a.columns if a[c].dtype.kind in "iu" or c == "cell_id"]
-    for other in (b, exchanged):
+    for other in (b, chunked):
         pd.testing.assert_frame_equal(a[int_like], other[int_like], check_exact=True)
         # float means may differ in the final ulp across partitionings
         # (summation order) — the documented reason oracles never hash

@@ -177,18 +177,17 @@ def _pandas_fold(tab: pa.Table, keys: list) -> list:
 _KINDS = ["int64", "uint64_high", "string", "pair"]
 
 
-# each key kind through both branches of fold: the driver fold (the
-# partials are far below FOLD_DRIVER_ROWS), and the bucket exchange,
-# forced by a 0-row limit
+# each key kind folded in one chunk (the partials are far below
+# FOLD_DRIVER_ROWS), and one block per chunk, forced by a 0-row limit
 @pytest.mark.parametrize(
-    "kind,exchange",
+    "kind,chunked",
     [pytest.param(k, False, id=k) for k in _KINDS]
-    + [pytest.param(k, True, id=f"exchange-{k}") for k in _KINDS],
+    + [pytest.param(k, True, id=f"chunked-{k}") for k in _KINDS],
 )
-def test_fold_matches_pandas_fold(ray_session, monkeypatch, kind, exchange):
+def test_fold_matches_pandas_fold(ray_session, monkeypatch, kind, chunked):
     import ray.data as rd
 
-    if exchange:
+    if chunked:
         monkeypatch.setattr(shuffle, "FOLD_DRIVER_ROWS", 0)
     tab, key = _fold_rows(kind)
     keys = [key] if isinstance(key, str) else key
@@ -244,7 +243,42 @@ def test_fold_refolds_combined_batches(ray_session):
     assert out.to_pylist() == _pandas_fold(tab, ["k"])
 
 
-def _spy_bucket_reduce(monkeypatch) -> list:
+def test_fold_holds_at_most_the_row_limit(ray_session, monkeypatch):
+    """The driver fetches and folds the partials in chunks of at most
+    FOLD_DRIVER_ROWS rows: one chunk when they fit, several when they
+    do not. Every key is distinct, so the partials have exactly one row
+    per input row however Ray batches."""
+    import ray.data as rd
+
+    tab, key = _fold_rows("int64")
+    tab = tab.set_column(0, "k", pa.array(np.arange(tab.num_rows), pa.int64()))
+    ds = rd.from_arrow([tab.slice(i, 250) for i in range(0, tab.num_rows, 250)])
+    schema = _fold_schema("int64")
+    chunk_rows = []
+    real = shuffle.block_tables
+
+    def spy(tabs, col):
+        chunk_rows.append(sum(t.num_rows for t in tabs))
+        return real(tabs, col)
+
+    monkeypatch.setattr(shuffle, "block_tables", spy)
+    want = _pandas_fold(tab, ["k"])
+    for limit in (tab.num_rows, tab.num_rows - 1):
+        chunk_rows.clear()
+        monkeypatch.setattr(shuffle, "FOLD_DRIVER_ROWS", limit)
+        assert shuffle.fold(ds, key, schema, _OPS).to_pylist() == want
+        assert sum(chunk_rows) == tab.num_rows
+        assert max(chunk_rows) <= limit, (limit, chunk_rows)
+        assert (len(chunk_rows) == 1) == (limit == tab.num_rows), chunk_rows
+
+
+def test_flagship_merges_without_an_exchange(ray_session, monkeypatch, tmp_path):
+    """The flagship's per-cell merge is a driver fold: no bucket
+    exchange runs."""
+    from raycells.engine import pipeline
+    from raycells.io import docsource
+
+    docsource.generate_interleaved_docs(str(tmp_path), 60, n_fragments=2)
     calls = []
     real = shuffle.bucket_reduce
 
@@ -253,36 +287,6 @@ def _spy_bucket_reduce(monkeypatch) -> list:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shuffle, "bucket_reduce", spy)
-    return calls
-
-
-def test_fold_exchanges_only_above_the_row_limit(ray_session, monkeypatch):
-    """Partials above FOLD_DRIVER_ROWS go through bucket_reduce; at or
-    below it the driver folds them. Every key is distinct, so the
-    partials have exactly one row per input row however Ray batches."""
-    import ray.data as rd
-
-    tab, key = _fold_rows("int64")
-    tab = tab.set_column(0, "k", pa.array(np.arange(tab.num_rows), pa.int64()))
-    ds = rd.from_arrow([tab.slice(i, 250) for i in range(0, tab.num_rows, 250)])
-    schema = _fold_schema("int64")
-    calls = _spy_bucket_reduce(monkeypatch)
-    want = _pandas_fold(tab, ["k"])
-    for limit, exchanged in ((tab.num_rows, False), (tab.num_rows - 1, True)):
-        calls.clear()
-        monkeypatch.setattr(shuffle, "FOLD_DRIVER_ROWS", limit)
-        assert shuffle.fold(ds, key, schema, _OPS).to_pylist() == want
-        assert calls == (["k"] if exchanged else []), limit
-
-
-def test_flagship_merges_without_an_exchange(ray_session, monkeypatch, tmp_path):
-    """The flagship's per-cell partials are far below FOLD_DRIVER_ROWS:
-    the merge is a driver fold, with no bucket exchange."""
-    from raycells.engine import pipeline
-    from raycells.io import docsource
-
-    docsource.generate_interleaved_docs(str(tmp_path), 60, n_fragments=2)
-    calls = _spy_bucket_reduce(monkeypatch)
     cells = pipeline.flagship(str(tmp_path)).to_pandas()
     assert len(cells) > 0 and calls == []
 
