@@ -77,7 +77,7 @@ def process_fragment(frag_path: str, frag_out: str, level: int = 8) -> dict:
     # tile count = Σ n_tiles over the per-cell table the merge folded on
     # the driver (merge_cell_agg returns it as in-memory blocks)
     n_tiles = sum(pc.sum(t["n_tiles"]).as_py() or 0
-                  for t in ray.get(agg.to_arrow_refs()))
+                  for t in ray.get(shuffle_mod.collect_refs(agg)))
     return {
         "rows_in": n_docs_in,
         "tiles": n_tiles,

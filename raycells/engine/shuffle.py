@@ -32,6 +32,7 @@ import pyarrow as pa
 __all__ = [
     "bucket_reduce",
     "fold",
+    "collect_refs",
     "partial_cell_agg",
     "merge_cell_agg",
     "exact_dedup_winners",
@@ -40,10 +41,14 @@ __all__ = [
     "estimate_salt",
 ]
 
+# Salt S: map-side partials are keyed by (key, hash % S), so one batch
+# emits up to S partial rows per key. The exchange buckets on the key
+# alone, so S splits a hot key's map-side partial rows only: every row
+# of one key still reaches one reducer.
 DEFAULT_SALT = 8
 
-# a single partial-merge task should own at most ~this many rows of one
-# hot key (SURVEY §7.5's p95_target); the pre-pass sizes S from it
+# hot-key rows per salt value (SURVEY §7.5's p95_target); the pre-pass
+# sizes S from it
 SALT_TARGET_ROWS = 1 << 16
 SALT_MAX = 64
 SALT_SAMPLE_ROWS = 1 << 16
@@ -56,10 +61,11 @@ def estimate_salt(
     sample_rows: int = SALT_SAMPLE_ROWS,
 ) -> int:
     """SURVEY §7.5 salt-factor pre-pass: ``S = ceil(hot_key_rows /
-    target)`` with the hot-key count estimated from a bounded sample —
-    a constant salt is wrong under real skew (too small: one reducer
-    owns the hot city cell; too large: the partial table inflates by S×
-    for every COLD key).
+    target)`` with the hot-key count estimated from a bounded sample.
+    The salt splits only map-side partial rows: ``bucket_reduce`` buckets
+    on the key alone, so one reducer still owns every partial row of the
+    hot city cell whatever S is, and a large S inflates the partial table
+    by up to S× for every COLD key.
 
     Cheap by construction: the sample is ``limit(sample_rows)`` (streams
     only the first blocks), the per-key counts reduce inside one
@@ -147,6 +153,16 @@ def block_tables(tabs, required_col: str) -> list:
             )
         out.append(t)
     return out
+
+
+def collect_refs(ds) -> list:
+    """The Arrow block refs of ``ds`` after ONE execution of its plan —
+    the engine's one way to pull a Dataset's blocks to the driver or into
+    a task. ``Dataset.to_arrow_refs()`` on a lazy Dataset runs the plan a
+    second time under ``LimitOperator[limit=1]`` to fetch the schema (Ray
+    2.49), which reruns every map and exchange ahead of it; materialized,
+    the schema comes from block metadata. Rowless blocks are kept."""
+    return ds.materialize().to_arrow_refs()
 
 
 def scaled_buckets(floor: int = DEFAULT_BUCKETS) -> int:
@@ -349,7 +365,7 @@ def exact_dedup_winners(
         return sink_to_parquet(out, sink_dir)
     import ray
 
-    tabs = [t for t in (ray.get(r) for r in out.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(collect_refs(out)) if t.num_rows]
     if not tabs:
         return None
     t = pa.concat_tables(tabs, promote_options="none")

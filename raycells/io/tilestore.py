@@ -637,12 +637,12 @@ def synth_tiles(seeds: np.ndarray) -> Dict[str, list]:
 # fused chunked stats (cache-resident decode→reduce; no payload materialized)
 # ---------------------------------------------------------------------------
 
-# Tiles per chunk: a (64, 4096) float64 scratch is 2 MB, so the gathered
-# values, the chunk's mask rows and the reduction temporaries stay
-# cache-resident instead of streaming full-batch matrices through DRAM.
+# Tiles per chunk: a (64, 4096) float64 scratch is 2 MB, so the copied
+# value windows stay cache-resident while the three masked reductions read
+# them, instead of streaming full-batch matrices through DRAM.
 _CHUNK = 64
 # Per-worker reusable chunk buffers AND the lookup tables below (value
-# tables, mask tables, index offsets), keyed by kind and size. Module-level
+# windows, mask tables, masked positions), keyed by kind and size. Module-level
 # so they persist in Ray's reused worker processes; actors and task workers
 # are single-threaded, so sharing them needs no lock.
 _SCRATCH: dict = {}
@@ -652,6 +652,8 @@ _I64_MAX = 2**63 - 1
 # mod-m residue drops by 2^64 mod m; the table kernels repeat that exactly.
 _WRAP_RAW = 2**64 % RAW_MOD
 _WRAP_MASK = 2**64 % MASK_MOD
+# 65521 is prime, so MUL_I has an inverse mod 65521 (the value windows).
+_INV_MUL_I = pow(MUL_I, -1, RAW_MOD)
 
 
 def _cached(key, build):
@@ -712,41 +714,74 @@ def _tile_masks(s: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return nv
 
 
-def _value_table(ct: CellType) -> np.ndarray:
-    """float64 typed value of every raw residue, laid out twice:
-    ``T[k] = _typed_values(k mod 65521)`` for ``k < 2·65521``, so a
-    residue sum ``c + r`` indexes it with no modulo."""
+def _window_table(ct: CellType) -> np.ndarray:
+    """float64 typed value of residue ``(k·MUL_I) mod 65521``, laid out
+    twice: ``U[k] = _typed_values((k mod 65521)·MUL_I mod 65521)`` for
+    ``k < 2·65521``, so any tile's values are one window ``U[d : d+n]``
+    (see ``synth_tile_stats``) with no modulo."""
 
     def build():
-        t = _typed_values(np.arange(RAW_MOD, dtype=np.int64), ct).astype(np.float64)
-        return np.concatenate([t, t])
+        k = np.arange(RAW_MOD, dtype=np.int64)
+        u = _typed_values(k * MUL_I % RAW_MOD, ct).astype(np.float64)
+        return np.concatenate([u, u])
 
-    return _cached(("values", ct.name), build)
-
-
-def _raw_offsets(n: int) -> np.ndarray:
-    """r_i = (i·MUL_I) mod 65521, the per-cell half of the raw residue."""
-    return _cached(
-        ("raw_offsets", n), lambda: np.arange(n, dtype=np.int64) * MUL_I % RAW_MOD
-    )
+    return _cached(("window", ct.name), build)
 
 
-def _tile_values(
-    s: np.ndarray, n: int, ct: CellType, idx: np.ndarray, out: np.ndarray
-) -> None:
-    """float64 cell values of the ``ct`` tiles seeded ``s`` into
-    ``out[:len(s)]``, gathered from the value table at ``c + r_i``
-    (``idx`` is int64 index scratch of the same shape)."""
-    g = len(s)
-    r = _raw_offsets(n)
-    x = s * MUL_A  # int64, wraps exactly as the per-cell formula does
+def _window_starts(c: np.ndarray) -> np.ndarray:
+    """Window start ``d = c·MUL_I⁻¹ mod 65521`` of residue offsets ``c``."""
+    return c * _INV_MUL_I % RAW_MOD
+
+
+def _copy_tile_windows(x: np.ndarray, n: int, u: np.ndarray, out: np.ndarray) -> None:
+    """float64 cell values of the tiles with ``x = s·MUL_A`` (int64,
+    wrapped) into ``out[:len(x)]``: one window copy from ``u`` per tile,
+    and a second from the shifted window from a tile's wrap point on."""
     c = x % RAW_MOD
-    np.add(c[:, None], r, out=idx[:g])
+    for k, d in enumerate(_window_starts(c).tolist()):
+        out[k] = u[d : d + n]
     for k, t in _wrap_points(x, n, MUL_I):
-        np.add((c[k] - _WRAP_RAW) % RAW_MOD, r[t:], out=idx[k, t:])
-    # indices are in range by construction; "clip" skips the copy that
-    # the default mode="raise" makes of ``out``
-    np.take(_value_table(ct), idx[:g], out=out[:g], mode="clip")
+        d = int(_window_starts((c[k] - _WRAP_RAW) % RAW_MOD))
+        out[k, t:] = u[d + t : d + n]
+
+
+def _masked_positions(n: int):
+    """(33, L) int64 positions of the masked cells of each mask row (the
+    ``False`` cells of ``_mask_table(n)``), padded to a common length by
+    repeating a row's last position, plus the rows' valid counts."""
+
+    def build():
+        rows, counts = _mask_table(n)
+        hits = [np.flatnonzero(~r) for r in rows]
+        width = max(h.size for h in hits)
+        pos = np.empty((MASK_MOD, width), dtype=np.int64)
+        for m, h in enumerate(hits):
+            pos[m, : h.size] = h
+            pos[m, h.size :] = h[-1]
+        return pos, counts
+
+    return _cached(("masked", n), build)
+
+
+def _tile_masked_cells(s: np.ndarray, n: int):
+    """Flat positions, in an ``(len(s), n)`` C-order chunk, of the masked
+    cells of the tiles seeded ``s``, and the tiles' valid counts. A tile
+    whose ``s + i·7`` wraps int64 takes its cells from ``_tile_masks``."""
+    pos, counts = _masked_positions(n)
+    m = s % MASK_MOD
+    base = np.arange(len(s), dtype=np.int64)[:, None] * n
+    flat = pos[m] + base
+    nv = counts[m]
+    wraps = [k for k, _ in _wrap_points(s, n, MASK_MUL)]
+    if not wraps:
+        return flat, nv
+    valid = _scratch("bool", n, np.bool_)
+    nv[wraps] = _tile_masks(s[wraps], n, valid)
+    keep = np.ones(len(s), dtype=bool)
+    keep[wraps] = False
+    parts = [flat[keep].ravel()]
+    parts += [np.flatnonzero(~valid[j]) + k * n for j, k in enumerate(wraps)]
+    return np.concatenate(parts), nv
 
 
 def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
@@ -758,21 +793,26 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
     here are exactly representable in float64 so the reduction is exact),
     and bit-identical to evaluating ``synth_tiles``' per-cell formulas.
 
-    The decode is table-driven rather than per-cell arithmetic, from two
-    identities of those formulas:
+    The decode copies and scatters instead of doing per-cell arithmetic,
+    from two identities of those formulas:
 
-    - values: ``(s·MUL_A + i·MUL_I) mod 65521 = (c + r_i) mod 65521`` with
-      ``c = (s·MUL_A) mod 65521`` per tile and ``r_i = (i·MUL_I) mod
-      65521`` per cell (cached per size), so a tile's values are a gather
-      from a per-cell-type table of all 65521 typed residues;
+    - values: 65521 is prime, so MUL_I is invertible mod 65521 and
+      ``(s·MUL_A + i·MUL_I) mod 65521 = ((d + i)·MUL_I) mod 65521`` with
+      ``d = ((s·MUL_A) mod 65521)·MUL_I⁻¹ mod 65521`` per tile. A tile's
+      values are therefore the contiguous window ``U[d : d+n]`` of a
+      per-cell-type table ``U[k]`` = typed value of ``k·MUL_I mod 65521``
+      (stored twice), copied row by row into the chunk scratch;
     - mask: ``(s + i·7) mod 33`` depends on the seed only through
-      ``s mod 33``, so a tile's mask is one of 33 cached rows and its
-      valid count a lookup.
+      ``s mod 33``, so a tile's masked cells are one of 33 cached
+      position lists (≈124 of 4096 cells) and its valid count a lookup.
+      Scattering +inf, −inf and 0.0 there before ``min``, ``max`` and
+      ``sum`` gives exactly the arrays ``np.where(valid, v, fill)`` would,
+      so the pairwise sum, and ``mean_val`` with it, is unchanged.
 
     Wrap rule: the per-cell formulas are int64 arithmetic, and for seeds
     near the int64 edge ``s·MUL_A + i·MUL_I`` or ``s + i·7`` overflows
     partway through a tile. From that cell on the residue drops by 2^64
-    mod 65521 (resp. 2^64 mod 33), and the affected tiles switch offset
+    mod 65521 (resp. 2^64 mod 33), and the affected tiles switch window
     (resp. mask row) there — so every int64 seed decodes exactly as the
     formula does.
 
@@ -796,9 +836,11 @@ def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
     valid_c = np.zeros(N, dtype=np.int64)
     cts = np.empty(N, dtype=object)
 
+    x = s * MUL_A  # int64, wraps exactly as the per-cell formula does
     big = shapes[:, 0] != TILE_H
     for ci in np.unique(ct_idx):
         ct = CELL_TYPES[ci]
+        u = _window_table(ct)
         sentinel_lo = float(ct.max_value().to_f64())
         sentinel_hi = float(ct.min_value().to_f64())
         for is_big in (False, True):
@@ -806,23 +848,22 @@ def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
             if sel.size == 0:
                 continue
             n = (BIG_SHAPE[0] * BIG_SHAPE[1]) if is_big else TILE_N
-            idx = _scratch("i64", n, np.int64)
             f64 = _scratch("f64", n, np.float64)
-            valid = _scratch("bool", n, np.bool_)
             for lo in range(0, sel.size, _CHUNK):
                 rows = sel[lo : lo + _CHUNK]
-                g = rows.size
-                ss = s[rows]
-                _tile_values(ss, n, ct, idx, f64)
-                nv = _tile_masks(ss, n, valid)
-                vf, v = f64[:g], valid[:g]
-                mn = np.where(v, vf, np.inf).min(axis=1)
-                mx = np.where(v, vf, -np.inf).max(axis=1)
+                vf = f64[: rows.size]
+                _copy_tile_windows(x[rows], n, u, vf)
+                masked, nv = _tile_masked_cells(s[rows], n)
+                vf.put(masked, np.inf)
+                mn = vf.min(axis=1)
+                vf.put(masked, -np.inf)
+                mx = vf.max(axis=1)
                 none = nv == 0
                 if none.any():  # reference fold: inverted sentinels
                     mn[none] = sentinel_lo
                     mx[none] = sentinel_hi
-                sums = np.where(v, vf, 0.0).sum(axis=1)
+                vf.put(masked, 0.0)
+                sums = vf.sum(axis=1)
                 min_v[rows] = mn
                 max_v[rows] = mx
                 with np.errstate(invalid="ignore", divide="ignore"):

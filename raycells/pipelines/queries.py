@@ -2668,7 +2668,7 @@ def q_bloom_semijoin(sf_dir: str):
     # output — a pure bloom deployment broadcasts just the 8 KB bitmap.
     # Unioned worker-side (one Ray task), never on the driver.
     keys_ref = ray.remote(num_cpus=1)(_union_key_blocks).remote(
-        *negk.to_arrow_refs()
+        *shuffle_mod.collect_refs(negk)
     )
 
     class Probe:
@@ -4010,7 +4010,7 @@ def q_media_dedup_real(sf_dir: str, sink_dir: str | None = None):
 def ray_get_tables(ds):
     import ray
 
-    return [ray.get(r) for r in ds.to_arrow_refs()]
+    return ray.get(shuffle_mod.collect_refs(ds))
 
 
 def q_embedding_dup_clusters(sf_dir: str):
@@ -4102,9 +4102,9 @@ def _decontaminate_impl(sf_dir: str, overlap: bool):
         wh, _ = window_hashes_batch(sub["text"].to_pylist(), DECON_W)
         return pa.table({"wh": pa.array(np.unique(wh).view(np.int64), pa.int64())})
 
-    partial_refs = tagged.map_batches(
-        bench_hash_partial, batch_format="pyarrow"
-    ).to_arrow_refs()
+    partial_refs = shuffle_mod.collect_refs(
+        tagged.map_batches(bench_hash_partial, batch_format="pyarrow")
+    )
 
     def _union_hash_blocks(*tabs) -> np.ndarray:
         arrs = [
@@ -4159,9 +4159,11 @@ def _decontaminate_impl(sf_dir: str, overlap: bool):
     # deliberately a SECOND streaming pass over the corpus: the
     # blocklist must be complete before flagging, and re-reading beats
     # pinning the full text corpus in the object store at 100 TB
-    out = tagged.map_batches(
-        stages_mod.broadcast_task(Flag, ref, overlap), batch_format="pyarrow"
-    ).to_arrow_refs()
+    out = shuffle_mod.collect_refs(
+        tagged.map_batches(
+            stages_mod.broadcast_task(Flag, ref, overlap), batch_format="pyarrow"
+        )
+    )
     import ray as _ray
 
     # empty read blocks pass through map_batches with the UPSTREAM

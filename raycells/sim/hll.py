@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raycells.engine.shuffle import collect_refs
+
 __all__ = ["hll_registers", "hll_merge", "hll_estimate", "approx_distinct"]
 
 DEFAULT_P = 12  # 4096 registers → ~1.6% standard error
@@ -134,8 +136,7 @@ def approx_distinct(ds, group_col: str, distinct_col: str, p: int = DEFAULT_P,
     final: dict = {}
     import ray
 
-    for ref in merged.to_arrow_refs():
-        t = ray.get(ref)
+    for t in ray.get(collect_refs(merged)):
         for g, blob in zip(t[group_col].to_pylist(), t["_regs"].to_pylist()):
             regs = np.frombuffer(blob, dtype=np.uint8)
             final[g] = hll_merge(final[g], regs) if g in final else regs

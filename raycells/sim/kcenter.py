@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from raycells.engine.shuffle import collect_refs
 from raycells.text.dedup import quantize_embeddings
 
 # a losing fold key: any real block beats it (d2 ≥ 0, real ids < 2^62)
@@ -99,7 +100,7 @@ def kcenter_select(
     def fold(parts):
         return max(parts, key=lambda t: (t[0], -t[1]))
 
-    preps = [_prep.remote(t) for t in ds.to_arrow_refs()]
+    preps = [_prep.remote(t) for t in collect_refs(ds)]
     m, j, center = fold(ray.get([_seed.remote(p) for p in preps]))
     if center is None:  # empty input
         empty = pa.table(

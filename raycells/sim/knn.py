@@ -22,6 +22,8 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from raycells.engine.shuffle import collect_refs
+
 __all__ = ["BruteForceTopK", "topk_cosine", "lsh_topk"]
 
 ROUND_SCALE = 1e6  # 6 decimals, applied as floor(x*1e6 + 0.5)/1e6
@@ -112,7 +114,7 @@ def _gather(ds):
     """Candidate set is ≤ k·Q rows per block — safe to collect."""
     import ray
 
-    return [ray.get(ref) for ref in ds.to_arrow_refs()]
+    return ray.get(collect_refs(ds))
 
 
 def _merge_topk(tabs, query_ids, id_col: str, k: int) -> pa.Table:

@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raycells.engine.shuffle import collect_refs
 from raycells.sim.bloom import BLOOM_M, bloom_probe, partial_bloom
 from raycells.sim.hll import hll_merge, hll_registers
 
@@ -88,7 +89,7 @@ def bloom_build(ds, col: str, pred=None):
                                 pa.large_binary())}
         )
 
-    refs = ds.map_batches(bloom_part, batch_format="pyarrow").to_arrow_refs()
+    refs = collect_refs(ds.map_batches(bloom_part, batch_format="pyarrow"))
     return ray.remote(num_cpus=1)(_or_packed_blocks).remote(*refs)
 
 
@@ -183,7 +184,7 @@ def cms_build(ds, fp_fn, w: int = CMS_W):
             {"counters": pa.array([m.tobytes()], pa.large_binary())}
         )
 
-    refs = ds.map_batches(part, batch_format="pyarrow").to_arrow_refs()
+    refs = collect_refs(ds.map_batches(part, batch_format="pyarrow"))
     return ray.remote(num_cpus=1)(_sum_cms_blocks).remote(w, *refs)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycells.engine.shuffle import bucket_reduce, from_pandas_clean
+from raycells.engine.shuffle import bucket_reduce, collect_refs, from_pandas_clean
 
 __all__ = [
     "content_hash64",
@@ -571,7 +571,7 @@ def _verify_join_collect(
     # array that broadcasts to the fetch workers — no extra Dataset
     # execution, and the id set never lands on the driver.
     wanted_ref = ray.remote(num_cpus=1)(_union_id_blocks).remote(
-        *cand.to_arrow_refs()
+        *collect_refs(cand)
     )
 
     name_a, name_b = payload_names
@@ -581,7 +581,7 @@ def _verify_join_collect(
     ).materialize()  # bounded: candidate-touched rows only
 
     if touched.size_bytes() <= _VERIFY_BROADCAST_BYTES:
-        refs = tuple(touched.to_arrow_refs())
+        refs = tuple(collect_refs(touched))
         # repartition before the attach: cand's post-groupby blocks are
         # many and tiny, so mapping them directly fans the attach stage
         # out to every worker and rebuilds the broadcast dict 32× —
@@ -637,7 +637,7 @@ def _verify_join_collect(
     # lists beyond one heap consume `verified` via the sink_dir mode
     # above. Ray can surface schema-less empty blocks from empty groupby
     # buckets; drop them before the concat (they carry no rows)
-    tabs = [ray.get(r) for r in verified.to_arrow_refs()]
+    tabs = ray.get(collect_refs(verified))
     tabs = [t for t in tabs if t.num_rows > 0]
     if not tabs:
         return None
@@ -819,7 +819,7 @@ def ngram_jaccard_near_dup_pairs(
         .groupby("gkey")
         .map_groups(band_pairs, batch_format="pyarrow")
     )
-    tabs = [ray.get(r) for r in pairs.to_arrow_refs()]
+    tabs = ray.get(collect_refs(pairs))
     tabs = [t for t in tabs if t.num_rows > 0]
     if not tabs:
         return empty
@@ -1563,7 +1563,7 @@ def _spans_out(spans, id_col: str, sink_dir):
         return sink_to_parquet(spans, sink_dir)
     import ray
 
-    tabs = [t for t in (ray.get(r) for r in spans.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(collect_refs(spans)) if t.num_rows]
     if not tabs:
         return None
     t = pa.concat_tables(tabs, promote_options="none")

@@ -1,8 +1,9 @@
 """The engine's two reductions in engine/shuffle.py: the bucket exchange
 (bucket_reduce: key placement for every key kind, the reducer's view of
 the group, the pinned bucket hash) and the driver fold (fold: answers
-against a plain pandas fold, ordering and typing), plus a source scan
-that keeps hand-rolled exchanges and driver folds out."""
+against a plain pandas fold, ordering and typing), the one block collect
+(collect_refs), plus a source scan that keeps hand-rolled exchanges,
+driver folds and direct ``to_arrow_refs()`` collects out."""
 
 import ast
 import pathlib
@@ -291,6 +292,33 @@ def test_flagship_merges_without_an_exchange(ray_session, monkeypatch, tmp_path)
     assert len(cells) > 0 and calls == []
 
 
+def test_collect_refs_runs_the_plan_once(ray_session, tmp_path):
+    """collect_refs executes a lazy Dataset's plan once: every block's
+    UDF call is logged once, and the refs are the Arrow blocks. A lazy
+    ``to_arrow_refs()`` logs more (its schema fetch reruns the plan)."""
+    import ray
+    import ray.data as rd
+
+    log = tmp_path / "calls"
+
+    def tag(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("x")
+        return b
+
+    def plan():
+        return rd.range(40, override_num_blocks=4).map_batches(
+            tag, batch_format="pyarrow"
+        )
+
+    tabs = ray.get(shuffle.collect_refs(plan()))
+    assert log.read_text() == "xxxx"
+    assert sorted(v for t in tabs for v in t["id"].to_pylist()) == list(range(40))
+    log.unlink()
+    plan().to_arrow_refs()
+    assert len(log.read_text()) > 4  # the double execution collect_refs avoids
+
+
 def test_fold_rejects_unknown_op(ray_session):
     import ray.data as rd
 
@@ -415,6 +443,41 @@ def table_read(path):
     return pq.read_table(path).to_pandas().groupby("k").sum()
 """
     assert _driver_fold_sites(ast.parse(src)) == ["direct", "named"]
+
+
+def _arrow_ref_sites(tree) -> list:
+    """Functions (outermost name) that call ``.to_arrow_refs()``."""
+    sites = []
+    for fn in tree.body:
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "to_arrow_refs"):
+                sites.append(getattr(fn, "name", "<module>"))
+    return sites
+
+
+def test_collects_go_through_collect_refs():
+    """A lazy ``to_arrow_refs()`` runs its plan twice, so every block
+    collect goes through shuffle.collect_refs, the one caller of it."""
+    src = """
+def direct(ds):
+    return [ray.get(r) for r in ds.to_arrow_refs()]
+
+def nested(ds):
+    def inner():
+        return ds.map_batches(f).to_arrow_refs()
+    return inner()
+
+def helper(ds):
+    return collect_refs(ds)
+"""
+    assert _arrow_ref_sites(ast.parse(src)) == ["direct", "nested"]
+    sites = [
+        f"{rel}:{name}"
+        for rel, text in _sources()
+        for name in _arrow_ref_sites(ast.parse(text))
+    ]
+    assert sites == ["engine/shuffle.py:collect_refs"]
 
 
 def test_exchange_is_written_once():

@@ -406,3 +406,42 @@ def test_band_kernels_match_per_cell_on_mask_wrap_seeds():
     assert np.array_equal(dl["valid_count"], m.sum(1))
     assert np.array_equal(dl["sum_delta"], np.where(m, d, 0).sum(1))
     assert np.array_equal(dl["max_delta"], np.where(m, d, -(1 << 40)).max(1))
+
+
+# ---------------------------------------------------------------------------
+# the window identity behind synth_tile_stats' value copy, and its memory
+# ---------------------------------------------------------------------------
+
+
+def test_value_window_identity_every_type():
+    """``U[d + i] == T[(c + i·MUL_I) % 65521]`` with ``d = c·MUL_I⁻¹``:
+    a tile's values are one contiguous window of the permuted table, up
+    to BIG_N cells, so the window reaches into the table's second copy."""
+    i = np.arange(BIG_N, dtype=np.int64)
+    cs = np.concatenate([[0, 1, 65520], np.arange(2, 65520, 4099)]).astype(np.int64)
+    for ct in CELL_TYPES:
+        t = tilestore._typed_values(np.arange(65521, dtype=np.int64), ct)
+        t = t.astype(np.float64)
+        u = tilestore._window_table(ct)
+        for c, d in zip(cs, tilestore._window_starts(cs)):
+            want = t[(c + i * tilestore.MUL_I) % 65521]
+            assert np.array_equal(u[d : d + BIG_N], want), (ct.name, int(c))
+    assert int(tilestore._window_starts(np.array([65520]))[0]) + BIG_N > 65521
+
+
+def test_synth_tile_stats_peak_memory_is_chunk_sized():
+    """The decode's working set is its reused chunk scratch: over 32,768
+    seeds the traced peak (tables and scratch already cached) stays under
+    10 MB, so a full-batch or per-chunk (g, n) temporary cannot return
+    unnoticed."""
+    import tracemalloc
+
+    seeds = np.random.default_rng(9).integers(0, 1 << 31, 32768)
+    tilestore.synth_tile_stats(seeds)  # build the cached tables and scratch
+    tracemalloc.start()
+    try:
+        tilestore.synth_tile_stats(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak
