@@ -7,12 +7,16 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
   moves (hash, id) pairs, never the payload.
 - **MinHash + LSH**: shingle → 64 minhashes → band into (bands × rows)
   buckets inside ``map_batches`` (vectorized universal hashing), ONE
-  shuffle to co-locate candidates, exact n-gram Jaccard verify per real
-  bucket.
+  shuffle to co-locate candidates. Each band row carries its doc's
+  whole band-hash vector, so a pair leaves the shuffle once, from its
+  first colliding band — no pair-dedup exchange — and is verified by
+  exact n-gram Jaccard against its two texts.
 - **SimHash**: 64-bit token-weighted simhash per doc; near-dup pairs =
   same chunk among ``max_hamming + 1`` bit-chunks (pigeonhole — full
-  recall for any radius) with blocked-SWAR Hamming verify.
-- **embedding cosine**: multi-table sign-LSH buckets + in-bucket cosine.
+  recall for any radius) with blocked-SWAR Hamming verify, each pair
+  from its first matching chunk.
+- **embedding cosine**: multi-table sign-LSH buckets, each pair from
+  its first colliding table, + pairwise integer cosine.
 
 Every shuffle keys on a COARSE hash bucket (``shuffle.bucket_reduce``),
 never on the raw high-cardinality key: Ray's sort-based groupby pays
@@ -103,20 +107,53 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id"):
 # shingling + MinHash
 # ---------------------------------------------------------------------------
 
+_SHINGLE_BASE = np.uint64(1099511628211)
+_SHINGLE_POWS: dict = {}  # k → (k,) uint64 powers of _SHINGLE_BASE
+# utf-8 bytes hashed per pass of ``_shingle_sets``: each of its (bytes,)
+# uint64 buffers stays ≈ 1 MB (a whole batch of long docs would make
+# hundreds)
+_SHINGLE_CHUNK_BYTES = 1 << 17
+
+
+def _shingle_sets(texts: List[str], k: int = 5) -> List[np.ndarray]:
+    """``char_shingles`` of every text. Docs are concatenated in
+    ``_SHINGLE_CHUNK_BYTES`` groups and every window of a group hashed
+    at once as ``k`` shifted multiply-adds over a cached power table;
+    each doc then takes its own windows' slice (a window crossing into
+    the next doc is never read) and dedupes it with a small sort."""
+    pows = _SHINGLE_POWS.get(k)
+    if pows is None:
+        with np.errstate(over="ignore"):
+            pows = _SHINGLE_POWS[k] = _SHINGLE_BASE ** np.arange(k, dtype=np.uint64)
+    enc = [t.encode("utf-8") for t in texts]
+    out = []
+    lo = 0
+    while lo < len(enc):
+        hi, size = lo, 0
+        while hi < len(enc) and (hi == lo or size + len(enc[hi]) <= _SHINGLE_CHUNK_BYTES):
+            size += len(enc[hi])
+            hi += 1
+        x = np.frombuffer(b"".join(enc[lo:hi]), dtype=np.uint8).astype(np.uint64)
+        n = max(x.size - k + 1, 0)
+        h = x[:n].copy()  # pows[0] == 1
+        for i in range(1, k):
+            h += x[i : i + n] * pows[i]
+        at = 0
+        for e in enc[lo:hi]:
+            if len(e) >= k:
+                out.append(np.unique(h[at : at + len(e) - k + 1]))
+            else:  # one whole-text shingle (0 for the empty text)
+                out.append(np.array([(x[at : at + len(e)] * pows[: len(e)]).sum()], np.uint64))
+            at += len(e)
+        lo = hi
+    return out
+
+
 def char_shingles(text: str, k: int = 5) -> np.ndarray:
-    """Distinct k-byte shingle hashes of one text (vectorized sliding
-    window over the utf-8 payload; |text| < k → one whole-text shingle)."""
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    if b.size == 0:
-        return np.zeros(1, dtype=np.uint64)
-    if b.size < k:
-        win = b[None, :]
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(b, k)
-    with np.errstate(over="ignore"):
-        pows = np.uint64(1099511628211) ** np.arange(win.shape[1], dtype=np.uint64)
-        h = (win.astype(np.uint64) * pows[None, :]).sum(axis=1, dtype=np.uint64)
-    return np.unique(h)
+    """Distinct k-byte shingle hashes of one text: byte ``i`` of a window
+    weighs ``_SHINGLE_BASE**i`` (uint64 wrap); |text| < k → one
+    whole-text shingle."""
+    return _shingle_sets([text], k)[0]
 
 
 _MINHASHERS: dict = {}  # n_perm → MinHasher (reused task workers)
@@ -147,6 +184,7 @@ class MinHasher:
         )
         self.b = rng.integers(0, _MERSENNE, n_perm, dtype=np.int64).astype(np.uint64)
         self.n_perm = n_perm
+        self._bufs: dict = {}  # batch_signatures scratch, by name
 
     def signature(self, shingles: np.ndarray) -> np.ndarray:
         """(n_perm,) uint64 signature of one shingle set — one broadcasted
@@ -156,39 +194,64 @@ class MinHasher:
             hv = (x * self.a[None, :] + self.b[None, :]) % np.uint64(_MERSENNE)
         return hv.min(axis=0)
 
-    # keep each (shingles × n_perm) hash matrix ≈ 4 MB (cache-resident;
+    # keep each (n_perm × shingles) hash matrix ≈ 4 MB (cache-resident;
     # a whole-batch matrix at ~1k shingles/doc would be hundreds of MB)
     _CHUNK_SHINGLES = 8192
 
     def batch_signatures(self, texts: List[str], k: int = 5) -> np.ndarray:
-        """(n_texts, n_perm) signatures via chunked universal-hash matrix
-        passes: docs grouped until ~_CHUNK_SHINGLES shingles, hashed
-        (S, P) per group, per-doc segmented column minima via
-        ``np.minimum.reduceat`` — no per-doc Python beyond shingling."""
-        shingle_sets = [char_shingles(t, k) for t in texts]
+        """(n_texts, n_perm) signatures, bit-identical to ``signature``:
+        docs grouped until ~_CHUNK_SHINGLES shingles, each group's
+        DISTINCT shingles hashed once into a permutation-major (P, U)
+        matrix, gathered to (P, shingles) and reduced per doc along the
+        contiguous axis by ``np.minimum.reduceat``. Every matrix lives in
+        reused scratch (a fresh ~1 MB temporary per step page-faults)."""
+        sets = _shingle_sets(texts, k)
         out = np.empty((len(texts), self.n_perm), dtype=np.uint64)
+        a, b = self.a[:, None], self.b[:, None]
         lo = 0
         while lo < len(texts):
             hi, total = lo, 0
-            while hi < len(texts) and (total == 0 or total + shingle_sets[hi].size <= self._CHUNK_SHINGLES):
-                total += shingle_sets[hi].size
+            while hi < len(texts) and (total == 0 or total + sets[hi].size <= self._CHUNK_SHINGLES):
+                total += sets[hi].size
                 hi += 1
-            counts = np.array([s.size for s in shingle_sets[lo:hi]], dtype=np.int64)
-            flat = np.concatenate(shingle_sets[lo:hi]).astype(np.uint64)
-            # hash each DISTINCT shingle once, then gather: the multiply
-            # + 64-bit modulo per permutation is the hot loop, and real
-            # corpora repeat shingles heavily across documents (this
-            # fixture: ~2k unique of 1M — a ~300× cut in modulo work).
-            uniq, inv = np.unique(flat, return_inverse=True)
+            counts = np.array([s.size for s in sets[lo:hi]], dtype=np.int64)
+            # hash each DISTINCT shingle once, then gather: real corpora
+            # repeat shingles heavily across documents (this fixture:
+            # ~2k unique of 1M)
+            uniq, inv = np.unique(np.concatenate(sets[lo:hi]), return_inverse=True)
+            hv = self._scratch("hv", uniq.size)
             with np.errstate(over="ignore"):
-                hv_u = (uniq[:, None] * self.a[None, :] + self.b[None, :]) % np.uint64(
-                    _MERSENNE
-                )
-            hv = hv_u[inv]
+                np.multiply(a, uniq, out=hv)
+                hv += b
+            _mod_mersenne(hv, self._scratch("fold", uniq.size))
+            g = np.take(hv, inv, axis=1, out=self._scratch("gather", inv.size), mode="clip")
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            out[lo:hi] = np.minimum.reduceat(hv, starts, axis=0)
+            out[lo:hi] = np.minimum.reduceat(g, starts, axis=1).T
             lo = hi
         return out
+
+    def _scratch(self, name: str, n: int) -> np.ndarray:
+        """(n_perm, n) uint64 view of a per-instance buffer, grown on
+        demand (task workers reuse the memoized instance)."""
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < self.n_perm * n:
+            buf = self._bufs[name] = np.empty(self.n_perm * max(n, self._CHUNK_SHINGLES), np.uint64)
+        return buf[: self.n_perm * n].reshape(self.n_perm, n)
+
+
+def _mod_mersenne(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``x % _MERSENNE`` for uint64 ``x``, in place (``tmp`` is scratch
+    of the same shape). 2^61 ≡ 1 (mod M), so ``r = (x & M) + (x >> 61)``
+    is congruent to ``x`` and at most M + 7; ``min(r, r - M)`` then
+    subtracts M once exactly when ``r ≥ M`` (below M, ``r - M`` wraps
+    past ``r``)."""
+    m = np.uint64(_MERSENNE)
+    np.right_shift(x, np.uint64(61), out=tmp)
+    x &= m
+    x += tmp
+    np.subtract(x, m, out=tmp)
+    np.minimum(x, tmp, out=x)
+    return x
 
 
 def minhash_signature(text: str, n_perm: int = 64, k: int = 5) -> np.ndarray:
@@ -267,16 +330,46 @@ def _iter_real_buckets(group: pa.Table, cols):
             yield order[lo:hi]
 
 
-def _dedupe_pairs(pairs_ds):
-    """Keep one row per (id_a, id_b): coarse-bucket shuffle + vectorized
-    pandas drop_duplicates per bucket (pairs collide across bands/tables)."""
+# pairs per block in ``_first_collision_pairs``: (pairs × bands) int64
+# temporaries stay ≈ 2 MB however large one real bucket grows
+_PAIR_BLOCK = 1 << 14
 
-    def dedupe(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        df = df.sort_values(["id_a", "id_b"]).drop_duplicates(["id_a", "id_b"])
-        return from_pandas_clean(df)
 
-    return bucket_reduce(pairs_ds, ["id_a", "id_b"], dedupe)
+def _first_collision_pairs(ids: np.ndarray, vecs: np.ndarray, j: int):
+    """Candidate pairs of one real LSH bucket of band (or table) ``j``,
+    each emitted only here if ``j`` is its FIRST colliding band.
+
+    ``vecs`` holds each row's full (rows, bands) bucket-key vector, so
+    the reducer sees where else the two ids collide: over the bucket's
+    distinct ids (``np.triu_indices`` of the sorted ids, so id_a <
+    id_b), a pair is kept when its vectors differ in every band before
+    ``j`` (``argmax(eq, axis=1) == j``, as band ``j`` itself is equal).
+    Every distinct candidate pair therefore leaves the exchange exactly
+    once, and no pair-dedup exchange follows. Returns (id_a, id_b)."""
+    uniq, first = np.unique(ids, return_index=True)
+    iu, ju = np.triu_indices(len(uniq), k=1)
+    if j:
+        v = vecs[first, :j]
+        keep = np.empty(iu.size, dtype=bool)
+        for lo in range(0, iu.size, _PAIR_BLOCK):
+            blk = slice(lo, lo + _PAIR_BLOCK)
+            keep[blk] = ~(v[iu[blk]] == v[ju[blk]]).any(axis=1)
+        iu, ju = iu[keep], ju[keep]
+    return uniq[iu], uniq[ju]
+
+
+def _key_vectors(keys: np.ndarray) -> pa.FixedSizeListArray:
+    """(n, bands) int64 bucket keys → one FixedSizeList row per
+    (doc, band) exchange row, in the doc-major order the rows use."""
+    n, bands = keys.shape
+    flat = np.repeat(keys, bands, axis=0).reshape(-1)
+    return pa.FixedSizeListArray.from_arrays(pa.array(flat, pa.int64()), bands)
+
+
+def _vectors_of(col: pa.ChunkedArray) -> np.ndarray:
+    """FixedSizeList column → (rows, width) int64 matrix."""
+    arr = col.combine_chunks()
+    return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
 
 
 def minhash_near_dup_pairs(
@@ -294,49 +387,53 @@ def minhash_near_dup_pairs(
 
     **Phase A — candidates.** Task-stage signatures (the MinHasher's
     permutation table is memoized per worker) emit only
-    ``(band, band_hash, id)`` rows; the coarse-bucket groupby — THE
-    shuffle — therefore moves ``bands`` small ints per document instead
-    of ``bands`` copies of the corpus. Real buckets are resolved inside
-    each group and deduplicated candidate id pairs come out.
+    ``(band, band_hash, id, band_hashes)`` rows, ``band_hashes`` being
+    the doc's whole (bands,) band-hash vector; the coarse-bucket
+    groupby — THE one exchange — therefore moves ``bands`` rows of
+    ``bands + 2`` small ints per document instead of ``bands`` copies
+    of the corpus. Real buckets are resolved inside each group, and
+    each distinct candidate id pair comes out exactly once, from the
+    bucket of its first colliding band (``_first_collision_pairs``).
 
-    **Phase B — verify, fully distributed.** Candidate pairs are
-    deduplicated with the same coarse-bucket exchange, the DISTINCT
-    candidate ids (16 B each — the only driver-side collection, bounded
-    by LSH design) broadcast as a semi-join prefilter over the corpus,
-    and each pair meets its two texts through TWO co-partitioned
-    ``hash_join`` exchanges (engine/joins.py) — pair ⋈ text(id_a) ⋈
-    text(id_b) — verified batch-local with exact shingle Jaccard. No
-    corpus-derived table is ever ``ray.get``-collected; only the final
-    verified pairs (the output) come back to the driver.
+    **Phase B — verify, fully distributed.** The DISTINCT candidate ids
+    (16 B each — bounded by LSH design) broadcast as a semi-join
+    prefilter over the corpus, and each pair meets its two texts —
+    broadcast block refs when the candidate-touched texts are small,
+    else TWO co-partitioned ``hash_join`` exchanges (engine/joins.py),
+    pair ⋈ text(id_a) ⋈ text(id_b) — verified batch-local with exact
+    shingle Jaccard. No corpus-derived table is ever
+    ``ray.get``-collected on the driver; only the final verified pairs
+    (the output) come back. A ``doc_id`` repeated with differing texts
+    raises ``ValueError``; exact duplicate rows count once.
     Returns a pyarrow Table (id_a < id_b, jaccard)."""
     def signatures(batch: pa.Table) -> pa.Table:
         mh = _minhasher(n_perm)
         texts = batch[col].to_pylist()
         ids = batch[id_col].to_pylist()
-        sig = mh.batch_signatures(texts, k)
-        bh = lsh_bands(sig, bands)
+        bh = lsh_bands(mh.batch_signatures(texts, k), bands).view(np.int64)
         n = len(texts)
         return pa.table(
             {
                 "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-                "band_hash": pa.array(bh.reshape(-1).astype(np.int64), pa.int64()),
+                "band_hash": pa.array(bh.reshape(-1), pa.int64()),
                 id_col: pa.array(np.repeat(ids, bands)),
+                "band_hashes": _key_vectors(bh),
             }
         )
 
     def pairs_of(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_pylist()
+        ids = group[id_col].to_numpy(zero_copy_only=False)
+        vecs = _vectors_of(group["band_hashes"])
+        band = group["band"].to_numpy()
         a_out, b_out = [], []
         for rows in _iter_real_buckets(group, ["band", "band_hash"]):
-            uniq = sorted({ids[r] for r in rows})
-            for x in range(len(uniq)):
-                for y in range(x + 1, len(uniq)):
-                    a_out.append(uniq[x])
-                    b_out.append(uniq[y])
+            a, b = _first_collision_pairs(ids[rows], vecs[rows], int(band[rows[0]]))
+            a_out.append(a)
+            b_out.append(b)
         return pa.table(
             {
-                "id_a": pa.array(a_out, pa.string()),
-                "id_b": pa.array(b_out, pa.string()),
+                "id_a": pa.array(np.concatenate(a_out) if a_out else [], pa.string()),
+                "id_b": pa.array(np.concatenate(b_out) if b_out else [], pa.string()),
             }
         )
 
@@ -367,10 +464,8 @@ def minhash_near_dup_pairs(
         b_in = batch["id_b"].to_pylist()
         ta_in = batch["text_a"].to_pylist()
         tb_in = batch["text_b"].to_pylist()
-        cache: dict = {}
-        for i, t in zip(a_in + b_in, ta_in + tb_in):
-            if i not in cache:
-                cache[i] = char_shingles(t, k)
+        docs = dict(zip(a_in + b_in, ta_in + tb_in))
+        cache = dict(zip(docs, _shingle_sets(list(docs.values()), k)))
         sha = [cache[i] for i in a_in]
         shb = [cache[i] for i in b_in]
         la = np.fromiter((s.size for s in sha), np.int64, count=n)
@@ -480,10 +575,10 @@ def ref_list(refs):
     return list(refs) if isinstance(refs, (list, tuple)) else [refs]
 
 
-def _union_id_blocks(*tabs) -> np.ndarray:
+def _union_id_blocks(*tabs):
     """Worker-side union of candidate-pair blocks → one sorted array of
-    DISTINCT endpoint ids (runs as a Ray task so the id set never lands
-    on the driver)."""
+    DISTINCT endpoint ids and its length (runs as a Ray task so the id
+    set never lands on the driver)."""
     from raycells.engine.shuffle import block_tables
 
     arrs = [
@@ -491,7 +586,30 @@ def _union_id_blocks(*tabs) -> np.ndarray:
         for t in block_tables(tabs, "id_a")
         for c in ("id_a", "id_b")
     ]
-    return np.unique(np.concatenate(arrs)) if arrs else np.empty(0, object)
+    ids = np.unique(np.concatenate(arrs)) if arrs else np.empty(0, object)
+    return ids, len(ids)
+
+
+def _one_payload_per_id(t: pa.Table, id_col: str, payload_col: str) -> pa.Table:
+    """Keep one row per id of (id, payload) rows; raise ``ValueError``
+    on an id whose copies carry differing payloads."""
+    t = t.sort_by(id_col)
+    ids = t[id_col].to_numpy(zero_copy_only=False)
+    rep = np.flatnonzero(ids[1:] == ids[:-1]) + 1
+    if rep.size == 0:
+        return t
+    vals = t[payload_col]
+    cur = pc.take(vals, pa.array(rep)).to_pylist()
+    prev = pc.take(vals, pa.array(rep - 1)).to_pylist()
+    for r, x, y in zip(rep, cur, prev):
+        if x != y:
+            raise ValueError(
+                f"{id_col} {ids[r]!r} repeats with differing {payload_col} "
+                "payloads; near-dup pairs need one payload per id"
+            )
+    keep = np.ones(t.num_rows, dtype=bool)
+    keep[rep] = False
+    return t.filter(pa.array(keep))
 
 
 class _SemiJoinFetch:
@@ -526,11 +644,16 @@ def _verify_join_collect(
 ):
     """Shared distributed Phase-B skeleton for the near-dup verifiers:
 
-    1. distributed pair dedup (coarse-bucket exchange) + bounded
-       materialize — the candidate set is output-sized by LSH design;
+    1. bounded materialize of ``cand_ds``, which must hold each
+       distinct (id_a, id_b) pair once (Phase A's first-collision
+       emission guarantees it; nothing here deduplicates pairs) — the
+       candidate set is output-sized by LSH design;
     2. DISTINCT candidate ids broadcast as a semi-join prefilter over
        the corpus — as materialized block REFS unioned worker-side
-       (no driver collection of the id set);
+       (no driver collection of the id set). When an id repeats in the
+       corpus, copies with identical payloads collapse to one and
+       differing payloads raise ``ValueError`` (one bucket exchange,
+       run only then);
     3. each pair meets its two payloads — ADAPTIVELY by measured size:
        candidate-touched payloads under ``_VERIFY_BROADCAST_BYTES``
        stay in the object store as materialized blocks whose REFS
@@ -552,7 +675,7 @@ def _verify_join_collect(
     from raycells.engine.joins import hash_join
     from raycells.engine.stages import broadcast_task
 
-    cand = _dedupe_pairs(cand_ds).materialize()
+    cand = cand_ds.materialize()
     n_cand = cand.count()
     if n_cand == 0:
         if sink_dir is not None:
@@ -570,15 +693,21 @@ def _verify_join_collect(
     # unions cand's materialized pair blocks into a single sorted plasma
     # array that broadcasts to the fetch workers — no extra Dataset
     # execution, and the id set never lands on the driver.
-    wanted_ref = ray.remote(num_cpus=1)(_union_id_blocks).remote(
-        *collect_refs(cand)
-    )
+    wanted_ref, n_wanted = ray.remote(num_cpus=1, num_returns=2)(
+        _union_id_blocks
+    ).remote(*collect_refs(cand))
 
     name_a, name_b = payload_names
     touched = corpus_ds.map_batches(
         broadcast_task(_SemiJoinFetch, wanted_ref, id_col, payload_col),
         batch_format="pyarrow",
     ).materialize()  # bounded: candidate-touched rows only
+    if touched.count() > ray.get(n_wanted):
+        # a candidate id repeats in the corpus: one payload per id, or
+        # the attach would score whichever copy it met first
+        touched = bucket_reduce(
+            touched, id_col, lambda g: _one_payload_per_id(g, id_col, payload_col)
+        ).materialize()
 
     if touched.size_bytes() <= _VERIFY_BROADCAST_BYTES:
         refs = tuple(collect_refs(touched))
@@ -981,8 +1110,7 @@ def simhash_near_dup_pairs(ds, col: str = "text", id_col: str = "doc_id", max_ha
             sa, sb = sh[ia], sh[ib]
             # emit each pair only from its FIRST matching chunk — the
             # same pair collides in up to nchunks buckets, and dropping
-            # the repeats here (vectorized) shrinks the dedup exchange
-            # by ~nchunks×
+            # the repeats here (vectorized) leaves no dedup exchange
             eq = ((sa[None, :] >> shifts[:, None]) & masks[:, None]) == (
                 (sb[None, :] >> shifts[:, None]) & masks[:, None]
             )  # (nchunks, n_pairs)
@@ -1011,9 +1139,9 @@ def simhash_near_dup_pairs(ds, col: str = "text", id_col: str = "doc_id", max_ha
         ["chunk_id", "chunk_val"],
         verify,
     )
-    # no _dedupe_pairs pass: first-matching-chunk emission already
-    # guarantees each pair appears exactly once (minhash still needs the
-    # dedup exchange — its bands collide independently)
+    # no pair-dedup pass: first-matching-chunk emission already
+    # guarantees each pair appears exactly once (minhash and embedding
+    # LSH emit by the same rule, ``_first_collision_pairs``)
     return pairs
 
 
@@ -1217,12 +1345,14 @@ def embedding_near_dup_pairs(
     independent ``n_planes``-plane sets — the banding trick) over the
     2^-20-QUANTIZED integer vectors with deterministic integer planes:
     every bucket bit is exact integer arithmetic, reproducible under
-    retries AND by the DuckDB oracle. Emits only ``(bucket, id)`` rows;
-    the coarse-bucket groupby resolves real buckets and yields
-    deduplicated candidate id pairs.
+    retries AND by the DuckDB oracle. Emits ``(bucket, id, buckets)``
+    rows, ``buckets`` being the doc's key in every table; the
+    coarse-bucket groupby resolves real buckets, and each distinct
+    candidate pair comes out once, from its first colliding table
+    (``_first_collision_pairs``).
 
     **Phase B — verify, fully distributed** (the shared
-    ``_verify_join_collect`` skeleton): distributed pair dedup →
+    ``_verify_join_collect`` skeleton):
     DISTINCT-candidate-id broadcast prefilter → payloads meet pairs
     adaptively (broadcast block refs / co-partitioned hash joins) →
     integer-cosine ≥ threshold per batch. Only the verified pairs reach
@@ -1244,17 +1374,21 @@ def embedding_near_dup_pairs(
             {
                 "bucket": pa.array(bucket.reshape(-1)),
                 id_col: pa.array(np.repeat(ids, n_tables)),
+                "buckets": _key_vectors(bucket),
             }
         )
 
     def pairs_of(group: pa.Table) -> pa.Table:
         ids = group[id_col].to_numpy(zero_copy_only=False)
+        vecs = _vectors_of(group["buckets"])
+        bucket = group["bucket"].to_numpy()
         a_out, b_out = [], []
         for rows in _iter_real_buckets(group, ["bucket"]):
-            uniq = np.unique(ids[rows])
-            iu, ju = np.triu_indices(len(uniq), k=1)
-            a_out.append(uniq[iu])
-            b_out.append(uniq[ju])
+            a, b = _first_collision_pairs(
+                ids[rows], vecs[rows], int(bucket[rows[0]] % n_tables)
+            )
+            a_out.append(a)
+            b_out.append(b)
         if not a_out:
             return pa.table(
                 {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}

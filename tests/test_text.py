@@ -620,3 +620,235 @@ def test_fuzzy_match_long_tokens(tmp_path):
     b = np.array(["x" * 39 + "z", "y" * 41], dtype=object)
     got = lev1_pairs_mask(a, b, width=41)
     assert got.tolist() == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# MinHash signature kernel: bit-identical to the reference formulas
+# ---------------------------------------------------------------------------
+
+def _ref_char_shingles(text, k):
+    """The sliding-window reference: byte i of a window weighs
+    1099511628211**i (uint64 wrap), whole text when shorter than k."""
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    if b.size == 0:
+        return np.zeros(1, dtype=np.uint64)
+    win = b[None, :] if b.size < k else np.lib.stride_tricks.sliding_window_view(b, k)
+    with np.errstate(over="ignore"):
+        pows = np.uint64(1099511628211) ** np.arange(win.shape[1], dtype=np.uint64)
+        h = (win.astype(np.uint64) * pows[None, :]).sum(axis=1, dtype=np.uint64)
+    return np.unique(h)
+
+
+def _ref_signature(mh, shingles):
+    with np.errstate(over="ignore"):
+        hv = (shingles[:, None] * mh.a[None, :] + mh.b[None, :]) % np.uint64(dd._MERSENNE)
+    return hv.min(axis=0)
+
+
+def _kernel_texts(k):
+    rng = np.random.default_rng(k)
+    long_doc = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz ,.éü"), 12000))
+    return (
+        ["", "ü", "日本語のテキスト", "mixed ascii + ✓ symbols — and ü"]
+        + ["abcdefghij"[:n] for n in range(1, k)]
+        + TEXTS
+        + [long_doc]
+        + [" ".join(rng.choice(["w%d" % i for i in range(50)], 30)) for _ in range(40)]
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("chunk_bytes", [None, 16], ids=["bytes-default", "bytes-16"])
+def test_batch_signatures_match_reference_formulas(k, chunk_bytes, monkeypatch):
+    """``char_shingles`` (alone and batched) equals the sliding-window
+    reference, and ``batch_signatures`` equals the reference ``% M``
+    formula and the per-doc ``MinHasher.signature`` bit for bit — empty,
+    shorter-than-k, non-ASCII, and a doc over ``_CHUNK_SHINGLES``
+    shingles included, at the default chunk sizes and at ones that
+    split every few docs."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(dd, "_SHINGLE_CHUNK_BYTES", chunk_bytes)
+    texts = _kernel_texts(k)
+    mh = dd.MinHasher(64)
+    ref_sets = [_ref_char_shingles(t, k) for t in texts]
+    for t, got, ref in zip(texts, dd._shingle_sets(texts, k), ref_sets):
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(dd.char_shingles(t, k), ref)
+    if k > 1:
+        assert ref_sets[len(texts) - 41].size > mh._CHUNK_SHINGLES
+    want = np.stack([_ref_signature(mh, s) for s in ref_sets])
+    np.testing.assert_array_equal(
+        np.stack([mh.signature(s) for s in ref_sets]), want
+    )
+    np.testing.assert_array_equal(mh.batch_signatures(texts, k), want)
+    small = dd.MinHasher(64)
+    small._CHUNK_SHINGLES = 64
+    np.testing.assert_array_equal(small.batch_signatures(texts, k), want)
+    np.testing.assert_array_equal(small.batch_signatures(texts[::-1], k), want[::-1])
+
+
+def test_mersenne_fold_equals_modulo():
+    rng = np.random.default_rng(61)
+    m = dd._MERSENNE
+    edges = np.array(
+        [0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 7 * m, 2**63, 2**64 - 2, 2**64 - 1],
+        dtype=np.uint64,
+    )
+    x = np.concatenate(
+        [edges, rng.integers(0, 2**64 - 1, 1 << 20, dtype=np.uint64, endpoint=True)]
+    )
+    want = x % np.uint64(m)
+    got = dd._mod_mersenne(x.copy(), np.empty_like(x))
+    np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# near-dup candidates: each distinct LSH pair leaves Phase A exactly once
+# ---------------------------------------------------------------------------
+
+def _near_copies(n_copies=32, seed=3):
+    base = (
+        "the quick brown fox jumps over the lazy dog near a quiet river bank "
+        "at dawn while tall birds watch from wet stones and old boats drift by"
+    ).split()
+    rng = np.random.default_rng(seed)
+    words = ["red", "blue", "tall", "old", "new", "wet", "dry", "hot", "dim"]
+    texts = []
+    for _ in range(n_copies):
+        t = list(base)
+        for j in rng.choice(len(base), rng.integers(1, 3), replace=False):
+            t[j] = words[rng.integers(0, len(words))]
+        texts.append(" ".join(t))
+    texts += [" ".join(rng.choice(words + base, 25)) for _ in range(8)]
+    texts += ["unrelated document number %d about cells and tiles" % i for i in range(8)]
+    return [f"d{i:03d}" for i in range(len(texts))], texts
+
+
+def _spy_candidates(monkeypatch):
+    """Record the candidate pairs Phase A hands to ``_verify_join_collect``."""
+    seen = []
+    real = dd._verify_join_collect
+
+    def spy(cand_ds, *a, **kw):
+        cand = cand_ds.materialize()
+        seen.append(list(zip(*(cand.to_pandas()[c].tolist() for c in ("id_a", "id_b")))))
+        return real(cand, *a, **kw)
+
+    monkeypatch.setattr(dd, "_verify_join_collect", spy)
+    return seen
+
+
+def _bucket_pairs(ids, keys):
+    """Distinct (id_a < id_b) pairs sharing a key in any column."""
+    out = set()
+    for col in keys.T:
+        for v in np.unique(col):
+            members = sorted(np.asarray(ids, dtype=object)[col == v])
+            out.update(
+                (members[x], members[y])
+                for x in range(len(members))
+                for y in range(x + 1, len(members))
+            )
+    return out
+
+
+def test_minhash_candidates_exactly_once(ray_session, monkeypatch):
+    import ray.data as rd
+
+    ids, texts = _near_copies()
+    bands = dd.lsh_bands(dd.MinHasher(64).batch_signatures(texts, 5), 16)
+    want = _bucket_pairs(ids, bands)
+    # the fixture must make pairs collide in many bands
+    per_pair = {p: 0 for p in want}
+    for col in bands.T:
+        for p in _bucket_pairs(ids, col[:, None]):
+            per_pair[p] += 1
+    assert len(want) > 400 and max(per_pair.values()) >= 8
+    seen = _spy_candidates(monkeypatch)
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts})).repartition(4)
+    pairs = dd.minhash_near_dup_pairs(ds, threshold=0.5)
+    (cand,) = seen
+    assert len(cand) == len(set(cand)) and set(cand) == want
+    got = list(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
+    assert len(got) == len(set(got)) and set(got) <= want and len(got) > 300
+
+
+def test_embedding_candidates_exactly_once(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal(64)
+    emb = np.vstack(
+        [base + 0.05 * rng.standard_normal(64) for _ in range(32)]
+        + [rng.standard_normal(64) for _ in range(16)]
+    )
+    ids = np.arange(len(emb), dtype=np.int64)
+    n_planes, n_tables = 8, 8
+    planes = dd.lsh_planes_int(64, n_planes * n_tables)
+    bits = (dd.quantize_embeddings(emb) @ planes > 0).reshape(len(emb), n_tables, n_planes)
+    keys = (bits * (1 << np.arange(n_planes)[::-1])).sum(axis=2)
+    want = _bucket_pairs(ids.tolist(), keys)
+    assert len(want) > 400
+    seen = _spy_candidates(monkeypatch)
+    t = pa.table(
+        {"vec_id": pa.array(ids), "embedding": pa.array([list(map(float, r)) for r in emb])}
+    )
+    pairs = dd.embedding_near_dup_pairs(rd.from_arrow(t).repartition(4), threshold=0.9)
+    (cand,) = seen
+    assert len(cand) == len(set(cand)) and set(cand) == want
+    got = list(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
+    assert len(got) == len(set(got)) and set(got) <= want and len(got) > 300
+
+
+def _pair_rows(ids, texts, tmp_path, sink):
+    """(id_a, id_b) rows of a minhash run, collected or through the sink."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    t = pa.table({"doc_id": pa.array(ids, pa.string()), "text": pa.array(texts, pa.string())})
+    ds = rd.from_arrow(t)
+    if not sink:
+        out = dd.minhash_near_dup_pairs(ds, threshold=0.6)
+        assert out.column_names == ["id_a", "id_b", "jaccard"]
+    else:
+        sink_dir = str(tmp_path / "pairs")
+        os.makedirs(sink_dir)
+        open(os.path.join(sink_dir, "stale.parquet"), "wb").close()
+        res = dd.minhash_near_dup_pairs(ds, threshold=0.6, sink_dir=sink_dir)
+        files = sorted(glob.glob(os.path.join(sink_dir, "*.parquet")))
+        out = (
+            pa.concat_tables([pq.read_table(f) for f in files])
+            if files else pa.table({"id_a": [], "id_b": []})
+        )
+        assert res["n_pairs"] == out.num_rows
+    return list(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
+
+
+@pytest.mark.parametrize("sink", [False, True], ids=["collect", "sink"])
+def test_minhash_pairs_edge_corpora(ray_session, tmp_path, sink):
+    """Empty corpus and no candidates → no pairs; an id repeated with
+    the SAME text counts once (one pair with its near-copy)."""
+    assert _pair_rows([], [], tmp_path / "e", sink) == []
+    assert _pair_rows(IDS[2:5], TEXTS[2:5], tmp_path / "n", sink) == []
+    rows = _pair_rows(["d0", "d0", "d1"], [TEXTS[0], TEXTS[0], TEXTS[1]], tmp_path / "r", sink)
+    assert rows == [("d0", "d1")]
+
+
+@pytest.mark.parametrize("broadcast", [True, False], ids=["broadcast", "hash_join"])
+def test_repeated_id_payloads(ray_session, monkeypatch, broadcast):
+    """A doc id repeated with DIFFERING texts raises (the attach would
+    otherwise score whichever copy it met first); identical copies
+    collapse to one, on both payload paths."""
+    import ray.data as rd
+
+    if not broadcast:
+        monkeypatch.setattr(dd, "_VERIFY_BROADCAST_BYTES", -1)
+    same = rd.from_arrow(pa.table({"doc_id": ["d0", "d1", "d0"], "text": [TEXTS[0], TEXTS[1], TEXTS[0]]}))
+    out = dd.minhash_near_dup_pairs(same, threshold=0.6)
+    assert list(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist())) == [("d0", "d1")]
+    differ = rd.from_arrow(pa.table({"doc_id": ["d0", "d1", "d0"], "text": [TEXTS[0], TEXTS[1], TEXTS[1]]}))
+    with pytest.raises(ValueError, match="d0"):
+        dd.minhash_near_dup_pairs(differ, threshold=0.6)
