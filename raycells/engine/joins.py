@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycells.engine.shuffle import bucket_reduce, from_pandas_clean
+from raycells.engine.shuffle import aggregate, bucket_reduce, from_pandas_clean
 
 __all__ = [
     "asof_join",
@@ -363,13 +363,16 @@ def asof_join(
 
 
 def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distinct"):
-    """COUNT(DISTINCT distinct_col) per group: per-batch pair dedup →
-    bucket exchange on ``distinct_col`` (each distinct value lands in
-    exactly one bucket, so a pair survives in exactly one place) →
-    per-bucket dedup + partial counts → tiny final sum per group."""
-    from ray.data.aggregate import Sum
+    """COUNT(DISTINCT distinct_col) per string ``group_col``: per-batch
+    pair dedup → bucket exchange on ``distinct_col`` (each distinct value
+    lands in exactly one bucket, so a pair survives in exactly one
+    place) → per-bucket dedup + partial counts → tiny final sum per
+    group (``shuffle.aggregate``, count int64)."""
 
     def pairs(b: pa.Table) -> pa.Table:
+        if not pa.types.is_string(b.schema.field(group_col).type):
+            raise TypeError(f"distinct_count groups on a string column, "
+                            f"{group_col!r} is {b.schema.field(group_col).type}")
         df = pd.DataFrame(
             {
                 group_col: b[group_col].to_numpy(zero_copy_only=False),
@@ -386,8 +389,8 @@ def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distin
     partial = bucket_reduce(
         ds.map_batches(pairs, batch_format="pyarrow"), distinct_col, per_bucket
     )
-    final = partial.groupby(group_col).aggregate(Sum(alias, alias_name=alias))
-    return final
+    return aggregate(partial, group_col,
+                     pa.schema([(group_col, pa.string()), (alias, pa.int64())]))
 
 
 def grouped_topk(

@@ -1,10 +1,18 @@
-"""The engine's two reductions (SURVEY.md §7.5), plus salting.
+"""The engine's one exchange and its one aggregate spec (SURVEY.md
+§7.5), plus salting.
 
 - ``bucket_reduce``: the one wide exchange — bucket rows on a key,
   co-locate each bucket, reduce it with a vectorized function.
-- ``fold``: sum/min/max per key inside each batch, then once more over
-  those partials on the driver, ``FOLD_DRIVER_ROWS`` partial rows at a
-  time, with no exchange.
+- One aggregate declaration, ``(keys, schema, ops)``: every non-key
+  column of ``schema`` folds with sum/min/max, a count is a column of
+  int64 ones. ``combine`` is its one per-batch combine, and it has two
+  executors:
+  - ``fold`` combines inside each batch, then once more over those
+    partials on the driver, ``FOLD_DRIVER_ROWS`` partial rows at a time,
+    with no exchange. It returns a sorted ``pa.Table``.
+  - ``aggregate`` combines inside each batch on ``keys`` plus a salt,
+    then reduces the partials per key through ``bucket_reduce``. It
+    returns a Dataset.
 
 Wide operations (groupby over ``cell_id``) are the engine's only
 all-to-all exchanges. Two defenses:
@@ -16,8 +24,8 @@ all-to-all exchanges. Two defenses:
 2. **Salting**: 60% of tiles land in 3 dense city boxes, so raw
    ``cell_id`` keys are heavily skewed. Map-side partials are keyed by
    ``(cell_id, hash(doc) % SALT)``; the merge re-folds them over
-   ``cell_id``. ``salted_aggregate``'s ``bucket_reduce`` buckets on that
-   key alone, so the salt only splits a hot key's map-side partial rows:
+   ``cell_id``. ``aggregate``'s ``bucket_reduce`` buckets on the key
+   alone, so the salt only splits a hot key's map-side partial rows:
    every row of one key still reaches one reducer.
 """
 
@@ -31,13 +39,14 @@ import pyarrow as pa
 
 __all__ = [
     "bucket_reduce",
+    "combine",
     "fold",
+    "aggregate",
     "collect_refs",
     "partial_cell_agg",
     "merge_cell_agg",
     "exact_dedup_winners",
     "salted_cell_aggregate",
-    "salted_aggregate",
     "estimate_salt",
 ]
 
@@ -98,36 +107,32 @@ def from_pandas_clean(df: pd.DataFrame) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
 
+def salt_of(batch: pa.Table, salt: int, salt_col: str = "doc_id") -> np.ndarray:
+    """Each row's salt, ``hash(salt_col) % salt`` (uint64), or int64
+    zeros when the batch has no ``salt_col``."""
+    if salt_col not in batch.column_names:
+        return np.zeros(batch.num_rows, np.int64)
+    return pd.util.hash_array(batch[salt_col].to_numpy(zero_copy_only=False)) % salt
+
+
+_CELL_OPS = {"n_tiles": "sum", "sum_mean": "sum", "valid_count": "sum",
+             "nodata_count": "sum", "min_val": "min", "max_val": "max"}
+
+
 def partial_cell_agg(batch: pa.Table, key: str = "cell_id", salt: int = DEFAULT_SALT) -> pa.Table:
     """Per-batch combiner: one row per (key, salt-bucket) with partial
     sums/counts/min/max. Runs inside map_batches BEFORE the shuffle."""
-    if "doc_id" in batch.column_names:
-        salt_col = (
-            pd.util.hash_array(batch["doc_id"].to_numpy(zero_copy_only=False)) % salt
-        )
-    else:
-        salt_col = 0
     df = pd.DataFrame(
         {
             "key": batch[key].to_numpy(zero_copy_only=False),
-            "salt": salt_col,
-            "mean_val": batch["mean_val"].to_numpy(zero_copy_only=False),
-            "valid_count": batch["valid_count"].to_numpy(zero_copy_only=False),
-            "nodata_count": batch["nodata_count"].to_numpy(zero_copy_only=False),
-            "min_val": batch["min_val"].to_numpy(zero_copy_only=False),
-            "max_val": batch["max_val"].to_numpy(zero_copy_only=False),
+            "salt": salt_of(batch, salt),
+            "n_tiles": np.ones(batch.num_rows, np.int64),
+            "sum_mean": batch["mean_val"].to_numpy(zero_copy_only=False),
+            **{c: batch[c].to_numpy(zero_copy_only=False)
+               for c in ("valid_count", "nodata_count", "min_val", "max_val")},
         }
     )
-    g = df.groupby(["key", "salt"], sort=False)
-    out = g.agg(
-        n_tiles=("mean_val", "size"),
-        sum_mean=("mean_val", "sum"),
-        valid_count=("valid_count", "sum"),
-        nodata_count=("nodata_count", "sum"),
-        min_val=("min_val", "min"),
-        max_val=("max_val", "max"),
-    ).reset_index()
-    return from_pandas_clean(out)
+    return from_pandas_clean(combine(df, ["key", "salt"], _CELL_OPS))
 
 
 DEFAULT_BUCKETS = 64
@@ -253,6 +258,38 @@ FOLD_OPS = ("sum", "min", "max")
 FOLD_DRIVER_ROWS = 1 << 21
 
 
+def combine(df: pd.DataFrame, keys: list, ops: dict) -> pd.DataFrame:
+    """The aggregate spec's one combine: one row per ``keys`` value, in
+    first-seen order, with each column of ``ops`` folded by its op.
+    ``fold`` and ``aggregate`` run it inside each batch and again over
+    the partials; sum/min/max give the same answer on their own
+    partials."""
+    return df.groupby(keys, sort=False).agg(ops).reset_index()
+
+
+def _spec(keys, schema: pa.Schema, ops: dict | None) -> tuple:
+    """``(keys as a list, {column: op})`` for every non-key column of
+    ``schema``; the op defaults to ``sum``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    ops = ops or {}
+    bad = {c: o for c, o in ops.items() if o not in FOLD_OPS}
+    if bad:
+        raise ValueError(f"fold ops must be one of {FOLD_OPS}, got {bad}")
+    return keys, {f.name: ops.get(f.name, "sum") for f in schema if f.name not in keys}
+
+
+def _partial(b: pa.Table, keys: list, spec: dict, salt: int = 1,
+             salt_col: str = "doc_id") -> pa.Table:
+    """Map side of both executors: ``combine`` one batch on ``keys``, or
+    on ``keys`` plus the row's salt when ``salt > 1`` (the salt column
+    is dropped from the partials)."""
+    df = b.select(keys + list(spec)).to_pandas()
+    if salt <= 1:
+        return from_pandas_clean(combine(df, keys, spec))
+    df["_salt"] = salt_of(b, salt, salt_col)
+    return from_pandas_clean(combine(df, keys + ["_salt"], spec).drop(columns="_salt"))
+
+
 def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
     """The engine's fold: reduce ``ds`` to one row per ``keys`` value
     and return it as a ``pa.Table`` sorted by ``keys`` and typed
@@ -278,22 +315,11 @@ def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
     is bounded by the chunk plus the output, never by the input size."""
     import ray
 
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    ops = ops or {}
-    bad = {c: o for c, o in ops.items() if o not in FOLD_OPS}
-    if bad:
-        raise ValueError(f"fold ops must be one of {FOLD_OPS}, got {bad}")
-    spec = {f.name: ops.get(f.name, "sum") for f in schema if f.name not in keys}
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, sort=False).agg(spec).reset_index()
-
-    def partial(b: pa.Table) -> pa.Table:
-        return from_pandas_clean(combine(b.select(keys + list(spec)).to_pandas()))
+    keys, spec = _spec(keys, schema, ops)
 
     def chunks():
         refs, rows = [], 0
-        parts = ds.map_batches(partial, batch_format="pyarrow")
+        parts = ds.map_batches(lambda b: _partial(b, keys, spec), batch_format="pyarrow")
         for bundle in parts.iter_internal_ref_bundles():
             for ref, meta in bundle.blocks:
                 if meta.num_rows == 0:
@@ -311,11 +337,40 @@ def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
         tabs = block_tables(ray.get(refs), keys[0])
         if df is not None:
             tabs.append(from_pandas_clean(df))
-        df = combine(pa.concat_tables(tabs, promote_options="permissive").to_pandas())
+        df = combine(pa.concat_tables(tabs, promote_options="permissive").to_pandas(),
+                     keys, spec)
     if df is None:
         return schema.empty_table()
     df = df.sort_values(keys, kind="stable")[schema.names]
     return from_pandas_clean(df).cast(schema)
+
+
+def aggregate(ds, keys, schema: pa.Schema, ops: dict | None = None,
+              salt=DEFAULT_SALT, salt_col: str = "doc_id"):
+    """``fold``'s spec reduced through ``bucket_reduce`` instead of on
+    the driver: a Dataset with one row per ``keys`` value, each block
+    typed exactly as ``schema``, in no particular order. ``keys``,
+    ``schema`` and ``ops`` mean what they mean for ``fold``.
+
+    Map side, each batch combines on ``keys`` plus ``hash(salt_col) %
+    salt`` (no salt when the batch lacks ``salt_col`` or ``salt`` is 1),
+    so a hot key leaves a batch as up to ``salt`` partial rows; the
+    exchange buckets on ``keys`` alone and each reducer combines its
+    partials on ``keys``. ``salt="auto"`` runs the §7.5 ``estimate_salt``
+    pre-pass on the first key column: use it when the input is a raw
+    read or an already-materialized Dataset (the pre-pass re-executes
+    the input pipeline's first blocks, so it is free on reads but NOT on
+    a stream with an expensive decode upstream; those pin an int)."""
+    keys, spec = _spec(keys, schema, ops)
+    if salt == "auto":
+        salt = estimate_salt(ds, keys[0])
+
+    def reduce(g: pa.Table) -> pa.Table:
+        return from_pandas_clean(combine(g.to_pandas(), keys, spec)[schema.names]).cast(schema)
+
+    parts = ds.map_batches(lambda b: _partial(b, keys, spec, salt, salt_col),
+                           batch_format="pyarrow")
+    return bucket_reduce(parts, keys[0] if len(keys) == 1 else keys, reduce)
 
 
 def exact_dedup_winners(
@@ -395,71 +450,6 @@ def merge_cell_agg(
     avg = pc.divide(t["sum_mean"], pc.cast(t["n_tiles"], pa.float64()))
     t = t.drop_columns(["sum_mean"]).append_column("avg_tile_mean", avg)
     return rd.from_arrow(t.rename_columns([key_out, *t.column_names[1:]]))
-
-
-def salted_aggregate(
-    ds,
-    key: str,
-    sums: Sequence[str] = (),
-    mins: Sequence[str] = (),
-    maxs: Sequence[str] = (),
-    count_alias: str = "n_rows",
-    salt=DEFAULT_SALT,
-    salt_col: str = "doc_id",
-):
-    """Generic two-stage salted aggregate: map-side partials on
-    (key, hash(salt_col) % salt) → shuffle the partials → final merge per
-    key. Column names survive verbatim (oracle parity); the count column
-    is named ``count_alias``. ``salt="auto"`` runs the §7.5
-    ``estimate_salt`` pre-pass — use it when the input is a raw read or
-    an already-materialized Dataset (the pre-pass re-executes the input
-    pipeline's first blocks, so it is free on reads but NOT on a stream
-    with an expensive decode upstream; those pin an int)."""
-    sums, mins, maxs = list(sums), list(mins), list(maxs)
-    if salt == "auto":
-        salt = estimate_salt(ds, key)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cols = {"key": batch[key].to_numpy(zero_copy_only=False)}
-        if salt_col in batch.column_names and salt > 1:
-            cols["salt"] = (
-                pd.util.hash_array(
-                    np.asarray(batch[salt_col].to_numpy(zero_copy_only=False))
-                )
-                % salt
-            )
-        else:
-            cols["salt"] = np.zeros(batch.num_rows, dtype=np.int64)
-        for c in set(sums + mins + maxs):
-            cols[c] = batch[c].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(cols)
-        spec = {count_alias: ("key", "size")}
-        for c in sums:
-            spec[f"sum_{c}"] = (c, "sum")
-        for c in mins:
-            spec[f"min_{c}"] = (c, "min")
-        for c in maxs:
-            spec[f"max_{c}"] = (c, "max")
-        out = df.groupby(["key", "salt"], sort=False).agg(**spec).reset_index()
-        return from_pandas_clean(out)
-
-    spec = {count_alias: (count_alias, "sum")}
-    for c in sums:
-        spec[f"sum_{c}"] = (f"sum_{c}", "sum")
-    for c in mins:
-        spec[f"min_{c}"] = (f"min_{c}", "min")
-    for c in maxs:
-        spec[f"max_{c}"] = (f"max_{c}", "max")
-
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        out = df.groupby("key", sort=False).agg(**spec).reset_index()
-        out = out.rename(columns={"key": key})
-        return from_pandas_clean(out)
-
-    return bucket_reduce(
-        ds.map_batches(partial, batch_format="pyarrow"), "key", combine
-    )
 
 
 def salted_cell_aggregate(ds, key: str = "cell_id", salt: int = DEFAULT_SALT):

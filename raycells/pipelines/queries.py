@@ -568,57 +568,32 @@ def q_resample_mode(sf_dir: str):
     return _exploded(sf_dir).map_batches(mode_stats, batch_format="pyarrow")
 
 
-# Materialized per-cell base aggregates, keyed (sf_dir, sums): the
-# decode + salted aggregate is deterministic and its output is
-# CELL-sized (a few thousand rows), so focal_cell_stats / cell_pyramid
-# reuse the base cell_agg_band-style pass already materialized in this
-# process instead of re-decoding every tile — the documented
-# _MINHASH_PAIRS_CACHE pattern. Single-entry per sums-shape (a new
-# sf_dir evicts the old) to stay bounded in long-lived sessions.
-_CELL_BASE_CACHE: dict = {}
+def _cell_base_agg(sf_dir: str, sums=("valid_count", "sum_val")):
+    """Per-grid-cell salted aggregate of band-4 tile stats — the shared
+    base of cell_agg_band, focal_cell_stats, cell_pyramid and the other
+    per-cell rollups: ``n_tiles``, ``sum_<c>`` for each of ``sums``,
+    ``min_min_val`` and ``max_max_val`` per ``grid_cell``."""
+    names = ["n_tiles", *(f"sum_{c}" for c in sums), "min_min_val", "max_max_val"]
 
+    def project(b: pa.Table) -> pa.Table:
+        b = stages.band_stats(b, band=4)
+        cols = [pa.array(np.ones(b.num_rows, np.int64)), *(b[c] for c in sums),
+                b["min_val"], b["max_val"]]
+        return pa.table([b["grid_cell"], b["doc_id"], *cols],
+                        names=["grid_cell", "doc_id", *names])
 
-def _cell_base_agg(sf_dir: str, sums=("valid_count", "sum_val"), cache=True):
-    """Per-grid-cell salted two-stage aggregate of band-4 tile stats —
-    the shared base of cell_agg_band, focal_cell_stats and
-    cell_pyramid. With ``cache`` (the derived-query path) returns a
-    MATERIALIZED cell-sized Dataset reused across queries;
-    ``cache=False`` (q_cell_agg_band itself) always recomputes so the
-    aggregate's own bench/gate timing measures the real pipeline, never
-    a cache hit."""
-    key = (sf_dir, tuple(sums))
-    if cache:
-        hit = _CELL_BASE_CACHE.get(key)
-        if hit is not None:
-            return hit
-    tiles = _exploded(sf_dir).map_batches(
-        lambda b: stages.band_stats(b, band=4), batch_format="pyarrow"
+    return shuffle_mod.aggregate(
+        _exploded(sf_dir).map_batches(project, batch_format="pyarrow"),
+        "grid_cell",
+        pa.schema(_i64("grid_cell", *names)),
+        {"min_min_val": "min", "max_max_val": "max"},
     )
-    out = shuffle_mod.salted_aggregate(
-        tiles,
-        key="grid_cell",
-        sums=sums,
-        mins=("min_val",),
-        maxs=("max_val",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
-    )
-    if not cache:
-        return out
-    out = out.materialize()
-    stale = [k for k in _CELL_BASE_CACHE if k[0] != sf_dir]
-    for k in stale:
-        del _CELL_BASE_CACHE[k]
-    _CELL_BASE_CACHE[key] = out
-    return out
 
 
 def q_cell_agg_band(sf_dir: str):
     """Per-grid-cell salted two-stage aggregate of band-tile stats — the
     oracle-checked version of the (doc, cell, tile) assignment shuffle."""
-    return _cell_base_agg(
-        sf_dir, sums=("valid_count", "nodata_count", "sum_val"), cache=False
-    )
+    return _cell_base_agg(sf_dir, sums=("valid_count", "nodata_count", "sum_val"))
 
 
 def q_top_tiles_per_cell(sf_dir: str):
@@ -1158,35 +1133,30 @@ def q_cell_agg_s2face(sf_dir: str):
         lambda b: stages.band_stats(b, band=4), batch_format="pyarrow"
     )
 
+    stats = ("n_tiles", "sum_valid_count", "sum_nodata_count", "sum_sum_val",
+             "min_min_val", "max_max_val")
+
     def key(b: pa.Table) -> pa.Table:
         lon = b["lon"].to_numpy(zero_copy_only=False)
         lat = b["lat"].to_numpy(zero_copy_only=False)
         packed = cellid.encode_cube(lon, lat, 6)
-        return b.append_column("s2_key", pa.array(packed.view(np.int64), pa.int64()))
+        cols = [pa.array(packed.view(np.int64), pa.int64()),
+                pa.array(np.ones(b.num_rows, np.int64))]
+        cols += [b[c] for c in ("valid_count", "nodata_count", "sum_val", "min_val", "max_val")]
+        return pa.table(cols, names=["s2_key", *stats])
 
-    agg = shuffle_mod.salted_aggregate(
+    agg = shuffle_mod.fold(
         tiles.map_batches(key, batch_format="pyarrow"),
-        key="s2_key",
-        sums=("valid_count", "nodata_count", "sum_val"),
-        mins=("min_val",),
-        maxs=("max_val",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
-    ).to_pandas()
-    packed = agg["s2_key"].to_numpy(np.int64).view(np.uint64)
+        "s2_key",
+        pa.schema(_i64("s2_key", *stats)),
+        {"min_min_val": "min", "max_max_val": "max"},
+    )
+    packed = agg["s2_key"].to_numpy().view(np.uint64)
     face = (packed >> np.uint64(61)).astype(np.int64)
     local = (packed & ((np.uint64(1) << np.uint64(61)) - np.uint64(1))).astype(np.int64)
     return pa.table(
-        {
-            "face": pa.array(face, pa.int64()),
-            "cell_id": pa.array(local, pa.int64()),
-            "n_tiles": pa.array(agg["n_tiles"].to_numpy(np.int64)),
-            "sum_valid_count": pa.array(agg["sum_valid_count"].to_numpy(np.int64)),
-            "sum_nodata_count": pa.array(agg["sum_nodata_count"].to_numpy(np.int64)),
-            "sum_sum_val": pa.array(agg["sum_sum_val"].to_numpy(np.int64)),
-            "min_min_val": pa.array(agg["min_min_val"].to_numpy(np.int64)),
-            "max_max_val": pa.array(agg["max_max_val"].to_numpy(np.int64)),
-        }
+        [pa.array(face), pa.array(local), *(agg[c] for c in stats)],
+        names=["face", "cell_id", *stats],
     )
 
 
@@ -1196,8 +1166,6 @@ def q_tile_type_hist(sf_dir: str):
     (``CellType.size_of`` — ctype.rs:87-96) over the weighted 10-type
     tile population. Oracle-checked: the type wheel and shapes are seed
     arithmetic."""
-    from ray.data.aggregate import Count, Sum
-
     from raycells.cells.ctype import CELL_TYPES
     from raycells.io import tilestore
 
@@ -1211,33 +1179,17 @@ def q_tile_type_hist(sf_dir: str):
         return pa.table(
             {
                 "cell_type": pa.array(list(names[ti]), pa.string()),
-                "n_cells": pa.array(cells),
-                "n_bytes": pa.array(cells * sizes[ti]),
+                "n_tiles": pa.array(np.ones(b.num_rows, np.int64)),
+                "total_cells": pa.array(cells),
+                "total_bytes": pa.array(cells * sizes[ti]),
             }
         )
 
-    agg = (
-        _exploded(sf_dir)
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("cell_type")
-        .aggregate(
-            Count(),
-            Sum("n_cells", alias_name="total_cells"),
-            Sum("n_bytes", alias_name="total_bytes"),
-        )
+    return shuffle_mod.fold(
+        _exploded(sf_dir).map_batches(project, batch_format="pyarrow"),
+        "cell_type",
+        pa.schema([("cell_type", pa.string()), *_i64("n_tiles", "total_cells", "total_bytes")]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "cell_type": t["cell_type"],
-                "n_tiles": pc.cast(t["count()"], pa.int64()),
-                "total_cells": pc.cast(t["total_cells"], pa.int64()),
-                "total_bytes": pc.cast(t["total_bytes"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_flagship_cells(sf_dir: str):
@@ -1291,8 +1243,21 @@ def q_pip_join_counts(sf_dir: str):
         )
 
     pts = _exploded(sf_dir).map_batches(tile_points, batch_format="pyarrow")
-    joined = pl.join_stage(pts)
-    return joined.groupby("category").count()
+    return _category_counts(pl.join_stage(pts))
+
+
+def _category_counts(joined) -> pa.Table:
+    """Rows per ``category``, in a column named ``count()`` as the PIP
+    oracles name it."""
+    return shuffle_mod.fold(
+        joined.map_batches(
+            lambda b: pa.table({"category": b["category"],
+                                "count()": np.ones(b.num_rows, np.int64)}),
+            batch_format="pyarrow",
+        ),
+        "category",
+        pa.schema([("category", pa.string()), ("count()", pa.int64())]),
+    )
 
 
 def q_footprint_metrics(sf_dir: str):
@@ -1398,7 +1363,8 @@ def q_zonal_by_nearest(sf_dir: str):
     first-min tie to smallest id, exactly q_nearest_footprint's rule)
     and its erased-cell band stats roll up per zone. One fused map stage
     (decode + assignment against the broadcast 200-row center table),
-    then the standard salted two-stage aggregate — integer columns only,
+    then a per-footprint driver fold (``shuffle.fold``; the zones are a
+    200-row side table) — integer columns only,
     so the oracle (gridded tile stats ⋈ ROW_NUMBER assignment) hash-
     matches."""
     import ray
@@ -1430,34 +1396,23 @@ def q_zonal_by_nearest(sf_dir: str):
                 "footprint_id", pa.array(self.ids[j], pa.string())
             )
 
-    tiles = _exploded(sf_dir).map_batches(
-        stages.broadcast_task(Assign, ref), batch_format="pyarrow"
-    )
-    agg = shuffle_mod.salted_aggregate(
-        tiles,
-        key="footprint_id",
-        sums=("valid_count", "sum_val"),
-        mins=("min_val",),
-        maxs=("max_val",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
-    )
+    stats = ("n_tiles", "sum_valid_count", "sum_sum_val", "min_min_val", "max_max_val")
 
-    def finalize(t: pa.Table) -> pa.Table:
-        fids = t["footprint_id"].to_pylist()
-        return pa.table(
-            {
-                "footprint_id": t["footprint_id"],
-                "category": pa.array([cats[f] for f in fids], pa.string()),
-                "n_tiles": pc.cast(t["n_tiles"], pa.int64()),
-                "sum_valid_count": pc.cast(t["sum_valid_count"], pa.int64()),
-                "sum_sum_val": pc.cast(t["sum_sum_val"], pa.int64()),
-                "min_min_val": pc.cast(t["min_min_val"], pa.int64()),
-                "max_max_val": pc.cast(t["max_max_val"], pa.int64()),
-            }
-        )
+    def project(b: pa.Table) -> pa.Table:
+        cols = [b[c] for c in ("valid_count", "sum_val", "min_val", "max_val")]
+        return pa.table([b["footprint_id"], pa.array(np.ones(b.num_rows, np.int64)), *cols],
+                        names=["footprint_id", *stats])
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    t = shuffle_mod.fold(
+        _exploded(sf_dir)
+        .map_batches(stages.broadcast_task(Assign, ref), batch_format="pyarrow")
+        .map_batches(project, batch_format="pyarrow"),
+        "footprint_id",
+        pa.schema([("footprint_id", pa.string()), *_i64(*stats)]),
+        {"min_min_val": "min", "max_max_val": "max"},
+    )
+    fids = t["footprint_id"].to_pylist()
+    return t.add_column(1, "category", pa.array([cats[f] for f in fids], pa.string()))
 
 
 def q_bbox_join_counts(sf_dir: str):
@@ -1469,7 +1424,6 @@ def q_bbox_join_counts(sf_dir: str):
     oracle-checked too — see q_pip_join_counts; this bbox prefilter is
     the cheap half of the same join.)"""
     import ray
-    from ray.data.aggregate import Sum
 
     from raycells.io import footprints as fp_mod
     from raycells.io import tilestore
@@ -1503,60 +1457,42 @@ def q_bbox_join_counts(sf_dir: str):
                 }
             )
 
-    agg = (
-        _exploded(sf_dir)
-        .map_batches(stages.broadcast_task(BboxCounter, ref), batch_format="pyarrow")
-        .groupby("footprint_id")
-        .aggregate(Sum("n_tiles", alias_name="n_tiles"))
+    return shuffle_mod.fold(
+        _exploded(sf_dir).map_batches(
+            stages.broadcast_task(BboxCounter, ref), batch_format="pyarrow"
+        ),
+        "footprint_id",
+        pa.schema([("footprint_id", pa.string()), ("n_tiles", pa.int64())]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "footprint_id": t["footprint_id"],
-                "n_tiles": pc.cast(t["n_tiles"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_zonal_stats(sf_dir: str):
     """Zonal statistics — the classic raster-zone workload: per footprint
     polygon, aggregate the erased-cell stats of every tile whose centroid
-    falls inside it (broadcast PIP join → salted two-stage aggregate;
+    falls inside it (broadcast PIP join → per-footprint ``shuffle.fold``;
     oracle-checked: the edge-table ray cast in SQL; value parity vs a
     brute-force single-process oracle also pinned in tests/test_geo.py)."""
     stats = _exploded(sf_dir).map_batches(
         lambda b: stages.decode_stats(b, emit="stats"), batch_format="pyarrow"
     )
-    joined = pl.join_stage(stats)
-    agg = shuffle_mod.salted_aggregate(
-        joined,
-        key="footprint_id",
-        sums=["valid_count", "nodata_count"],
-        mins=["min_val"],
-        maxs=["max_val"],
-        count_alias="n_tiles",
+    names = ("n_tiles", "sum_valid_count", "sum_nodata_count", "min_min_val", "max_max_val")
+
+    def project(b: pa.Table) -> pa.Table:
+        cols = [b[c] for c in ("valid_count", "nodata_count", "min_val", "max_val")]
+        return pa.table([b["footprint_id"], pa.array(np.ones(b.num_rows, np.int64)), *cols],
+                        names=["footprint_id", *names])
+
+    return shuffle_mod.fold(
+        pl.join_stage(stats).map_batches(project, batch_format="pyarrow"),
+        "footprint_id",
+        # min/max stay float64: erased tiles span all 10 cell types, so
+        # the fold's result can be fractional; it is an elementwise-derived
+        # exact double (not a sum), stable across engines and partitionings.
+        pa.schema([("footprint_id", pa.string()),
+                   *_i64("n_tiles", "sum_valid_count", "sum_nodata_count"),
+                   ("min_min_val", pa.float64()), ("max_max_val", pa.float64())]),
+        {"min_min_val": "min", "max_max_val": "max"},
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "footprint_id": t["footprint_id"],
-                "n_tiles": pc.cast(t["n_tiles"], pa.int64()),
-                "sum_valid_count": pc.cast(t["sum_valid_count"], pa.int64()),
-                "sum_nodata_count": pc.cast(t["sum_nodata_count"], pa.int64()),
-                # min/max stay float64: erased tiles span all 10 cell
-                # types, so the fold's result can be fractional; it is an
-                # elementwise-derived exact double (not a sum), stable
-                # across engines and partitionings.
-                "min_min_val": pc.cast(t["min_min_val"], pa.float64()),
-                "max_max_val": pc.cast(t["max_max_val"], pa.float64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_pip_join_cellcover(sf_dir: str):
@@ -1569,8 +1505,7 @@ def q_pip_join_cellcover(sf_dir: str):
     stats = _exploded(sf_dir).map_batches(
         lambda b: stages.decode_stats(b, emit="stats"), batch_format="pyarrow"
     )
-    joined = stages.cell_cover_join(stats, fp_mod.generate_footprints())
-    return joined.groupby("category").count()
+    return _category_counts(stages.cell_cover_join(stats, fp_mod.generate_footprints()))
 
 
 def q_knn_tiles(sf_dir: str):
@@ -1700,42 +1635,43 @@ def q_top_dense_cells(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def q_global_stats(sf_dir: str):
-    """Whole-dataset aggregate (no grouping): Dataset.aggregate with
-    Count/Sum/Min/Max over lineitem (SURVEY.md §2.9 'global stats')."""
-    from ray.data.aggregate import Count, Max, Min, Sum
+def _fold_all(ds, schema: pa.Schema, count: str, ops: dict | None = None) -> pa.Table:
+    """An aggregate without GROUP BY, as SQL answers it: one row, from a
+    ``shuffle.fold`` over one constant key; over no rows ``count`` is 0
+    and every other column NULL."""
+    t = shuffle_mod.fold(
+        ds.map_batches(
+            lambda b: b.append_column("_all", pa.array(np.zeros(b.num_rows, np.int64))),
+            batch_format="pyarrow",
+        ),
+        "_all",
+        pa.schema([("_all", pa.int64()), *schema]),
+        ops,
+    )
+    if t.num_rows:
+        return t.drop_columns(["_all"])
+    return pa.table([pa.array([0 if f.name == count else None], f.type) for f in schema],
+                    schema=schema)
 
+
+def q_global_stats(sf_dir: str):
+    """Whole-dataset aggregate (no grouping): count/sum/min/max over
+    lineitem (SURVEY.md §2.9 'global stats')."""
     ds = _read(sf_dir, "lineitem", columns=["l_quantity", "l_extendedprice"])
 
     def derive(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "qty": pa.array(
-                    _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(
-                        np.int64
-                    )
-                ),
-                "price_c": pa.array(
-                    _half_up(
-                        b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64)
-                ),
-            }
-        )
+        qty = _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        price_c = _half_up(
+            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
+        ).astype(np.int64)
+        return pa.table({"n_rows": np.ones(b.num_rows, np.int64), "sum_qty": qty,
+                         "min_price_c": price_c, "max_price_c": price_c})
 
-    res = ds.map_batches(derive, batch_format="pyarrow").aggregate(
-        Count(),
-        Sum("qty", alias_name="sum_qty"),
-        Min("price_c", alias_name="min_price_c"),
-        Max("price_c", alias_name="max_price_c"),
-    )
-    return pa.table(
-        {
-            "n_rows": pa.array([int(res["count()"])], pa.int64()),
-            "sum_qty": pa.array([int(res["sum_qty"])], pa.int64()),
-            "min_price_c": pa.array([int(res["min_price_c"])], pa.int64()),
-            "max_price_c": pa.array([int(res["max_price_c"])], pa.int64()),
-        }
+    return _fold_all(
+        ds.map_batches(derive, batch_format="pyarrow"),
+        pa.schema(_i64("n_rows", "sum_qty", "min_price_c", "max_price_c")),
+        "n_rows",
+        {"min_price_c": "min", "max_price_c": "max"},
     )
 
 
@@ -1805,7 +1741,6 @@ def q_revenue_by_nation(sf_dir: str):
     """Multi-way broadcast join: orders ⋈ customer ⋈ nation (both small
     sides ride the object store once), grouped revenue per nation."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
@@ -1836,29 +1771,20 @@ def q_revenue_by_nation(sf_dir: str):
             t = pa.table(
                 {
                     "n_name": pa.array(list(nname), pa.string()),
-                    "price_c": pa.array(price_c),
+                    "n_orders": np.ones(b.num_rows, np.int64),
+                    "revenue_c": pa.array(price_c),
                 }
             )
             return t.filter(pc.is_valid(t["n_name"]))
 
-    agg = (
+    return shuffle_mod.fold(
         _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
         .map_batches(stages.broadcast_task(NationJoiner, side_ref),
-                     batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Count(), Sum("price_c", alias_name="revenue_c"))
+                     batch_format="pyarrow"),
+        "n_name",
+        pa.schema([("n_name", pa.string()), *_i64("n_orders", "revenue_c")]),
     )
 
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n_name": t["n_name"],
-                "n_orders": pc.cast(t["count()"], pa.int64()),
-                "revenue_c": pc.cast(t["revenue_c"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 def q_lineitem_pricing(sf_dir: str):
     """TPC-H-Q1-style grouped aggregate with per-row computed columns;
@@ -1949,8 +1875,6 @@ def q_orders_by_segment(sf_dir: str):
 def q_dedup_exact(sf_dir: str):
     """Exact dedup accounting per source: total docs vs distinct texts
     (hash-partitioned distinct — the shuffle moves 16-byte rows)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
     hashed = ds.map_batches(
         lambda b: pa.table(
@@ -1959,25 +1883,25 @@ def q_dedup_exact(sf_dir: str):
                 "content_hash": pa.array(
                     dd.content_hash64(b["text"].to_pylist()), pa.int64()
                 ),
+                "n_docs": np.ones(b.num_rows, np.int64),
             }
         ),
         batch_format="pyarrow",
     )
-    per_hash = hashed.groupby(["source", "content_hash"]).count()
-    agg = per_hash.groupby("source").aggregate(
-        Count(), Sum("count()", alias_name="n_docs")
+    per_hash = shuffle_mod.aggregate(
+        hashed, ["source", "content_hash"],
+        pa.schema([("source", pa.string()), *_i64("content_hash", "n_docs")]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": t["source"],
-                "n_docs": pc.cast(t["n_docs"], pa.int64()),
-                "n_unique_texts": pc.cast(t["count()"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return shuffle_mod.fold(
+        per_hash.map_batches(
+            lambda b: b.append_column(
+                "n_unique_texts", pa.array(np.ones(b.num_rows, np.int64))
+            ),
+            batch_format="pyarrow",
+        ),
+        "source",
+        pa.schema([("source", pa.string()), *_i64("n_docs", "n_unique_texts")]),
+    )
 
 
 def q_token_stats(sf_dir: str):
@@ -1989,8 +1913,6 @@ def q_token_stats(sf_dir: str):
 def _token_stats_over(ds):
     """The token_stats operator chain over any (lang, text) Dataset —
     shared by the parquet and JSONL source variants."""
-    from ray.data.aggregate import Count, Sum
-
     scored = ds.map_batches(
         lambda b: ta.quality_metrics(b, col="text"), batch_format="pyarrow"
     )
@@ -1999,35 +1921,19 @@ def _token_stats_over(ds):
         return pa.table(
             {
                 "lang": b["lang"],
-                "n_tokens": b["n_tokens"],
-                "stopword_hits": b["stopword_hits"],
-                "quality_ok": pc.cast(b["quality_ok"], pa.int64()),
+                "n_docs": np.ones(b.num_rows, np.int64),
+                "total_tokens": b["n_tokens"],
+                "total_stopword_hits": b["stopword_hits"],
+                "n_quality_ok": pc.cast(b["quality_ok"], pa.int64()),
             }
         )
 
-    agg = (
-        scored.map_batches(project, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Count(),
-            Sum("n_tokens", alias_name="total_tokens"),
-            Sum("stopword_hits", alias_name="total_stopword_hits"),
-            Sum("quality_ok", alias_name="n_quality_ok"),
-        )
+    return shuffle_mod.fold(
+        scored.map_batches(project, batch_format="pyarrow"),
+        "lang",
+        pa.schema([("lang", pa.string()),
+                   *_i64("n_docs", "total_tokens", "total_stopword_hits", "n_quality_ok")]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lang": t["lang"],
-                "n_docs": pc.cast(t["count()"], pa.int64()),
-                "total_tokens": pc.cast(t["total_tokens"], pa.int64()),
-                "total_stopword_hits": pc.cast(t["total_stopword_hits"], pa.int64()),
-                "n_quality_ok": pc.cast(t["n_quality_ok"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_lang_id(sf_dir: str):
@@ -2037,24 +1943,15 @@ def q_lang_id(sf_dir: str):
     detected = ds.map_batches(lambda b: ta.lang_id(b, col="text"), batch_format="pyarrow")
 
     def project(b: pa.Table) -> pa.Table:
-        return pa.table({"lang": b["lang"], "lang_detected": b["lang_detected"]})
+        return pa.table({"lang": b["lang"], "lang_detected": b["lang_detected"],
+                         "n_docs": np.ones(b.num_rows, np.int64)})
 
-    agg = (
-        detected.map_batches(project, batch_format="pyarrow")
-        .groupby(["lang", "lang_detected"])
-        .count()
+    return shuffle_mod.fold(
+        detected.map_batches(project, batch_format="pyarrow"),
+        ["lang", "lang_detected"],
+        pa.schema([("lang", pa.string()), ("lang_detected", pa.string()),
+                   ("n_docs", pa.int64())]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lang": t["lang"],
-                "lang_detected": t["lang_detected"],
-                "n_docs": pc.cast(t["count()"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 _EVENT_DAY_SCHEMA = pa.schema(
@@ -2117,11 +2014,15 @@ def q_cohort_retention(sf_dir: str):
         )
 
     o = ds.map_batches(project, batch_format="pyarrow")
-    first = shuffle_mod.salted_aggregate(
-        o, key="ck", mins=["month"], count_alias="n_orders", salt_col="month"
-    ).map_batches(
-        lambda b: pa.table({"ck": b["ck"], "cohort": b["min_month"]}),
-        batch_format="pyarrow",
+    first = shuffle_mod.aggregate(
+        o.map_batches(
+            lambda b: pa.table({"ck": b["ck"], "cohort": b["month"]}),
+            batch_format="pyarrow",
+        ),
+        "ck",
+        pa.schema([("ck", pa.int64()), ("cohort", pa.string())]),
+        {"cohort": "min"},
+        salt_col="cohort",
     )
     joined = hash_join(
         o, first,
@@ -2457,8 +2358,6 @@ def q_normalize_text(sf_dir: str):
     trim), rolled up per source: total cleaned chars + token counts.
     Every kernel is a pyarrow.compute call — zero Python in the loop —
     and each has an exact DuckDB twin (lower / regexp_replace / trim)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
 
     def normalize(b: pa.Table) -> pa.Table:
@@ -2471,28 +2370,18 @@ def q_normalize_text(sf_dir: str):
         return pa.table(
             {
                 "source": b["source"],
-                "n_chars_clean": pc.cast(pc.utf8_length(cleaned), pa.int64()),
-                "n_tokens_clean": pc.cast(toks, pa.int64()),
+                "n_docs": np.ones(b.num_rows, np.int64),
+                "total_chars_clean": pc.cast(pc.utf8_length(cleaned), pa.int64()),
+                "total_tokens_clean": pc.cast(toks, pa.int64()),
             }
         )
 
-    agg = ds.map_batches(normalize, batch_format="pyarrow").groupby("source").aggregate(
-        Count(),
-        Sum("n_chars_clean", alias_name="total_chars_clean"),
-        Sum("n_tokens_clean", alias_name="total_tokens_clean"),
+    return shuffle_mod.fold(
+        ds.map_batches(normalize, batch_format="pyarrow"),
+        "source",
+        pa.schema([("source", pa.string()),
+                   *_i64("n_docs", "total_chars_clean", "total_tokens_clean")]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": t["source"],
-                "n_docs": pc.cast(t["count()"], pa.int64()),
-                "total_chars_clean": pc.cast(t["total_chars_clean"], pa.int64()),
-                "total_tokens_clean": pc.cast(t["total_tokens_clean"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_sample_lineitem(sf_dir: str):
@@ -2501,8 +2390,6 @@ def q_sample_lineitem(sf_dir: str):
     falls under the rate. Reproducible across engines (SQL-identical
     arithmetic), under retries, and across partitionings — no RNG
     state anywhere."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber", "l_quantity"])
 
     def sample(b: pa.Table) -> pa.Table:
@@ -2510,25 +2397,14 @@ def q_sample_lineitem(sf_dir: str):
             b["l_linenumber"], pa.int64()
         ).to_numpy(zero_copy_only=False)
         keep = (key * 2654435761) % 97 < 10
-        t = pa.table(
-            {
-                "qty": pa.array(
-                    _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(
-                        np.int64
-                    )
-                ),
-            }
-        )
+        qty = _half_up(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        t = pa.table({"n_sampled": np.ones(b.num_rows, np.int64), "sum_qty": qty})
         return t.filter(pa.array(keep))
 
-    res = ds.map_batches(sample, batch_format="pyarrow").aggregate(
-        Count(), Sum("qty", alias_name="sum_qty")
-    )
-    return pa.table(
-        {
-            "n_sampled": pa.array([int(res["count()"])], pa.int64()),
-            "sum_qty": pa.array([int(res["sum_qty"])], pa.int64()),
-        }
+    return _fold_all(
+        ds.map_batches(sample, batch_format="pyarrow"),
+        pa.schema(_i64("n_sampled", "sum_qty")),
+        "n_sampled",
     )
 
 
@@ -2537,34 +2413,31 @@ def q_fingerprint_docs(sf_dir: str):
     distinct fingerprints (oracle-checked: the rolling polynomial hash
     in HUGEINT SQL; determinism pinned in tests)."""
     ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"])
-    # Carry the hash as the int64 BIT PATTERN of the uint64 fingerprint:
-    # Ray 2.49 groupby re-materializes key values as Python ints and Arrow
-    # infers int64, so raw uint64 keys > 2^63 overflow and fall back to
-    # pickled object blocks (no zero-copy). Same bits, shuffle-safe dtype.
     fp = ds.map_batches(
         lambda b: pa.table(
             {
                 "source": b["source"],
-                "fingerprint": pa.array(
-                    ta.fingerprint64(b["text"].to_pylist()).view(np.int64),
-                    pa.int64(),
-                ),
+                "fingerprint": pa.array(ta.fingerprint64(b["text"].to_pylist()), pa.uint64()),
+                "n_docs": np.ones(b.num_rows, np.int64),
             }
         ),
         batch_format="pyarrow",
     )
-    per = fp.groupby(["source", "fingerprint"]).count()
-    agg = per.groupby("source").count()
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": t["source"],
-                "n_fingerprints": pc.cast(t["count()"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    per = shuffle_mod.aggregate(
+        fp, ["source", "fingerprint"],
+        pa.schema([("source", pa.string()), ("fingerprint", pa.uint64()),
+                   ("n_docs", pa.int64())]),
+    )
+    # one row per distinct fingerprint: the per-source count sums ones
+    return shuffle_mod.fold(
+        per.map_batches(
+            lambda b: pa.table({"source": b["source"],
+                                "n_fingerprints": np.ones(b.num_rows, np.int64)}),
+            batch_format="pyarrow",
+        ),
+        "source",
+        pa.schema([("source", pa.string()), ("n_fingerprints", pa.int64())]),
+    )
 
 
 def q_media_features(sf_dir: str):
@@ -2862,15 +2735,19 @@ def q_events_rolling7(sf_dir: str):
             {
                 "event_type": b["event_type"],
                 "day": pc.strftime(b["ts"], format="%Y-%m-%d"),
+                "n_events": np.ones(b.num_rows, np.int64),
             }
         )
 
-    daily = ds.map_batches(day_of, batch_format="pyarrow").groupby(
-        ["event_type", "day"]
-    ).count()
+    daily = shuffle_mod.fold(
+        ds.map_batches(day_of, batch_format="pyarrow"),
+        ["event_type", "day"],
+        pa.schema([("event_type", pa.string()), ("day", pa.string()),
+                   ("n_events", pa.int64())]),
+    )
 
     def rolling(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().rename(columns={"count()": "n_events"})
+        df = t.to_pandas()
         df["_d"] = pd.to_datetime(df["day"])
         df = df.sort_values(["event_type", "_d"], kind="stable")
         out = []
@@ -2883,10 +2760,9 @@ def q_events_rolling7(sf_dir: str):
             g["n_events_7d"] = csum[np.arange(len(d)) + 1] - csum[lo]
             out.append(g)
         res = pd.concat(out)[["event_type", "day", "n_events", "n_events_7d"]]
-        res["n_events"] = res["n_events"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(res)
 
-    return daily.repartition(1).map_batches(rolling, batch_format="pyarrow", batch_size=None)
+    return rolling(daily)
 
 
 def q_distinct_custs(sf_dir: str):
@@ -2898,17 +2774,7 @@ def q_distinct_custs(sf_dir: str):
     ds = _read(
         sf_dir, "orders", SMALL_TABLE_BLOCKS, columns=["o_orderpriority", "o_custkey"]
     )
-    out = distinct_count(ds, "o_orderpriority", "o_custkey", alias="n_custs")
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderpriority": t["o_orderpriority"],
-                "n_custs": pc.cast(t["n_custs"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return distinct_count(ds, "o_orderpriority", "o_custkey", alias="n_custs")
 
 
 def q_top_parts_by_brand(sf_dir: str):
@@ -2962,8 +2828,6 @@ def q_priority_revenue(sf_dir: str):
     — and a per-batch partial aggregate after the join shrinks the
     final groupby's exchange from 580 k rows to blocks × 5 partials
     (whole query 3.5 s → 1.3 s at sf0.1/32 CPUs)."""
-    from ray.data.aggregate import Sum
-
     from raycells.engine.joins import hash_join
     from raycells.engine.shuffle import from_pandas_clean
 
@@ -2997,40 +2861,15 @@ def q_priority_revenue(sf_dir: str):
         keep_right=["o_orderpriority"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "o_orderpriority": b["o_orderpriority"].to_numpy(
-                    zero_copy_only=False
-                ),
-                "price_c": b["price_c"].to_numpy(),
-                "n_items": b["n_items"].to_numpy(),
-            }
-        )
-        out = df.groupby("o_orderpriority", sort=False).agg(
-            revenue_c=("price_c", "sum"), n_items=("n_items", "sum")
-        )
-        return from_pandas_clean(out.reset_index())
-
-    agg = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(
-            Sum("n_items", alias_name="n_items"),
-            Sum("revenue_c", alias_name="revenue_c"),
-        )
+    return shuffle_mod.fold(
+        joined.map_batches(
+            lambda b: pa.table({"o_orderpriority": b["o_orderpriority"],
+                                "n_items": b["n_items"], "revenue_c": b["price_c"]}),
+            batch_format="pyarrow",
+        ),
+        "o_orderpriority",
+        pa.schema([("o_orderpriority", pa.string()), *_i64("n_items", "revenue_c")]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderpriority": t["o_orderpriority"],
-                "n_items": pc.cast(t["n_items"], pa.int64()),
-                "revenue_c": pc.cast(t["revenue_c"], pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_approx_distinct_custs(sf_dir: str):
@@ -3070,24 +2909,15 @@ def q_customers_no_orders(sf_dir: str):
         def __call__(self, b: pa.Table) -> pa.Table:
             ck = b["c_custkey"].to_numpy(zero_copy_only=False)
             keep = ~np.isin(ck, self.keys)
-            return b.filter(pa.array(keep))
+            return pa.table({"c_mktsegment": b["c_mktsegment"],
+                             "n_customers": np.ones(b.num_rows, np.int64)}).filter(pa.array(keep))
 
-    out = (
+    return shuffle_mod.fold(
         _read(sf_dir, "customer", SMALL_TABLE_BLOCKS, columns=["c_custkey", "c_mktsegment"])
-        .map_batches(stages.broadcast_task(AntiJoin, ref), batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .count()
+        .map_batches(stages.broadcast_task(AntiJoin, ref), batch_format="pyarrow"),
+        "c_mktsegment",
+        pa.schema([("c_mktsegment", pa.string()), ("n_customers", pa.int64())]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": t["c_mktsegment"],
-                "n_customers": pc.cast(t["count()"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
 
 
 def q_stratified_sample(sf_dir: str):
@@ -3134,7 +2964,7 @@ def q_tfidf_terms(sf_dir: str):
     ``tfidf_e6 = tf × (N·10⁶ // df)`` — every factor an exact integer,
     so the ranking is reproducible in SQL with no float anywhere.
     Shape at scale: per-doc term counts are batch-local (no exchange);
-    document frequency is ONE coarse-bucket salted aggregate over
+    document frequency is ONE driver fold (``shuffle.fold``) over
     (token, doc) pairs; the resulting vocabulary table is the canonical
     broadcast small side (``ray.put`` once, read per worker — swap in a
     co-partitioned join when the vocabulary outgrows broadcast); per-doc
@@ -3170,8 +3000,13 @@ def q_tfidf_terms(sf_dir: str):
     pairs = ds.map_batches(doc_term_counts, batch_format="pyarrow").materialize()
     # df(token): pairs are per-doc distinct, so a row count per token IS
     # the document frequency; vocabulary-sized result
-    vocab = shuffle_mod.salted_aggregate(
-        pairs, key="token", count_alias="df", salt_col="doc_key"
+    vocab = shuffle_mod.fold(
+        pairs.map_batches(
+            lambda b: pa.table({"token": b["token"], "df": np.ones(b.num_rows, np.int64)}),
+            batch_format="pyarrow",
+        ),
+        "token",
+        pa.schema([("token", pa.string()), ("df", pa.int64())]),
     ).to_pandas()
     ref = ray.put(
         {
@@ -3345,10 +3180,15 @@ def q_incremental_dedup(sf_dir: str):
 
     bm = bloom_build(incoming, "bkey")
     base_hits = bloom_prune(base, bm, "bkey")
-    base_agg = shuffle_mod.salted_aggregate(
-        base_hits,
-        key="chunk_hash",
-        count_alias="n_base_copies",
+    base_agg = shuffle_mod.aggregate(
+        base_hits.map_batches(
+            lambda b: b.append_column(
+                "n_base_copies", pa.array(np.ones(b.num_rows, np.int64))
+            ),
+            batch_format="pyarrow",
+        ),
+        "chunk_hash",
+        pa.schema(_i64("chunk_hash", "n_base_copies")),
         salt_col="doc_key",
     )
     return hash_join(
@@ -3498,31 +3338,17 @@ def q_range_partition(sf_dir: str, n_parts: int = 16, sample_mod: int = 97):
         kc = b["key_c"].to_numpy(zero_copy_only=False)
         pid = np.searchsorted(spl, kc, side="right").astype(np.int64)
         return pa.table(
-            {"pid": pa.array(pid), "key_c": b["key_c"], "l_orderkey": b["l_orderkey"]}
+            {"partition_id": pa.array(pid), "n_rows": np.ones(b.num_rows, np.int64),
+             "sum_key_c": kc, "min_key_c": kc, "max_key_c": kc}
         )
 
-    agg = shuffle_mod.salted_aggregate(
+    # n_parts partitions: a driver fold
+    return shuffle_mod.fold(
         narrow.map_batches(assign, batch_format="pyarrow"),
-        key="pid",
-        sums=("key_c",),
-        mins=("key_c",),
-        maxs=("key_c",),
-        count_alias="n_rows",
-        salt_col="l_orderkey",
+        "partition_id",
+        pa.schema(_i64("partition_id", "n_rows", "sum_key_c", "min_key_c", "max_key_c")),
+        {"min_key_c": "min", "max_key_c": "max"},
     )
-
-    def rename(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "partition_id": b["pid"],
-                "n_rows": b["n_rows"],
-                "sum_key_c": b["sum_key_c"],
-                "min_key_c": b["min_key_c"],
-                "max_key_c": b["max_key_c"],
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow")
 
 
 def q_paragraph_dedup(sf_dir: str):
@@ -4316,6 +4142,19 @@ def q_grouped_quantiles(sf_dir: str):
     )
 
 
+def _ranked_counts(parts, key: str):
+    """Total ``n`` per string ``key`` over per-batch ``np.unique`` count
+    partials (unsalted: the partials are already one row per key per
+    batch), plus the constant ``_g`` group a global ``grouped_topk``
+    ranks in."""
+    return shuffle_mod.aggregate(
+        parts, key, pa.schema([(key, pa.string()), ("n", pa.int64())]), salt=1
+    ).map_batches(
+        lambda b: b.append_column("_g", pa.array(np.zeros(b.num_rows, np.int64))),
+        batch_format="pyarrow",
+    )
+
+
 def q_top_bigrams(sf_dir: str):
     """Token-bigram counts — n-gram LM statistics over the corpus: the
     top 20 bigrams by (count DESC, bigram ASC). Bigram extraction is one
@@ -4341,22 +4180,7 @@ def q_top_bigrams(sf_dir: str):
             {"bigram": pa.array(vals), "n": pa.array(n.astype(np.int64))}
         )
 
-    counted = shuffle_mod.salted_aggregate(
-        ds.map_batches(bigrams, batch_format="pyarrow"),
-        key="bigram",
-        sums=["n"],
-        count_alias="_nb",
-        salt=1,
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "bigram": b["bigram"],
-                "n": pc.cast(b["sum_n"], pa.int64()),
-                "_g": pa.array(np.zeros(b.num_rows, np.int64)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    counted = _ranked_counts(ds.map_batches(bigrams, batch_format="pyarrow"), "bigram")
     out = grouped_topk(counted, "_g", 20, "n", "bigram", ascending=(False, True))
     return out.map_batches(
         lambda b: b.select(["bigram", "n", "rank"]), batch_format="pyarrow"
@@ -4387,22 +4211,7 @@ def q_vocab_coverage(sf_dir: str, v: int = 16):
             {"token": pa.array(vals), "n": pa.array(n.astype(np.int64))}
         )
 
-    counted = shuffle_mod.salted_aggregate(
-        ds.map_batches(tokens, batch_format="pyarrow"),
-        key="token",
-        sums=["n"],
-        count_alias="_nb",
-        salt=1,
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "token": b["token"],
-                "n": pc.cast(b["sum_n"], pa.int64()),
-                "_g": pa.array(np.zeros(b.num_rows, np.int64)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    counted = _ranked_counts(ds.map_batches(tokens, batch_format="pyarrow"), "token")
     top = grouped_topk(counted, "_g", v, "n", "token", ascending=(False, True))
     vocab = np.sort(
         pa.concat_tables(
@@ -4467,22 +4276,7 @@ def q_cms_heavy_hitters(sf_dir: str):
 
     cms_ref = cms_build(ds, fps_fn, w=16)
 
-    counted = shuffle_mod.salted_aggregate(
-        ds.map_batches(unigrams, batch_format="pyarrow"),
-        key="token",
-        sums=["n"],
-        count_alias="_nb",
-        salt=1,
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "token": b["token"],
-                "n": pc.cast(b["sum_n"], pa.int64()),
-                "_g": pa.array(np.zeros(b.num_rows, np.int64)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    counted = _ranked_counts(ds.map_batches(unigrams, batch_format="pyarrow"), "token")
     top = grouped_topk(counted, "_g", 20, "n", "token", ascending=(False, True))
     tt = pa.concat_tables(ray_get_tables(top)).select(["token", "n", "rank"])
     cms = ray.get(cms_ref)
@@ -4768,23 +4562,20 @@ def q_token_cooccurrence(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
     # The partial stream is vocab²-bounded (≤ a few hundred rows per
-    # batch here), so a plain multi-key groupby is the right exchange —
-    # no salting needed when the map side already collapsed the data.
-    merged = (
-        ds.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby(["tok_a", "tok_b"])
-        .aggregate(Sum("n", alias_name="sum_n"))
-        .to_pandas()
-    )
+    # batch here) and is collected for scoring: a driver fold, no
+    # exchange and no salt.
+    merged = shuffle_mod.fold(
+        ds.map_batches(pair_partials, batch_format="pyarrow"),
+        ["tok_a", "tok_b"],
+        pa.schema([("tok_a", pa.string()), ("tok_b", pa.string()), ("n", pa.int64())]),
+    ).to_pandas()
     diag = merged[merged["tok_a"] == merged["tok_b"]]
-    df_map = dict(zip(diag["tok_a"], diag["sum_n"].astype(np.int64)))
+    df_map = dict(zip(diag["tok_a"], diag["n"]))
     pairs = merged[merged["tok_a"] != merged["tok_b"]].copy()
     df_a = pairs["tok_a"].map(df_map).to_numpy(np.int64)
     df_b = pairs["tok_b"].map(df_map).to_numpy(np.int64)
-    n_both = pairs["sum_n"].to_numpy(np.int64)
+    n_both = pairs["n"].to_numpy(np.int64)
     if n_docs > 3_000_000:
         # n_both·N·10⁶ exceeds int64 once N ≳ 3e6 (numpy would WRAP
         # silently where the SQL BIGINT multiply throws) — route the
@@ -4818,8 +4609,8 @@ def q_customer_order_profile(sf_dir: str):
     order count and exact total spend in cents; customers with no orders
     are RETAINED with null-filled right columns (hash_join's
     how="left" pandas merge), zero-filled here. Shape at scale: the
-    per-custkey order rollup is the shared two-stage salted_aggregate
-    (map-side partials → one coarse-bucket merge exchange), and the join
+    per-custkey order rollup is a ``shuffle.aggregate`` (map-side
+    partials → one coarse-bucket merge exchange), and the join
     itself is the tagged-union co-partition — no side is broadcast, no
     row stream crosses the driver; only the customer-sized result
     does."""
@@ -4834,14 +4625,14 @@ def q_customer_order_profile(sf_dir: str):
             b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         return pa.table(
-            {"o_custkey": b["o_custkey"], "price_c": pa.array(price_c)}
+            {"o_custkey": b["o_custkey"], "n_orders": np.ones(b.num_rows, np.int64),
+             "sum_price_c": pa.array(price_c)}
         )
 
-    per_cust = shuffle_mod.salted_aggregate(
+    per_cust = shuffle_mod.aggregate(
         orders.map_batches(derive, batch_format="pyarrow"),
-        key="o_custkey",
-        sums=("price_c",),
-        count_alias="n_orders",
+        "o_custkey",
+        pa.schema(_i64("o_custkey", "n_orders", "sum_price_c")),
     )
     cust = _read(
         sf_dir, "customer", SMALL_TABLE_BLOCKS, columns=["c_custkey", "c_mktsegment"]
@@ -5038,7 +4829,7 @@ def q_customer_set_ops(sf_dir: str):
     complement in one pass: customers who ordered in BOTH 1996 and 1999,
     only one, or neither, rolled up per market segment. Shape at scale:
     each batch collapses map-side to per-custkey 0/1 flags (MAX is the
-    set-membership combiner), the shared salted_aggregate merges flags
+    set-membership combiner), a ``shuffle.aggregate`` merges flags
     per key, the LEFT hash join carries the full customer set (the
     'neither' complement needs outer semantics), and the per-segment
     rollup is a driver fold (``shuffle.fold``)."""
@@ -5064,11 +4855,11 @@ def q_customer_set_ops(sf_dir: str):
             }
         )
 
-    per_cust = shuffle_mod.salted_aggregate(
+    per_cust = shuffle_mod.aggregate(
         orders.map_batches(flags, batch_format="pyarrow"),
-        key="o_custkey",
-        maxs=("in_a", "in_b"),
-        count_alias="_n",
+        "o_custkey",
+        pa.schema(_i64("o_custkey", "in_a", "in_b")),
+        {"in_a": "max", "in_b": "max"},
     )
     cust = _read(
         sf_dir, "customer", SMALL_TABLE_BLOCKS, columns=["c_custkey", "c_mktsegment"]
@@ -5079,13 +4870,13 @@ def q_customer_set_ops(sf_dir: str):
         key_left="c_custkey",
         key_right="o_custkey",
         keep_left=["c_mktsegment"],
-        keep_right=["max_in_a", "max_in_b"],
+        keep_right=["in_a", "in_b"],
         how="left",
     )
 
     def rollup(t: pa.Table) -> pa.Table:
-        a = pc.fill_null(t["max_in_a"], 0).to_numpy(zero_copy_only=False) == 1
-        b = pc.fill_null(t["max_in_b"], 0).to_numpy(zero_copy_only=False) == 1
+        a = pc.fill_null(t["in_a"], 0).to_numpy(zero_copy_only=False) == 1
+        b = pc.fill_null(t["in_b"], 0).to_numpy(zero_copy_only=False) == 1
         return pa.table(
             {
                 "c_mktsegment": t["c_mktsegment"],
@@ -5378,10 +5169,11 @@ def q_funnel_coverage(sf_dir: str):
             uid = pc.cast(sub["user_id"], pa.int64()).to_numpy(
                 zero_copy_only=False
             )
-            return pa.table({"k": pa.array(uid * (1 << 20) + d)})
+            return pa.table({"k": pa.array(uid * (1 << 20) + d),
+                             alias: np.ones(sub.num_rows, np.int64)})
 
         proj = ds.map_batches(project, batch_format="pyarrow")
-        return shuffle_mod.salted_aggregate(proj, key="k", count_alias=alias)
+        return shuffle_mod.aggregate(proj, "k", pa.schema(_i64("k", alias)))
 
     joined = hash_join(
         side("click", "n_clicks"),
@@ -5627,9 +5419,10 @@ def q_pmi_collocations(sf_dir: str, min_count: int = 3, k: int = 30):
     (pmi_e6 DESC, tok_a, tok_b) among bigrams seen ≥ ``min_count``.
 
     Shape at scale: bigram and unigram counting are the top_bigrams
-    recipe — per-batch np.unique partials, ONE salted exchange each;
-    both totals (N_uni, N_big) fold from the aggregates themselves, so
-    no extra pass. Scoring runs on the vocabulary-sized aggregate (the
+    recipe — per-batch np.unique partials, then a driver fold each
+    (the aggregates are collected for scoring anyway); both totals
+    (N_uni, N_big) fold from the aggregates themselves, so no extra
+    pass. Scoring runs on the vocabulary-sized aggregate (the
     min-count filter is applied first); for an open web vocabulary,
     rank on the distributed aggregate with grouped_topk over a
     float prefilter and exact-rescore the survivors."""
@@ -5656,20 +5449,19 @@ def q_pmi_collocations(sf_dir: str, min_count: int = 3, k: int = 30):
             {"bigram": pa.array(vals), "n": pa.array(n.astype(np.int64))}
         )
 
-    uni = shuffle_mod.salted_aggregate(
-        ds.map_batches(unigrams, batch_format="pyarrow"),
-        key="tok", sums=["n"], count_alias="_nb", salt=1,
-    ).to_pandas()
-    big = shuffle_mod.salted_aggregate(
-        ds.map_batches(bigrams, batch_format="pyarrow"),
-        key="bigram", sums=["n"], count_alias="_nb", salt=1,
-    ).to_pandas()
+    uni, big = (
+        shuffle_mod.fold(
+            ds.map_batches(fn, batch_format="pyarrow"), key,
+            pa.schema([(key, pa.string()), ("n", pa.int64())]),
+        ).to_pandas()
+        for fn, key in ((unigrams, "tok"), (bigrams, "bigram"))
+    )
 
-    n_uni = int(uni["sum_n"].sum())  # total token positions
-    n_big = int(big["sum_n"].sum())  # total bigram positions
-    uni_map = dict(zip(uni["tok"], uni["sum_n"].astype(np.int64)))
+    n_uni = int(uni["n"].sum())  # total token positions
+    n_big = int(big["n"].sum())  # total bigram positions
+    uni_map = dict(zip(uni["tok"], uni["n"]))
 
-    cand = big[big["sum_n"] >= min_count].copy()
+    cand = big[big["n"] >= min_count].copy()
     if not len(cand):  # expand=True on an empty Series yields 0 columns
         return pa.table(
             {
@@ -5683,7 +5475,7 @@ def q_pmi_collocations(sf_dir: str, min_count: int = 3, k: int = 30):
             }
         )
     toks = cand["bigram"].str.split(" ", n=1, expand=True)
-    n_xy = cand["sum_n"].to_numpy(np.int64)
+    n_xy = cand["n"].to_numpy(np.int64)
     n_a = toks[0].map(uni_map).to_numpy(np.int64)
     n_b = toks[1].map(uni_map).to_numpy(np.int64)
     # exact full-precision floor — Python bigints (n_xy·N² ≥ 2^63 once
@@ -6596,7 +6388,7 @@ def q_bpe_merges(sf_dir: str, k: int = 8):
 
     Shape at scale: this is how real BPE trainers run — the corpus
     pass is ONE distributed word-count aggregate (per-batch np.unique
-    partials, one salted exchange); the merge loop then iterates on
+    partials, one driver fold); the merge loop then iterates on
     the VOCABULARY-sized (word, freq) table, never on corpus rows
     (driver-held here; at open-web vocab scale each count step is one
     more tiny exchange over the same table). Oracle: k unrolled
@@ -6613,9 +6405,10 @@ def q_bpe_merges(sf_dir: str, k: int = 8):
              "n": pa.array(n.astype(np.int64))}
         )
 
-    wf = shuffle_mod.salted_aggregate(
+    wf = shuffle_mod.fold(
         ds.map_batches(word_counts, batch_format="pyarrow"),
-        key="word", sums=["n"], count_alias="_nb", salt=1,
+        "word",
+        pa.schema([("word", pa.string()), ("n", pa.int64())]),
     ).to_pandas()
     # Symbol sequences encoded as '\x02sym ' units: the \x02 start
     # marker anchors every merge-pattern match to a symbol BOUNDARY —
@@ -6626,7 +6419,7 @@ def q_bpe_merges(sf_dir: str, k: int = 8):
     def encode(word: str) -> str:
         return "".join(f"\x02{c} " for c in word)
 
-    seqs = {encode(w): int(n) for w, n in zip(wf["word"], wf["sum_n"])}
+    seqs = {encode(w): int(n) for w, n in zip(wf["word"], wf["n"])}
 
     out = {"step": [], "pair": [], "merged": [], "n": []}
     for step in range(1, k + 1):  # k merge steps over the VOCAB table
@@ -6770,20 +6563,18 @@ def q_join_size_estimate(sf_dir: str):
     A, B = ray.get(ca), ray.get(cb)
     dots = (A * B).sum(axis=1).astype(np.int64)
 
-    def keyed(col):
-        def fn(b: pa.Table) -> pa.Table:
-            return pa.table({"k": pc.cast(b[col], pa.int64())})
+    def counts(ds, col, alias):
+        return shuffle_mod.aggregate(
+            ds.map_batches(
+                lambda b: pa.table({"k": pc.cast(b[col], pa.int64()),
+                                    alias: np.ones(b.num_rows, np.int64)}),
+                batch_format="pyarrow",
+            ),
+            "k", pa.schema(_i64("k", alias)), salt=1,
+        )
 
-        return fn
-
-    na = shuffle_mod.salted_aggregate(
-        ev.map_batches(keyed("user_id"), batch_format="pyarrow"),
-        key="k", count_alias="n_a", salt=1,
-    )
-    nb = shuffle_mod.salted_aggregate(
-        od.map_batches(keyed("o_custkey"), batch_format="pyarrow"),
-        key="k", count_alias="n_b", salt=1,
-    )
+    na = counts(ev, "user_id", "n_a")
+    nb = counts(od, "o_custkey", "n_b")
     joined = hash_join(
         na, nb, key_left="k", key_right="k",
         keep_left=["n_a"], keep_right=["n_b"],
@@ -7118,23 +6909,22 @@ def q_hexbin_density(sf_dir: str):
         return pa.table(
             {
                 "hexkey": pa.array(hexkey),
-                "x": pa.array(x),
-                "y": pa.array(y),
+                "n_points": np.ones(b.num_rows, np.int64),
+                "sum_x": pa.array(x),
+                "sum_y": pa.array(y),
                 "doc_id": b["doc_id"],
             }
         )
 
-    agg = shuffle_mod.salted_aggregate(
+    agg = shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(assign, batch_format="pyarrow"),
-        key="hexkey",
-        sums=("x", "y"),
-        count_alias="n_points",
-        salt_col="doc_id",
+        "hexkey",
+        pa.schema(_i64("hexkey", "n_points", "sum_x", "sum_y")),
     )
 
     def finalize(b: pa.Table) -> pa.Table:
         hexkey = b["hexkey"].to_numpy(zero_copy_only=False)
-        n = b["n_points"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = b["n_points"].to_numpy(zero_copy_only=False)
         tag = hexkey >> 40
         hi = (hexkey >> 20) & ((1 << 20) - 1)
         hj = hexkey & ((1 << 20) - 1)
@@ -7169,15 +6959,12 @@ def q_copurchase_pairs(sf_dir: str):
     cross product); pair generation is a k_max-pass VECTORIZED
     diagonal-offset scan over the bucket-sorted array (no per-order
     Python loop); exchange 2 moves only per-bucket PARTIAL pair counts
-    through the salted aggregate, so bytes shuffled are O(buckets ×
+    through ``shuffle.aggregate``, so bytes shuffled are O(buckets ×
     distinct pairs), and the HAVING ≥ 2 filter runs post-merge."""
-    agg = shuffle_mod.salted_aggregate(
-        _order_pair_partials(sf_dir), key="pairkey", sums=("n",),
-        count_alias="_nparts", salt_col="pairkey",
-    )
+    agg = _copurchase_pairkeys(sf_dir)
 
     def finalize(b: pa.Table) -> pa.Table:
-        n = b["sum_n"].to_numpy(zero_copy_only=False)
+        n = b["n"].to_numpy(zero_copy_only=False)
         keep = n >= 2
         k = b["pairkey"].to_numpy(zero_copy_only=False)[keep]
         return pa.table(
@@ -7191,10 +6978,12 @@ def q_copurchase_pairs(sf_dir: str):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def _order_pair_partials(sf_dir: str):
-    """Per-bucket PARTIAL co-purchase pair counts (pairkey, n) — the
-    shared stage-1 of copurchase_pairs and pagerank_parts. Exchange 1
-    co-locates (order, part) rows by a coarse ORDER bucket; pair
+def _copurchase_pairkeys(sf_dir: str):
+    """DISTINCT co-purchase pairkey Dataset (the undirected edge set,
+    with each pair's order count ``n``) — the shared base of
+    copurchase_pairs, top_copurchases, pagerank_parts and
+    triangle_count. Exchange 1 co-locates (order, part) rows by a
+    coarse ORDER bucket and emits per-bucket partial pair counts; pair
     generation is a k_max-pass vectorized diagonal-offset scan over the
     bucket-sorted array (baskets hold ≤ 7 lines, so the expansion is
     bounded by Σ k²/2 — no per-order Python loop anywhere). The read
@@ -7237,33 +7026,11 @@ def _order_pair_partials(sf_dir: str):
         part["n"] = part["n"].astype(np.int64)
         return shuffle_mod.from_pandas_clean(part)
 
-    partials = shuffle_mod.bucket_reduce(ds, "l_orderkey", pairs)
-    return partials
-
-_PAIRKEY_CACHE: dict = {}
-
-
-def _copurchase_pairkeys(sf_dir: str, cache: bool = True):
-    """DISTINCT co-purchase pairkey Dataset (the undirected edge set) —
-    the shared base of pagerank_parts and triangle_count. With
-    ``cache`` returns a MATERIALIZED single-entry-cached Dataset (the
-    _CELL_BASE_CACHE pattern: derived graph queries reuse one build;
-    copurchase_pairs itself keeps its own counting aggregate so its
-    bench timing measures the real pipeline)."""
-    if cache:
-        hit = _PAIRKEY_CACHE.get(sf_dir)
-        if hit is not None:
-            return hit
-    out = shuffle_mod.salted_aggregate(
-        _order_pair_partials(sf_dir), key="pairkey", sums=(),
-        count_alias="_n", salt_col="pairkey",
+    # exchange 2: the partial counts summed per pair
+    return shuffle_mod.aggregate(
+        shuffle_mod.bucket_reduce(ds, "l_orderkey", pairs),
+        "pairkey", pa.schema(_i64("pairkey", "n")),
     )
-    if not cache:
-        return out
-    out = out.materialize()
-    _PAIRKEY_CACHE.clear()
-    _PAIRKEY_CACHE[sf_dir] = out
-    return out
 
 
 def q_pagerank_parts(sf_dir: str):
@@ -7719,22 +7486,20 @@ def q_cell_band_delta(sf_dir: str):
                 "grid_cell": pa.array(
                     cellid.grid_cell(lon, lat), pa.int64()
                 ),
-                "valid_count": pa.array(st["valid_count"], pa.int64()),
-                "sum_delta": pa.array(st["sum_delta"], pa.int64()),
-                "min_delta": pa.array(st["min_delta"], pa.int64()),
-                "max_delta": pa.array(st["max_delta"], pa.int64()),
+                "n_tiles": np.ones(b.num_rows, np.int64),
+                "sum_valid_count": pa.array(st["valid_count"], pa.int64()),
+                "sum_sum_delta": pa.array(st["sum_delta"], pa.int64()),
+                "min_min_delta": pa.array(st["min_delta"], pa.int64()),
+                "max_max_delta": pa.array(st["max_delta"], pa.int64()),
             }
         )
 
-    tiles = _exploded(sf_dir).map_batches(delta, batch_format="pyarrow")
-    return shuffle_mod.salted_aggregate(
-        tiles,
-        key="grid_cell",
-        sums=("valid_count", "sum_delta"),
-        mins=("min_delta",),
-        maxs=("max_delta",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
+    return shuffle_mod.aggregate(
+        _exploded(sf_dir).map_batches(delta, batch_format="pyarrow"),
+        "grid_cell",
+        pa.schema(_i64("grid_cell", "n_tiles", "sum_valid_count", "sum_sum_delta",
+                       "min_min_delta", "max_max_delta")),
+        {"min_min_delta": "min", "max_max_delta": "max"},
     )
 
 
@@ -7748,8 +7513,8 @@ def q_zonal_histogram(sf_dir: str):
     Shape at scale: the per-tile histogram collapses 64 pixels into 9
     int64 columns map-side; the broadcast PIP task stage tags tiles
     with their containing footprints (rings ray.put once, memoized per
-    worker); ONE salted aggregate sums per-zone — histogram rows, never
-    pixels, cross the exchange."""
+    worker); ONE driver fold sums per-zone — histogram rows, never
+    pixels, leave the map side."""
     from raycells.io import tilestore
 
     WINDOW, WSIZE = (0, 0), (8, 8)
@@ -7768,31 +7533,20 @@ def q_zonal_histogram(sf_dir: str):
             for j, hc in enumerate(hcols)
         }
         lon, lat = tilestore.centroids(seeds)
-        t = {"doc_id": b["doc_id"]}
-        t.update({k: pa.array(vv) for k, vv in cols.items()})
-        t["n_nodata"] = pa.array(nod)
+        t = {"n_tiles": np.ones(b.num_rows, np.int64)}
+        t.update({f"sum_{k}": pa.array(vv) for k, vv in cols.items()})
+        t["sum_n_nodata"] = pa.array(nod)
         t["lon"] = pa.array(lon, pa.float64())
         t["lat"] = pa.array(lat, pa.float64())
         return pa.table(t)
 
     hists = _exploded(sf_dir).map_batches(tile_hists, batch_format="pyarrow")
-    joined = pl.join_stage(hists)
-    agg = shuffle_mod.salted_aggregate(
-        joined,
-        key="footprint_id",
-        sums=tuple(hcols) + ("n_nodata",),
-        count_alias="n_tiles",
+    sums = ["n_tiles", *(f"sum_{hc}" for hc in hcols), "sum_n_nodata"]
+    return shuffle_mod.fold(
+        pl.join_stage(hists),
+        "footprint_id",
+        pa.schema([("footprint_id", pa.string()), *_i64(*sums)]),
     )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        out = {"footprint_id": t["footprint_id"],
-               "n_tiles": pc.cast(t["n_tiles"], pa.int64())}
-        for hc in hcols:
-            out[f"sum_{hc}"] = pc.cast(t[f"sum_{hc}"], pa.int64())
-        out["sum_n_nodata"] = pc.cast(t["sum_n_nodata"], pa.int64())
-        return pa.table(out)
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 class _NearBoundary:
@@ -7972,7 +7726,8 @@ def q_contiguous_regions(sf_dir: str):
     from raycells.geo import cellid
 
     NX = cellid.GRID_NX
-    base = _cell_base_agg(sf_dir)
+    # read twice (edges, then the singleton re-attach): run it once
+    base = _cell_base_agg(sf_dir).materialize()
 
     def fan(b: pa.Table) -> pa.Table:
         gc = b["grid_cell"].to_numpy(zero_copy_only=False)
@@ -8467,24 +8222,23 @@ def q_hist_equalize(sf_dir: str):
             {
                 "doc_id": b["doc_id"],
                 "grid_cell": pa.array(cellid.grid_cell(lon, lat), pa.int64()),
-                "valid_px": pa.array(ok.sum(axis=1).astype(np.int64)),
-                "nodata_px": pa.array((~ok).sum(axis=1).astype(np.int64)),
-                "eq_sum": pa.array(np.where(ok, e, 0).sum(axis=1)),
-                "eq_min": pa.array(
+                "n_tiles": np.ones(b.num_rows, np.int64),
+                "sum_valid_px": pa.array(ok.sum(axis=1).astype(np.int64)),
+                "sum_nodata_px": pa.array((~ok).sum(axis=1).astype(np.int64)),
+                "sum_eq_sum": pa.array(np.where(ok, e, 0).sum(axis=1)),
+                "min_eq_min": pa.array(
                     np.where(ok, e, np.int64(1 << 40)).min(axis=1)
                 ),
-                "eq_max": pa.array(np.where(ok, e, np.int64(-1)).max(axis=1)),
+                "max_eq_max": pa.array(np.where(ok, e, np.int64(-1)).max(axis=1)),
             }
         )
 
-    return shuffle_mod.salted_aggregate(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(remap, batch_format="pyarrow"),
-        key="grid_cell",
-        sums=("valid_px", "nodata_px", "eq_sum"),
-        mins=("eq_min",),
-        maxs=("eq_max",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
+        "grid_cell",
+        pa.schema(_i64("grid_cell", "n_tiles", "sum_valid_px", "sum_nodata_px",
+                       "sum_eq_sum", "min_eq_min", "max_eq_max")),
+        {"min_eq_min": "min", "max_eq_max": "max"},
     )
 
 
@@ -9441,25 +9195,14 @@ def q_footprint_grid_cover(sf_dir: str):
         return pa.table(
             {
                 "grid_cell": pa.array(flat),
-                "one": pa.array(np.ones(flat.size, np.int64)),
+                "n_footprints": pa.array(np.ones(flat.size, np.int64)),
             }
         )
 
-    agg = shuffle_mod.salted_aggregate(
+    return shuffle_mod.aggregate(
         bb.map_batches(fan, batch_format="pyarrow"),
-        key="grid_cell",
-        sums=(),
-        count_alias="n_footprints",
-        salt_col="grid_cell",
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "grid_cell": t["grid_cell"],
-                "n_footprints": pc.cast(t["n_footprints"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+        "grid_cell",
+        pa.schema(_i64("grid_cell", "n_footprints")),
     )
 
 
@@ -9728,13 +9471,10 @@ def q_cf_candidates(sf_dir: str):
         "pk",
         pairs,
     )
-    agg = shuffle_mod.salted_aggregate(
-        partials, key="pairkey", sums=("n",), count_alias="_np",
-        salt_col="pairkey",
-    )
+    agg = shuffle_mod.aggregate(partials, "pairkey", pa.schema(_i64("pairkey", "n")))
 
     def finalize(b: pa.Table) -> pa.Table:
-        n = b["sum_n"].to_numpy(zero_copy_only=False)
+        n = b["n"].to_numpy(zero_copy_only=False)
         keep = n >= THR
         k = b["pairkey"].to_numpy(zero_copy_only=False)[keep]
         return pa.table(
@@ -9971,14 +9711,11 @@ def q_top_copurchases(sf_dir: str):
     ranking exchange."""
     from raycells.engine.joins import grouped_topk
 
-    agg = shuffle_mod.salted_aggregate(
-        _order_pair_partials(sf_dir), key="pairkey", sums=("n",),
-        count_alias="_np", salt_col="pairkey",
-    )
+    agg = _copurchase_pairkeys(sf_dir)
 
     def fan(b: pa.Table) -> pa.Table:
         k = b["pairkey"].to_numpy(zero_copy_only=False)
-        n = b["sum_n"].to_numpy(zero_copy_only=False)
+        n = b["n"].to_numpy(zero_copy_only=False)
         keep = n >= 2
         k, n = k[keep], n[keep]
         p1, p2 = k >> np.int64(32), k & np.int64((1 << 32) - 1)
@@ -10039,22 +9776,24 @@ def q_tile_texture(sf_dir: str):
         sv = np.sort(v, axis=1)
         distinct = 1 + (sv[:, 1:] != sv[:, :-1]).sum(axis=1)
         lon, lat = tilestore.centroids(seeds)
+        distinct = pa.array(distinct.astype(np.int64))
         return pa.table(
             {
                 "doc_id": b["doc_id"],
                 "grid_cell": pa.array(cellid.grid_cell(lon, lat), pa.int64()),
-                "n_distinct": pa.array(distinct.astype(np.int64)),
+                "n_tiles": np.ones(b.num_rows, np.int64),
+                "sum_n_distinct": distinct,
+                "min_n_distinct": distinct,
+                "max_n_distinct": distinct,
             }
         )
 
-    return shuffle_mod.salted_aggregate(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(texture, batch_format="pyarrow"),
-        key="grid_cell",
-        sums=("n_distinct",),
-        mins=("n_distinct",),
-        maxs=("n_distinct",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
+        "grid_cell",
+        pa.schema(_i64("grid_cell", "n_tiles", "sum_n_distinct", "min_n_distinct",
+                       "max_n_distinct")),
+        {"min_n_distinct": "min", "max_n_distinct": "max"},
     )
 
 
@@ -10171,17 +9910,17 @@ def q_contour_cases(sf_dir: str):
             {
                 "doc_id": b["doc_id"],
                 "grid_cell": pa.array(cellid.grid_cell(lon, lat), pa.int64()),
-                "n_crossing": pa.array(crossing),
+                "n_tiles": np.ones(b.num_rows, np.int64),
+                "sum_n_crossing": pa.array(crossing),
+                "max_n_crossing": pa.array(crossing),
             }
         )
 
-    return shuffle_mod.salted_aggregate(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(cases, batch_format="pyarrow"),
-        key="grid_cell",
-        sums=("n_crossing",),
-        maxs=("n_crossing",),
-        count_alias="n_tiles",
-        salt_col="doc_id",
+        "grid_cell",
+        pa.schema(_i64("grid_cell", "n_tiles", "sum_n_crossing", "max_n_crossing")),
+        {"max_n_crossing": "max"},
     )
 
 
@@ -10211,24 +9950,14 @@ def q_morton_cells(sf_dir: str):
             {
                 "doc_id": b["doc_id"],
                 "morton": pa.array(m),
+                "n_tiles": np.ones(b.num_rows, np.int64),
             }
         )
 
-    agg = shuffle_mod.salted_aggregate(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(enc, batch_format="pyarrow"),
-        key="morton",
-        sums=(),
-        count_alias="n_tiles",
-        salt_col="doc_id",
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "morton": t["morton"],
-                "n_tiles": pc.cast(t["n_tiles"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+        "morton",
+        pa.schema(_i64("morton", "n_tiles")),
     )
 
 

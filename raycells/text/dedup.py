@@ -493,7 +493,7 @@ def minhash_near_dup_pairs(
     out = _verify_join_collect(
         cand, ds, id_col=id_col, payload_col=col,
         payload_names=("text_a", "text_b"), verify_fn=verify,
-        id_type=pa.string(), empty=empty, sink_dir=sink_dir,
+        sink_dir=sink_dir,
     )
     if sink_dir is not None:
         # _verify_join_collect owns sink hygiene in every path (incl.
@@ -640,7 +640,7 @@ class _SemiJoinFetch:
 
 def _verify_join_collect(
     cand_ds, corpus_ds, *, id_col, payload_col, payload_names, verify_fn,
-    id_type, empty, sink_dir=None,
+    sink_dir=None,
 ):
     """Shared distributed Phase-B skeleton for the near-dup verifiers:
 
@@ -1431,7 +1431,6 @@ def embedding_near_dup_pairs(
     out = _verify_join_collect(
         cand, ds, id_col=id_col, payload_col=col,
         payload_names=("vec_a", "vec_b"), verify_fn=verify,
-        id_type=pa.int64(), empty=empty,
     )
     if out is None or out.num_rows == 0:
         return empty

@@ -1,9 +1,12 @@
-"""The engine's two reductions in engine/shuffle.py: the bucket exchange
-(bucket_reduce: key placement for every key kind, the reducer's view of
-the group, the pinned bucket hash) and the driver fold (fold: answers
-against a plain pandas fold, ordering and typing), the one block collect
-(collect_refs), plus a source scan that keeps hand-rolled exchanges,
-driver folds and direct ``to_arrow_refs()`` collects out."""
+"""The engine's exchange and aggregate spec in engine/shuffle.py: the
+bucket exchange (bucket_reduce: key placement for every key kind, the
+reducer's view of the group, the pinned bucket hash), the two executors
+of one aggregate declaration (fold on the driver, aggregate through the
+exchange: answers against a plain pandas fold and each other, ordering,
+typing, salting; partial_cell_agg against its frozen formula), the one
+block collect (collect_refs), plus a source scan that keeps hand-rolled
+exchanges, driver folds, Ray Data aggregates and direct
+``to_arrow_refs()`` collects out."""
 
 import ast
 import pathlib
@@ -326,6 +329,138 @@ def test_fold_rejects_unknown_op(ray_session):
     with pytest.raises(ValueError, match="mean"):
         shuffle.fold(rd.from_arrow(tab), key, _fold_schema("int64"),
                      {"total": "mean"})
+    with pytest.raises(ValueError, match="mean"):
+        shuffle.aggregate(rd.from_arrow(tab), key, _fold_schema("int64"),
+                          {"total": "mean"})
+
+
+# --- aggregate -------------------------------------------------------------
+
+def _salted_rows(kind: str) -> tuple:
+    """``_fold_rows`` plus a ``doc_id`` salt column that varies within
+    each key, so a salt > 1 splits keys map-side."""
+    tab, key = _fold_rows(kind)
+    docs = [f"doc-{i % 37}" for i in range(tab.num_rows)]
+    return tab.append_column("doc_id", pa.array(docs, pa.string())), key
+
+
+@pytest.mark.parametrize(
+    "kind,salt",
+    [pytest.param(k, s, id=f"{k}-salt{s}") for k in _KINDS for s in (1, 8, "auto")],
+)
+def test_aggregate_matches_fold_and_pandas(ray_session, kind, salt):
+    import ray
+    import ray.data as rd
+
+    tab, key = _salted_rows(kind)
+    keys = [key] if isinstance(key, str) else key
+    schema = _fold_schema(kind)
+    empty = tab.slice(0, 0)
+    blocks = [empty]
+    for i in range(0, tab.num_rows, 250):
+        blocks += [tab.slice(i, 250), empty]
+    ds = rd.from_arrow(blocks)
+
+    out = shuffle.aggregate(ds, key, schema, _OPS, salt=salt)
+    tabs = [t for t in ray.get(shuffle.collect_refs(out)) if t.num_rows]
+    assert tabs and all(t.schema == schema for t in tabs)
+    got = sorted(pa.concat_tables(tabs).to_pylist(),
+                 key=lambda r: tuple(r[k] for k in keys))
+    assert got == _pandas_fold(tab, keys)
+    assert got == shuffle.fold(ds, key, schema, _OPS).to_pylist()
+
+
+def test_aggregate_salt_splits_only_map_side_partials():
+    """The salt multiplies a key's map-side partial rows; the reducer's
+    combine over ``keys`` alone folds them back to one row per key."""
+    tab, key = _salted_rows("int64")
+    keys, spec = shuffle._spec(key, _fold_schema("int64"), _OPS)
+    unsalted = shuffle._partial(tab, keys, spec)
+    salted = shuffle._partial(tab, keys, spec, salt=8)
+    assert unsalted.num_rows == 200
+    assert salted.num_rows > 2 * unsalted.num_rows
+    assert salted.column_names == unsalted.column_names
+    refolded = shuffle.combine(salted.to_pandas(), keys, spec)
+    assert (refolded.sort_values("k").to_dict("records")
+            == unsalted.to_pandas().sort_values("k").to_dict("records"))
+    # no salt column in the batch: no split
+    no_doc = tab.drop_columns(["doc_id"])
+    assert shuffle._partial(no_doc, keys, spec, salt=8).num_rows == 200
+
+
+# --- partial_cell_agg ------------------------------------------------------
+
+def _partial_cell_agg_frozen(batch: pa.Table, key: str = "cell_id", salt: int = 8) -> pa.Table:
+    """partial_cell_agg's formula as written before it shared the
+    aggregate combine."""
+    import pandas as pd
+
+    if "doc_id" in batch.column_names:
+        salt_col = pd.util.hash_array(batch["doc_id"].to_numpy(zero_copy_only=False)) % salt
+    else:
+        salt_col = 0
+    df = pd.DataFrame(
+        {
+            "key": batch[key].to_numpy(zero_copy_only=False),
+            "salt": salt_col,
+            "mean_val": batch["mean_val"].to_numpy(zero_copy_only=False),
+            "valid_count": batch["valid_count"].to_numpy(zero_copy_only=False),
+            "nodata_count": batch["nodata_count"].to_numpy(zero_copy_only=False),
+            "min_val": batch["min_val"].to_numpy(zero_copy_only=False),
+            "max_val": batch["max_val"].to_numpy(zero_copy_only=False),
+        }
+    )
+    out = df.groupby(["key", "salt"], sort=False).agg(
+        n_tiles=("mean_val", "size"),
+        sum_mean=("mean_val", "sum"),
+        valid_count=("valid_count", "sum"),
+        nodata_count=("nodata_count", "sum"),
+        min_val=("min_val", "min"),
+        max_val=("max_val", "max"),
+    ).reset_index()
+    return shuffle.from_pandas_clean(out)
+
+
+def _cell_stats_batch(n: int = 6000) -> pa.Table:
+    """Real erased-tile stats (all 10 cell types) keyed by repeating
+    uint64 cell ids on both sides of 2^63, with all-nodata rows (NaN
+    mean/min/max) mixed in."""
+    from raycells.io import tilestore
+
+    rng = np.random.default_rng(11)
+    st = tilestore.synth_tile_stats(np.arange(1, n + 1, dtype=np.int64))
+    cells = rng.integers(0, 1500, n).astype(np.uint64)
+    cells[::3] += np.uint64(2**63)
+    nan = rng.random(n) < 0.05
+    cols = {c: st[c].copy() for c in ("mean_val", "min_val", "max_val")}
+    for v in cols.values():
+        v[nan] = np.nan
+    return pa.table(
+        {
+            "doc_id": pa.array([f"doc-{i}" for i in rng.integers(0, 900, n)]),
+            "cell_id": pa.array(cells, pa.uint64()),
+            **{c: pa.array(v) for c, v in cols.items()},
+            "valid_count": pa.array(st["valid_count"]),
+            "nodata_count": pa.array(st["nodata_count"]),
+        }
+    )
+
+
+def _ipc_bytes(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+@pytest.mark.parametrize("salt", [1, 8, 13])
+def test_partial_cell_agg_is_its_frozen_formula(salt):
+    batch = _cell_stats_batch()
+    for b in (batch, batch.drop_columns(["doc_id"])):
+        got = shuffle.partial_cell_agg(b, key="cell_id", salt=salt)
+        want = _partial_cell_agg_frozen(b, key="cell_id", salt=salt)
+        assert got.schema == want.schema
+        assert _ipc_bytes(got) == _ipc_bytes(want)  # byte-identical, NaNs too
 
 
 # --- source scan ---------------------------------------------------------
@@ -480,12 +615,79 @@ def helper(ds):
     assert sites == ["engine/shuffle.py:collect_refs"]
 
 
+# The per-key exchanges that are not aggregates: each hands every row of
+# one key to a Python body (sessions' gaps-and-islands, n-gram Jaccard
+# verify, per-shard kNN rings).
+_MAP_GROUPS_SITES = {"pipelines/queries.py:q_sessionize",
+                     "text/dedup.py:ngram_jaccard_near_dup_pairs",
+                     "geo/knn.py:sharded_knn"}
+_SHUFFLE_NAMES = {"shuffle", "shuffle_mod"}
+
+
+def _call_sites(tree, match) -> list:
+    """Functions (outermost name) holding a call that ``match`` accepts."""
+    return [
+        getattr(fn, "name", "<module>")
+        for fn in tree.body
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and match(n)
+    ]
+
+
+def _is_ray_aggregate(call) -> bool:
+    """A Ray Data aggregate: ``.aggregate(...)`` on anything but the
+    shuffle module (``Dataset.aggregate``, ``groupby(...).aggregate``),
+    or an argument-less ``.count()`` on a ``groupby(...)`` chain."""
+    attr, recv = call.func.attr, call.func.value
+    if attr == "aggregate":
+        return not (isinstance(recv, ast.Name) and recv.id in _SHUFFLE_NAMES)
+    return attr == "count" and not call.args and any(
+        isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+        and c.func.attr == "groupby"
+        for c in _receiver_chain(recv)
+    )
+
+
+def _is_map_groups(call) -> bool:
+    return call.func.attr == "map_groups"
+
+
+def test_aggregate_scan_sees_ray_data_aggregates():
+    """The aggregate scan below is not vacuous: every Ray Data spelling
+    is found, the shuffle executors and pandas group sizes are not."""
+    src = """
+def grouped_count(ds):
+    return ds.groupby("k").count()
+
+def grouped_sum(ds):
+    return ds.map_batches(f).groupby(["k", "j"]).aggregate(Sum("x"))
+
+def global_agg(ds):
+    return ds.aggregate(Count(), Max("x"))
+
+def engine(ds, df):
+    part = shuffle_mod.aggregate(ds, "k", schema)
+    sizes = df.groupby("k").size()
+    return shuffle.aggregate(part, "k", schema), ds.count()
+
+def per_key(ds):
+    return ds.groupby("u").map_groups(f)
+"""
+    tree = ast.parse(src)
+    assert _call_sites(tree, _is_ray_aggregate) == [
+        "grouped_count", "grouped_sum", "global_agg"]
+    assert _call_sites(tree, _is_map_groups) == ["per_key"]
+
+
 def test_exchange_is_written_once():
     """Hand-rolled add_bucket → groupby → map_groups chains stay gone:
     the bucket groupby and the width resolution live in engine/shuffle.py
     only, and the second bucket column is not coming back. Hand-rolled
     to_pandas → groupby → sum/min/max driver folds stay gone too: they
-    go through shuffle.fold, except the named non-sum/min/max folds."""
+    go through shuffle.fold, except the named non-sum/min/max folds.
+    Every group-by aggregate is shuffle.fold or shuffle.aggregate: no
+    Ray Data aggregate, no ``salted_aggregate``, and ``map_groups`` only
+    in engine/shuffle.py and the named per-key exchanges."""
     fold_sites = []
     for rel, text in _sources():
         if rel not in _FOLD_FILES:
@@ -507,3 +709,18 @@ def test_exchange_is_written_once():
     assert groupby_sites == ["engine/shuffle.py"]
     assert set(width_sites) == {"engine/shuffle.py"}
     assert cbucket_sites == []
+    text_sites = [
+        f"{rel}: {word}"
+        for rel, text in _sources()
+        for word in ("ray.data.aggregate", "salted_aggregate")
+        if word in text
+    ]
+    assert text_sites == []
+    agg_sites, group_sites = [], set()
+    for rel, text in _sources():
+        tree = ast.parse(text)
+        agg_sites += [f"{rel}:{n}" for n in _call_sites(tree, _is_ray_aggregate)]
+        if rel != "engine/shuffle.py":
+            group_sites |= {f"{rel}:{n}" for n in _call_sites(tree, _is_map_groups)}
+    assert agg_sites == []
+    assert group_sites == _MAP_GROUPS_SITES

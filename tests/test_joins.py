@@ -85,6 +85,11 @@ def test_distinct_count_across_blocks(ray_session):
     )
     assert out["g"].tolist() == ["a", "b"]
     assert out["n"].tolist() == [3, 2]
+    assert dict(zip(out.columns, out.dtypes.astype(str))) == {"g": "object", "n": "int64"}
+    # the count's group column is typed string: other groups raise
+    t_int = t.set_column(0, "g", pa.array([1] * 6 + [2] * 4, pa.int64()))
+    with pytest.raises(Exception, match="string column"):
+        distinct_count(_ds(t_int, 5), "g", "v", alias="n").materialize()
 
 
 def test_grouped_topk_rank_and_ties(ray_session):

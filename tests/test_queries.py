@@ -394,7 +394,9 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     with their schema; the side tables (customer, ...) keep their
     rows. quantiles_price and value_ntiles first fold the global value
     range (one constant-key group); over no rows DuckDB answers one
-    all-NULL quantile row with n_rows 0, and 0 rows, respectively."""
+    all-NULL quantile row with n_rows 0, and 0 rows, respectively.
+    global_stats and sample_lineitem are aggregates without GROUP BY:
+    one row with count 0 and NULL sums/min/max."""
     import pyarrow.parquet as pq
 
     queries, sqls = contract
@@ -408,7 +410,8 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
         con2.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{dst}')")
     for name, n_rows in (("corpus_mixture", 0), ("orders_by_segment", 0),
                          ("lineitem_pricing", 0), ("events_daily", 0),
-                         ("quantiles_price", 1), ("value_ntiles", 0)):
+                         ("quantiles_price", 1), ("value_ntiles", 0),
+                         ("global_stats", 1), ("sample_lineitem", 1)):
         got = _norm(_to_df(queries[name](str(tmp_path))))
         want = _norm(con2.sql(sqls[name]).df())
         assert list(got.columns) == list(want.columns), name

@@ -1,12 +1,15 @@
 """Local replica of the driver's correctness gate: run queries()[name]
-and oracle_sql()[name] at sf0.01, compare rows/schema/value-hash.
+and oracle_sql()[name] at sf0.01, compare rows/schema/value-hash, and
+report each query's wall time (the query plus its collect, in this
+process: a query reusing an earlier query's materialized data is timed
+as it runs in the gate order).
 
     python tools/check_parity.py [name ...]   # default: every registered query
     python tools/check_parity.py --json OUT.json [name ...]
                                  # also write a gate-style JSON artifact
 """
 
-import sys, os, hashlib
+import sys, os, hashlib, time
 import ray
 if not ray.is_initialized():
     # the node's CPU count comes from the host: a fixed count larger
@@ -46,6 +49,7 @@ for name in (names or q.keys()):
     if name not in osql:
         print(f"{name}: NO ORACLE"); continue
     try:
+        t0 = time.perf_counter()
         out = q[name](sfd)
         if hasattr(out, "to_pandas") and not isinstance(out, (pa.Table,)):
             rdf = out.to_pandas()
@@ -53,14 +57,16 @@ for name in (names or q.keys()):
             rdf = out.to_pandas()
         else:
             rdf = out
+        wall_s = round(time.perf_counter() - t0, 3)
         odf = con.execute(osql[name]).fetchdf()
         r, o = norm(rdf), norm(odf)
         rows = len(r) == len(o)
         schema = list(r.columns) == list(o.columns) and all(str(r[c].dtype)==str(o[c].dtype) for c in r.columns)
         hmatch = rows and schema and vhash(r) == vhash(o)
         results[name] = {"rows_match": rows, "schema_match": schema,
-                         "hash_match": hmatch, "n_ray": len(r), "n_oracle": len(o)}
-        print(f"{name}: rows={rows}({len(r)}/{len(o)}) schema={schema} hash={hmatch}")
+                         "hash_match": hmatch, "n_ray": len(r), "n_oracle": len(o),
+                         "wall_s": wall_s}
+        print(f"{name}: rows={rows}({len(r)}/{len(o)}) schema={schema} hash={hmatch} wall_s={wall_s}")
         if not hmatch and rows and len(r) < 20:
             print(" ray:", r.head(8).to_dict("records"))
             print(" ora:", o.head(8).to_dict("records"))
@@ -75,7 +81,7 @@ for name in (names or q.keys()):
         results[name] = {"error": f"{type(ex).__name__}: {ex}"}
         print(f"{name}: ERROR {type(ex).__name__}: {ex}")
 if json_out:
-    import json, time
+    import json
     n_pass = sum(1 for v in results.values() if v.get("hash_match"))
     payload = {"sf": 0.01, "sf_dir": sfd, "n_queries": len(results),
                "n_hash_green": n_pass,
