@@ -262,8 +262,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     _ensure_docs()
     return {
         # (a) never driver-hash-checked (VERDICT r02 item #1) — first.
-        # minhash_pairs precedes dedup_clusters so the cluster query
-        # reuses the in-process verified-pair table.
         "morans_i": q.q_morans_i,  # NEW round 5 (spatial autocorrelation)
         "hexbin_density": q.q_hexbin_density,  # NEW round 5 (H3-style hex bins)
         "copurchase_pairs": q.q_copurchase_pairs,  # NEW round 5 (market basket)

@@ -1432,13 +1432,15 @@ def _simhash_sql(max_hamming: int = 8) -> str:
     pairs): polynomial token hashes (the same HUGEINT mod-2^64 evaluation
     as the fingerprint oracle), token-frequency-weighted sign bits, the
     (max_hamming+1)-chunk pigeonhole bucketing (full recall by
-    construction, mirroring dedup.simhash_chunk_params), and a
-    bit_count(xor) Hamming verify. Token split on single spaces (this
-    corpus' tokenization, already proven by the token_stats oracle)."""
-    from raycells.text.dedup import simhash_chunk_params
+    construction, mirroring dedup.simhash_chunk_params_wide at 64
+    bits), and a bit_count(xor) Hamming verify. Token split on single
+    spaces (this corpus' tokenization, already proven by the token_stats
+    oracle)."""
+    from raycells.text.dedup import simhash_chunk_params_wide
 
     chunk_rows = ", ".join(
-        f"({c}, {s}, {m})" for c, (s, m) in enumerate(simhash_chunk_params(max_hamming))
+        f"({c}, {s}, {(1 << w) - 1})"
+        for c, (s, w) in enumerate(simhash_chunk_params_wide(max_hamming, 64))
     )
     return f"""{_simhash_token_ctes()},
 shbits AS (
@@ -1480,7 +1482,7 @@ SELECT id_a, id_b, hamming FROM scored WHERE hamming <= {max_hamming}
 
 def _simhash128_sql(max_hamming: int = 12) -> str:
     """128-bit SimHash near-dup reproduced in SQL
-    (text/dedup.simhash128_near_dup_pairs): lane 0 = the 64-bit sign
+    (text/dedup.simhash_near_dup_pairs at bits=128): lane 0 = the 64-bit sign
     fold of the polynomial token hash, lane 1 = the sign fold of its
     murmur3-finalizer remix (the HLL oracle's HUGEINT mulmod recipe),
     13 pigeonhole chunks spanning both lanes (straddling chunks stitch

@@ -2167,44 +2167,23 @@ def q_knn_embeddings(sf_dir: str):
     )
 
 
-# Verified-pair table for ONE sf_dir: the minhash pipeline is
-# deterministic, so q_dedup_clusters reuses the table q_minhash_pairs
-# already materialized in this process instead of re-running the
-# 3-exchange pipeline inside its own timing. Single-entry (a new sf_dir
-# evicts the old table) so long-lived sessions don't accumulate
-# output-sized pair tables per scale factor (ADVICE r3).
-_MINHASH_PAIRS_CACHE: dict = {}
-
-
-def _minhash_pairs_set(sf_dir: str, t: pa.Table) -> pa.Table:
-    _MINHASH_PAIRS_CACHE.clear()
-    _MINHASH_PAIRS_CACHE[sf_dir] = t
-    return t
-
-
-def _minhash_pairs_cached(sf_dir: str) -> pa.Table:
-    t = _MINHASH_PAIRS_CACHE.get(sf_dir)
-    if t is None:
-        t = _minhash_pairs_set(sf_dir, q_minhash_pairs(sf_dir))
-    return t
+def _keyed_documents(sf_dir: str):
+    """documents ``(doc_id, text)`` plus ``doc_key``, the doc id as a
+    string: the id column of the text near-dup queries."""
+    ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["doc_id", "text"])
+    return ds.map_batches(
+        lambda b: b.append_column("doc_key", pc.cast(b["doc_id"], pa.string())),
+        batch_format="pyarrow",
+    )
 
 
 def q_minhash_pairs(sf_dir: str):
     """MinHash+LSH near-dup verified pairs over documents (oracle:
     MinHash+LSH end-to-end in SQL; also pinned against brute-force
     Jaccard in tests/test_text.py)."""
-    ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["doc_id", "text"])
-    with_id = ds.map_batches(
-        lambda b: b.append_column(
-            "doc_key", pc.cast(b["doc_id"], pa.string())
-        ),
-        batch_format="pyarrow",
+    return dd.minhash_near_dup_pairs(
+        _keyed_documents(sf_dir), col="text", id_col="doc_key", threshold=0.5
     )
-    out = dd.minhash_near_dup_pairs(
-        with_id, col="text", id_col="doc_key", threshold=0.5
-    )
-    _minhash_pairs_set(sf_dir, out)
-    return out
 
 
 def q_ngram_jaccard(sf_dir: str):
@@ -2213,23 +2192,15 @@ def q_ngram_jaccard(sf_dir: str):
     contrast to minhash_pairs' probabilistic LSH recall. Oracle:
     oracles._ngram_jaccard_sql (exact-integer prefix/size/threshold
     arithmetic on both engines)."""
-    ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["doc_id", "text"])
-    with_id = ds.map_batches(
-        lambda b: b.append_column("doc_key", pc.cast(b["doc_id"], pa.string())),
-        batch_format="pyarrow",
-    )
     return dd.ngram_jaccard_near_dup_pairs(
-        with_id, col="text", id_col="doc_key", threshold=(4, 5)
+        _keyed_documents(sf_dir), col="text", id_col="doc_key", threshold=(4, 5)
     )
 
 
 def q_simhash_pairs(sf_dir: str):
-    ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["doc_id", "text"])
-    with_id = ds.map_batches(
-        lambda b: b.append_column("doc_key", pc.cast(b["doc_id"], pa.string())),
-        batch_format="pyarrow",
+    return dd.simhash_near_dup_pairs(
+        _keyed_documents(sf_dir), col="text", id_col="doc_key", max_hamming=8
     )
-    return dd.simhash_near_dup_pairs(with_id, col="text", id_col="doc_key", max_hamming=8)
 
 
 def q_simhash128_pairs(sf_dir: str):
@@ -2240,39 +2211,16 @@ def q_simhash128_pairs(sf_dir: str):
     ~9-10 bits spanning both lanes, summed per-lane SWAR Hamming verify.
     Oracle reproduces both lanes and the straddling chunk extraction in
     SQL (the HLL oracle's HUGEINT murmur recipe)."""
-    ds = _read(sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["doc_id", "text"])
-    with_id = ds.map_batches(
-        lambda b: b.append_column("doc_key", pc.cast(b["doc_id"], pa.string())),
-        batch_format="pyarrow",
+    return dd.simhash_near_dup_pairs(
+        _keyed_documents(sf_dir), col="text", id_col="doc_key", max_hamming=12, bits=128
     )
-    return dd.simhash128_near_dup_pairs(
-        with_id, col="text", id_col="doc_key", max_hamming=12
-    )
-
-
-# Verified embedding-pair table for ONE sf_dir (same single-entry
-# pattern + rationale as _MINHASH_PAIRS_CACHE: deterministic pipeline,
-# so embedding_dup_clusters reuses the table q_embedding_dups already
-# produced in this process instead of re-running the LSH pipeline
-# inside its own timing).
-_EMB_PAIRS_CACHE: dict = {}
 
 
 def q_embedding_dups(sf_dir: str):
     """Embedding-cosine near-dup pairs via sign-LSH buckets
     (oracle-checked: murmur-mixed integer planes + integer cosine in SQL)."""
     ds = _read(sf_dir, "embeddings", SMALL_TABLE_BLOCKS, columns=["vec_id", "embedding"])
-    out = dd.embedding_near_dup_pairs(ds, threshold=0.35)
-    _EMB_PAIRS_CACHE.clear()
-    _EMB_PAIRS_CACHE[sf_dir] = out
-    return out
-
-
-def _embedding_pairs_cached(sf_dir: str) -> pa.Table:
-    t = _EMB_PAIRS_CACHE.get(sf_dir)
-    if t is None:
-        t = q_embedding_dups(sf_dir)
-    return t
+    return dd.embedding_near_dup_pairs(ds, threshold=0.35)
 
 
 def q_ann_lsh(sf_dir: str):
@@ -3055,12 +3003,10 @@ def q_dedup_clusters(sf_dir: str):
     (engine/cc.py — the computation the oracle's recursive min-label
     CTE expresses); the driver folds only the node-sized contracted
     forest, never the pair list, so a duplicate-heavy corpus whose
-    O(m²)-per-clique pair list outgrows one heap still resolves. The
-    pair table is REUSED from this process's q_minhash_pairs run
-    (deterministic pipeline) instead of recomputed end-to-end."""
+    O(m²)-per-clique pair list outgrows one heap still resolves."""
     from raycells.engine.cc import connected_components
 
-    comp = connected_components(_minhash_pairs_cached(sf_dir), a="id_a", b="id_b")
+    comp = connected_components(q_minhash_pairs(sf_dir), a="id_a", b="id_b")
     if len(comp) == 0:
         return pa.table(
             {
@@ -3253,7 +3199,7 @@ def q_leakage_safe_split(sf_dir: str, val_mod: int = 10):
 
     from raycells.engine.cc import connected_components
 
-    comp = connected_components(_minhash_pairs_cached(sf_dir), a="id_a", b="id_b")
+    comp = connected_components(q_minhash_pairs(sf_dir), a="id_a", b="id_b")
     canon_map = (
         dict(zip(comp["node"], comp["root"])) if len(comp) else {}
     )
@@ -3845,12 +3791,10 @@ def q_embedding_dup_clusters(sf_dir: str):
     embedding-space counterpart of ``dedup_clusters``. Same distributed
     two-level min-label contraction (engine/cc.py, now id-type-generic:
     canon = NUMERIC-min vec_id), composed on the sign-LSH pair pipeline;
-    the driver folds only the node-sized contracted forest. The pair
-    table is REUSED from this process's q_embedding_dups run
-    (deterministic pipeline — the _MINHASH_PAIRS_CACHE pattern)."""
+    the driver folds only the node-sized contracted forest."""
     from raycells.engine.cc import connected_components
 
-    comp = connected_components(_embedding_pairs_cached(sf_dir), a="id_a", b="id_b")
+    comp = connected_components(q_embedding_dups(sf_dir), a="id_a", b="id_b")
     if len(comp) == 0:
         return pa.table(
             {

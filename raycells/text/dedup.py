@@ -5,18 +5,21 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
 - **exact**: content hash inside ``map_batches`` → coarse-bucket
   shuffle → vectorized min-id-per-hash inside each bucket. The shuffle
   moves (hash, id) pairs, never the payload.
-- **MinHash + LSH**: shingle → 64 minhashes → band into (bands × rows)
-  buckets inside ``map_batches`` (vectorized universal hashing), ONE
-  shuffle to co-locate candidates. Each band row carries its doc's
-  whole band-hash vector, so a pair leaves the shuffle once, from its
-  first colliding band — no pair-dedup exchange — and is verified by
-  exact n-gram Jaccard against its two texts.
-- **SimHash**: 64-bit token-weighted simhash per doc; near-dup pairs =
-  same chunk among ``max_hamming + 1`` bit-chunks (pigeonhole — full
-  recall for any radius) with blocked-SWAR Hamming verify, each pair
-  from its first matching chunk.
-- **embedding cosine**: multi-table sign-LSH buckets, each pair from
-  its first colliding table, + pairwise integer cosine.
+- **near-dup (MinHash, SimHash, embedding cosine)**: one filter-and-
+  verify similarity join. Each family reduces a document to an
+  (n, bands) LSH key matrix — MinHash band hashes of the shingle set,
+  pigeonhole chunks of a 64- or 128-bit simhash, sign-LSH table buckets
+  of the quantized embedding — and ONE shared Phase A, ``_lsh_pairs``,
+  runs the one exchange: each (doc, band) row carries the doc's whole
+  key vector, so a pair leaves the exchange once, from its first
+  colliding band, with no pair-dedup exchange. SimHash verifies inside
+  that reducer (Hamming ≤ r over the carried fingerprint lanes; the
+  pigeonhole chunks give full recall for any radius); MinHash and
+  embedding hand the candidates to ``_verify_join_collect``, which
+  meets each pair with its two payloads and scores exact n-gram
+  Jaccard or integer cosine.
+- **exact n-gram Jaccard**: size-banded dense set-similarity join
+  (recall 1.0, no LSH).
 
 Every shuffle keys on a COARSE hash bucket (``shuffle.bucket_reduce``),
 never on the raw high-cardinality key: Ray's sort-based groupby pays
@@ -310,52 +313,14 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
-def _iter_real_buckets(group: pa.Table, cols):
-    """Yield row-index arrays for each real key (≥ 2 members) inside a
-    coarse group — one vectorized lexsort, then boundary scan."""
-    import pandas as pd
-
-    keys = []
-    for c in cols:
-        vals = group[c].to_numpy(zero_copy_only=False)
-        if vals.dtype.kind not in "iuf":
-            vals = pd.util.hash_array(np.asarray(vals, dtype=object))
-        keys.append(vals)
-    order = np.lexsort(keys[::-1])
-    stacked = np.stack([k[order] for k in keys], axis=1)
-    change = np.any(stacked[1:] != stacked[:-1], axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(order)]])
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        if hi - lo >= 2:
-            yield order[lo:hi]
+# ---------------------------------------------------------------------------
+# LSH candidate stage (shared by every near-dup pipeline)
+# ---------------------------------------------------------------------------
 
 
-# pairs per block in ``_first_collision_pairs``: (pairs × bands) int64
+# pairs per block in ``_lsh_pairs``' reducer: (pairs × bands) int64
 # temporaries stay ≈ 2 MB however large one real bucket grows
 _PAIR_BLOCK = 1 << 14
-
-
-def _first_collision_pairs(ids: np.ndarray, vecs: np.ndarray, j: int):
-    """Candidate pairs of one real LSH bucket of band (or table) ``j``,
-    each emitted only here if ``j`` is its FIRST colliding band.
-
-    ``vecs`` holds each row's full (rows, bands) bucket-key vector, so
-    the reducer sees where else the two ids collide: over the bucket's
-    distinct ids (``np.triu_indices`` of the sorted ids, so id_a <
-    id_b), a pair is kept when its vectors differ in every band before
-    ``j`` (``argmax(eq, axis=1) == j``, as band ``j`` itself is equal).
-    Every distinct candidate pair therefore leaves the exchange exactly
-    once, and no pair-dedup exchange follows. Returns (id_a, id_b)."""
-    uniq, first = np.unique(ids, return_index=True)
-    iu, ju = np.triu_indices(len(uniq), k=1)
-    if j:
-        v = vecs[first, :j]
-        keep = np.empty(iu.size, dtype=bool)
-        for lo in range(0, iu.size, _PAIR_BLOCK):
-            blk = slice(lo, lo + _PAIR_BLOCK)
-            keep[blk] = ~(v[iu[blk]] == v[ju[blk]]).any(axis=1)
-        iu, ju = iu[keep], ju[keep]
-    return uniq[iu], uniq[ju]
 
 
 def _key_vectors(keys: np.ndarray) -> pa.FixedSizeListArray:
@@ -372,6 +337,108 @@ def _vectors_of(col: pa.ChunkedArray) -> np.ndarray:
     return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
 
 
+def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
+    """Phase A of every near-dup pipeline: LSH candidate pairs through
+    ONE bucket exchange, each distinct pair emitted once.
+
+    ``keys_of(batch)`` gives the (n, bands) int64 bucket-key matrix of a
+    batch (MinHash band hashes, sign-LSH table buckets, SimHash
+    pigeonhole chunks). Each doc becomes ``bands`` exchange rows
+    ``(band int32, key int64, id, keys)``, ``keys`` being its whole key
+    vector, plus the ``carry`` columns; the exchange co-locates every
+    (band, key) bucket. Each coarse group is reduced in one vectorized
+    pass: its rows sorted by (band, key, id), every real bucket's
+    distinct-id pairs (id_a < id_b) enumerated in ``_PAIR_BLOCK``
+    blocks, those failing ``within`` dropped — if given,
+    ``within(ca, cb)`` maps the two ends' (pairs, len(carry)) int64
+    carried values to ``(keep mask, {column: per-pair values})`` — and a
+    pair kept only where the bucket's band is its FIRST colliding band
+    (the two key vectors differ in every band before it), so no
+    pair-dedup exchange follows. A repeated id counts once when its
+    copies carry the same key vector and raises ``ValueError`` when
+    copies meeting in one bucket differ. Returns the Dataset of
+    ``(id_a, id_b)`` typed as ``id_col``, plus ``within``'s columns."""
+
+    def rows_of(batch: pa.Table) -> pa.Table:
+        keys = keys_of(batch)
+        n, bands = keys.shape
+        doc = pa.array(np.repeat(np.arange(n), bands))
+        cols = {
+            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
+            "key": pa.array(keys.reshape(-1), pa.int64()),
+            id_col: batch[id_col].take(doc),
+            "keys": _key_vectors(keys),
+        }
+        cols.update((c, batch[c].take(doc)) for c in carry)
+        return pa.table(cols)
+
+    block = _PAIR_BLOCK  # resolved on the driver, like the exchange width
+    # within's columns, typed, for a group with no pairs
+    none = np.empty((0, len(carry)), np.int64)
+    empty = within(none, none)[1] if within else {}
+
+    def pairs_of(group: pa.Table) -> pa.Table:
+        out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        extra = {c: [v] for c, v in empty.items()}
+        ids = group[id_col].to_numpy(zero_copy_only=False)
+        band = group["band"].to_numpy()
+        key = group["key"].to_numpy()
+        vecs = _vectors_of(group["keys"])
+        car = np.stack([group[c].to_numpy() for c in carry], axis=1) if carry else None
+        # rows by bucket, then id (ranked once, so id order is exact)
+        rank = np.unique(ids, return_inverse=True)[1]
+        order = np.lexsort((rank, key, band))
+        b, k, r = band[order], key[order], rank[order]
+        same = np.zeros(order.size, dtype=bool)  # row is in the previous row's bucket
+        same[1:] = (b[1:] == b[:-1]) & (k[1:] == k[:-1])
+        copy = same.copy()  # ... with the previous row's id
+        copy[1:] &= r[1:] == r[:-1]
+        if copy.any():
+            at = np.flatnonzero(copy)
+            differ = (vecs[order[at]] != vecs[order[at - 1]]).any(axis=1)
+            if differ.any():
+                raise ValueError(
+                    f"{id_col} {ids[order[at[differ][0]]]!r} repeats with differing "
+                    "payloads; near-dup pairs need one payload per id"
+                )
+            order, same = order[~copy], same[~copy]
+        start = np.flatnonzero(~same)
+        size = np.diff(np.append(start, order.size))
+        # each row pairs with the rows after it in its bucket
+        after = np.repeat(start + size, size) - 1 - np.arange(order.size)
+        done = np.concatenate([[0], np.cumsum(after)])  # pairs before each row
+        lo = 0
+        while lo < order.size:
+            hi = max(lo + 1, int(np.searchsorted(done, done[lo] + block, "right")) - 1)
+            cnt = after[lo:hi]
+            a = np.repeat(np.arange(lo, hi), cnt)
+            ra = order[a]
+            rb = order[a + 1 + np.arange(a.size) - np.repeat(done[lo:hi] - done[lo], cnt)]
+            lo = hi
+            cols = {}
+            if within is not None:
+                ok, cols = within(car[ra], car[rb])
+                ra, rb = ra[ok], rb[ok]
+                cols = {c: v[ok] for c, v in cols.items()}
+            # the bucket's band is equal in both vectors, so it is the
+            # pair's first colliding band iff no earlier band is
+            first = np.argmax(vecs[ra] == vecs[rb], axis=1) == band[ra]
+            out_a.append(ra[first])
+            out_b.append(rb[first])
+            for c, v in cols.items():
+                extra[c].append(v[first])
+        out = {
+            "id_a": group[id_col].take(np.concatenate(out_a)),
+            "id_b": group[id_col].take(np.concatenate(out_b)),
+        }
+        out.update((c, pa.array(np.concatenate(v))) for c, v in extra.items())
+        return pa.table(out)
+
+    return bucket_reduce(
+        ds.map_batches(rows_of, batch_format="pyarrow"), ["band", "key"], pairs_of
+    )
+
+
 def minhash_near_dup_pairs(
     ds,
     col: str = "text",
@@ -385,15 +452,13 @@ def minhash_near_dup_pairs(
     """MinHash+LSH near-dup pipeline, two-phase so the exchange never
     carries text:
 
-    **Phase A — candidates.** Task-stage signatures (the MinHasher's
-    permutation table is memoized per worker) emit only
-    ``(band, band_hash, id, band_hashes)`` rows, ``band_hashes`` being
-    the doc's whole (bands,) band-hash vector; the coarse-bucket
-    groupby — THE one exchange — therefore moves ``bands`` rows of
-    ``bands + 2`` small ints per document instead of ``bands`` copies
-    of the corpus. Real buckets are resolved inside each group, and
-    each distinct candidate id pair comes out exactly once, from the
-    bucket of its first colliding band (``_first_collision_pairs``).
+    **Phase A — candidates** (``_lsh_pairs``). Task-stage signatures
+    (the MinHasher's permutation table is memoized per worker) give
+    each doc its (bands,) band-hash vector, the LSH key matrix; THE one
+    exchange therefore moves ``bands`` rows of ``bands + 2`` small ints
+    per document instead of ``bands`` copies of the corpus, and each
+    distinct candidate id pair comes out exactly once, from the bucket
+    of its first colliding band.
 
     **Phase B — verify, fully distributed.** The DISTINCT candidate ids
     (16 B each — bounded by LSH design) broadcast as a semi-join
@@ -404,44 +469,15 @@ def minhash_near_dup_pairs(
     shingle Jaccard. No corpus-derived table is ever
     ``ray.get``-collected on the driver; only the final verified pairs
     (the output) come back. A ``doc_id`` repeated with differing texts
-    raises ``ValueError``; exact duplicate rows count once.
+    raises ``ValueError`` (in Phase A when its copies share a bucket,
+    else in Phase B when it is a candidate); exact duplicate rows count
+    once.
     Returns a pyarrow Table (id_a < id_b, jaccard)."""
-    def signatures(batch: pa.Table) -> pa.Table:
-        mh = _minhasher(n_perm)
-        texts = batch[col].to_pylist()
-        ids = batch[id_col].to_pylist()
-        bh = lsh_bands(mh.batch_signatures(texts, k), bands).view(np.int64)
-        n = len(texts)
-        return pa.table(
-            {
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-                "band_hash": pa.array(bh.reshape(-1), pa.int64()),
-                id_col: pa.array(np.repeat(ids, bands)),
-                "band_hashes": _key_vectors(bh),
-            }
-        )
+    def band_keys(batch: pa.Table) -> np.ndarray:
+        sig = _minhasher(n_perm).batch_signatures(batch[col].to_pylist(), k)
+        return lsh_bands(sig, bands).view(np.int64)
 
-    def pairs_of(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        vecs = _vectors_of(group["band_hashes"])
-        band = group["band"].to_numpy()
-        a_out, b_out = [], []
-        for rows in _iter_real_buckets(group, ["band", "band_hash"]):
-            a, b = _first_collision_pairs(ids[rows], vecs[rows], int(band[rows[0]]))
-            a_out.append(a)
-            b_out.append(b)
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(a_out) if a_out else [], pa.string()),
-                "id_b": pa.array(np.concatenate(b_out) if b_out else [], pa.string()),
-            }
-        )
-
-    cand = bucket_reduce(
-        ds.map_batches(signatures, batch_format="pyarrow"),
-        ["band", "band_hash"],
-        pairs_of,
-    )
+    cand = _lsh_pairs(ds, id_col, band_keys)
     empty = pa.table(
         {
             "id_a": pa.array([], pa.string()),
@@ -840,24 +876,19 @@ def ngram_jaccard_near_dup_pairs(
     def doc_sets(batch: pa.Table) -> pa.Table:
         import hashlib
 
-        texts = batch[col].to_pylist()
         ids = batch[id_col].to_pylist()
-        n_doc = len(texts)
-        hs, szs = [], np.empty(n_doc, dtype=np.int64)
-        slices = np.empty(n_doc, dtype=np.int64)
-        for i, t in enumerate(texts):
-            s = char_shingles(t, k)  # sorted distinct uint64
-            hs.append(s.view(np.int64))
-            szs[i] = s.size
-            slices[i] = (
-                int.from_bytes(
-                    hashlib.blake2b(
-                        str(ids[i]).encode(), digest_size=8
-                    ).digest(),
-                    "little",
-                )
-                % R
-            )
+        n_doc = len(ids)
+        sets = _shingle_sets(batch[col].to_pylist(), k)  # sorted distinct uint64
+        hs = [s.view(np.int64) for s in sets]
+        szs = np.fromiter((s.size for s in sets), np.int64, count=n_doc)
+        slices = np.fromiter(
+            (
+                int.from_bytes(hashlib.blake2b(str(i).encode(), digest_size=8).digest(), "little") % R
+                for i in ids
+            ),
+            np.int64,
+            count=n_doc,
+        )
         bands = np.floor(np.log(szs.astype(np.float64)) / log_ratio).astype(
             np.int64
         )
@@ -992,23 +1023,44 @@ def _token_hashes(tokens: np.ndarray) -> np.ndarray:
     return out
 
 
-def simhash64(texts: List[str]) -> np.ndarray:
-    """64-bit token-frequency simhash per text, fully vectorized per row:
-    polynomial token hashes (memoized per worker) → ±1 bit matrix →
-    weighted column sums → sign bits."""
-    out = np.empty(len(texts), dtype=np.uint64)
+def _simhash_lanes(texts: List[str], bits: int) -> np.ndarray:
+    """Token-frequency simhash per text as an (n, 2) uint64 array of
+    lanes [lo, hi], fully vectorized per row: polynomial token hashes
+    (memoized per worker) → ±1 bit matrix → weighted column sums → sign
+    bits. Lane 0 folds the token hash's 64 bits; at ``bits=128`` lane 1
+    folds its murmur3-finalizer remix (sim/hll._hash64 —
+    SQL-reproducible; the HLL oracle carries the exact HUGEINT recipe),
+    at ``bits=64`` lane 1 stays zero and is never computed."""
+    from raycells.sim.hll import _hash64
+
+    out = np.zeros((len(texts), 2), dtype=np.uint64)
     bit_idx = np.arange(64, dtype=np.uint64)
     for k, t in enumerate(texts):
         toks = t.split()
         if not toks:
-            out[k] = 0
             continue
         uniq, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
         th = _token_hashes(uniq)
-        bits = (th[:, None] >> bit_idx[None, :]) & np.uint64(1)  # (T, 64)
-        v = ((bits.astype(np.int64) * 2 - 1) * counts[:, None]).sum(axis=0)
-        out[k] = np.uint64(((v > 0).astype(np.uint64) << bit_idx).sum())
+        for lane in range(bits // 64):
+            if lane:
+                th = _hash64(th)
+            b = (th[:, None] >> bit_idx[None, :]) & np.uint64(1)  # (T, 64)
+            v = ((b.astype(np.int64) * 2 - 1) * counts[:, None]).sum(axis=0)
+            out[k, lane] = np.uint64(((v > 0).astype(np.uint64) << bit_idx).sum())
     return out
+
+
+def simhash64(texts: List[str]) -> np.ndarray:
+    """64-bit token-frequency simhash per text (``_simhash_lanes``)."""
+    return _simhash_lanes(texts, 64)[:, 0]
+
+
+def simhash128(texts: List[str]) -> np.ndarray:
+    """128-bit token-frequency simhash per text, as an (n, 2) uint64
+    array of lanes [lo, hi]; lane 0 == ``simhash64``. The wide
+    fingerprint is the scale path past max_hamming ≈ 8, where 64-bit
+    pigeonhole chunks shrink to ~7 bits and the buckets get dense."""
+    return _simhash_lanes(texts, 128)
 
 
 # SWAR popcount masks (Hacker's Delight 5-2)
@@ -1026,162 +1078,14 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return ((x * _PC_H) >> np.uint64(56)).astype(np.uint8)
 
 
-_HAM_BLOCK_CELLS = 256 * 1024  # ~2 MB of uint64 temporaries per block
-
-
-def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """popcount(a ^ b) after broadcasting, as uint8. Large 2-D results
-    are computed in row blocks of ~2 MB working set: a full-matrix
-    uint64 temporary (or the old 64-byte-per-cell LUT gather) is
-    allocation-bound on this VM's ~40× first-touch page faults —
-    blocked SWAR measured ~100× faster on a 1400² bucket."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if len(shape) != 2 or int(np.prod(shape)) <= _HAM_BLOCK_CELLS:
-        return _popcount64(np.bitwise_xor(a, b))
-    a2 = np.broadcast_to(a, shape)
-    b2 = np.broadcast_to(b, shape)
-    out = np.empty(shape, dtype=np.uint8)
-    blk = max(1, _HAM_BLOCK_CELLS // shape[1])
-    for lo in range(0, shape[0], blk):
-        hi = min(lo + blk, shape[0])
-        out[lo:hi] = _popcount64(np.bitwise_xor(a2[lo:hi], b2[lo:hi]))
-    return out
-
-
-def simhash_chunk_params(max_hamming: int):
-    """(shift, mask) per pigeonhole chunk: the 64 bits split into
-    `max_hamming + 1` near-equal contiguous chunks, so any pair within
-    Hamming ≤ max_hamming shares at least one exact chunk. max_hamming=3
-    gives the classic four 16-bit chunks. Chunk width shrinks as 64/(r+1):
-    beyond r≈8 the 7-bit buckets get dense — use a wider fingerprint
-    (128-bit simhash) rather than a larger r at corpus scale."""
-    nchunks = max_hamming + 1
-    bounds = [(64 * c) // nchunks for c in range(nchunks + 1)]
-    return [
-        (bounds[c], (1 << (bounds[c + 1] - bounds[c])) - 1) for c in range(nchunks)
-    ]
-
-
-def simhash_near_dup_pairs(ds, col: str = "text", id_col: str = "doc_id", max_hamming: int = 3):
-    """SimHash near-dup: bucket by each of `max_hamming + 1` contiguous
-    bit-chunks (a pair within Hamming ≤ r of 64 bits shares ≥ 1 exact
-    chunk by pigeonhole — full recall for ANY r, not just r ≤ 3),
-    groupby(chunk_id, chunk_value), verify Hamming in-bucket."""
-    params = simhash_chunk_params(max_hamming)
-    nchunks = len(params)
-
-    def add_chunks(batch: pa.Table) -> pa.Table:
-        sh = simhash64(batch[col].to_pylist())
-        ids = batch[id_col].to_pylist()
-        n = len(ids)
-        chunk_id = np.tile(np.arange(nchunks, dtype=np.int32), n)
-        chunks = np.empty(nchunks * n, dtype=np.int64)
-        for c, (shift, mask) in enumerate(params):
-            chunks[c::nchunks] = (
-                (sh >> np.uint64(shift)) & np.uint64(mask)
-            ).astype(np.int64)
-        return pa.table(
-            {
-                "chunk_id": pa.array(chunk_id),
-                "chunk_val": pa.array(chunks),
-                id_col: pa.array(np.repeat(ids, nchunks)),
-                "simhash": pa.array(np.repeat(sh, nchunks).astype(np.int64)),
-            }
-        )
-
-    shifts = np.array([s for s, _ in params], dtype=np.uint64)
-    masks = np.array([m for _, m in params], dtype=np.uint64)
-
-    def verify(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group[id_col].to_pylist(), dtype=object)
-        sh = group["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        chunk_col = group["chunk_id"].to_numpy(zero_copy_only=False)
-        a_out, b_out, d_out = [], [], []
-        for rows in _iter_real_buckets(group, ["chunk_id", "chunk_val"]):
-            order = rows[np.argsort(ids[rows])]
-            c = int(chunk_col[rows[0]])
-            # one vectorized pairwise Hamming matrix per real bucket
-            sh_o = sh[order]
-            ham = _hamming64(sh_o[:, None], sh_o[None, :])
-            xs, ys = np.nonzero(np.triu(ham <= max_hamming, k=1))
-            if xs.size == 0:
-                continue
-            ia, ib = order[xs], order[ys]
-            sa, sb = sh[ia], sh[ib]
-            # emit each pair only from its FIRST matching chunk — the
-            # same pair collides in up to nchunks buckets, and dropping
-            # the repeats here (vectorized) leaves no dedup exchange
-            eq = ((sa[None, :] >> shifts[:, None]) & masks[:, None]) == (
-                (sb[None, :] >> shifts[:, None]) & masks[:, None]
-            )  # (nchunks, n_pairs)
-            keep = (np.argmax(eq, axis=0) == c) & (ids[ia] != ids[ib])
-            a_out.append(ids[ia][keep])
-            b_out.append(ids[ib][keep])
-            d_out.append(ham[xs, ys][keep].astype(np.int64))
-        if not a_out:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.string()),
-                    "id_b": pa.array([], pa.string()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(a_out), pa.string()),
-                "id_b": pa.array(np.concatenate(b_out), pa.string()),
-                "hamming": pa.array(np.concatenate(d_out), pa.int64()),
-            }
-        )
-
-    pairs = bucket_reduce(
-        ds.map_batches(add_chunks, batch_format="pyarrow"),
-        ["chunk_id", "chunk_val"],
-        verify,
-    )
-    # no pair-dedup pass: first-matching-chunk emission already
-    # guarantees each pair appears exactly once (minhash and embedding
-    # LSH emit by the same rule, ``_first_collision_pairs``)
-    return pairs
-
-
-# ---------------------------------------------------------------------------
-# 128-bit SimHash (two uint64 lanes — the wide-fingerprint scale path)
-# ---------------------------------------------------------------------------
-
-
-def simhash128(texts: List[str]) -> np.ndarray:
-    """128-bit token-frequency simhash per text, as an (n, 2) uint64
-    array of lanes [lo, hi]: lane 0 folds the polynomial token hash's 64
-    bits (== ``simhash64``), lane 1 folds the murmur3-finalizer remix of
-    that hash (sim/hll._hash64 — SQL-reproducible; the HLL oracle
-    carries the exact HUGEINT recipe). The wide fingerprint is the scale
-    path past max_hamming ≈ 8, where 64-bit pigeonhole chunks shrink to
-    ~7 bits and the buckets get dense (simhash_chunk_params docstring)."""
-    from raycells.sim.hll import _hash64
-
-    out = np.empty((len(texts), 2), dtype=np.uint64)
-    bit_idx = np.arange(64, dtype=np.uint64)
-    for k, t in enumerate(texts):
-        toks = t.split()
-        if not toks:
-            out[k] = 0
-            continue
-        uniq, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        th0 = _token_hashes(uniq)
-        for lane, th in enumerate((th0, _hash64(th0))):
-            bits = (th[:, None] >> bit_idx[None, :]) & np.uint64(1)
-            v = ((bits.astype(np.int64) * 2 - 1) * counts[:, None]).sum(axis=0)
-            out[k, lane] = np.uint64(((v > 0).astype(np.uint64) << bit_idx).sum())
-    return out
-
-
 def simhash_chunk_params_wide(max_hamming: int, bits: int = 128):
-    """(bit_lo, width) per pigeonhole chunk: the ``bits``-wide
-    fingerprint splits into ``max_hamming + 1`` near-equal contiguous
-    chunks, so any pair within Hamming ≤ max_hamming shares at least one
-    exact chunk — the same guarantee as ``simhash_chunk_params``, over a
-    fingerprint wide enough that r=12 still leaves ~9-bit chunks."""
+    """(bit_lo, width) per pigeonhole chunk: the ``bits``-wide (64 or
+    128) fingerprint splits into ``max_hamming + 1`` near-equal
+    contiguous chunks, so any pair within Hamming ≤ max_hamming shares at
+    least one exact chunk. max_hamming=3 at 64 bits gives the classic
+    four 16-bit chunks; past r≈8 the 64-bit chunks shrink to ~7 bits and
+    the buckets get dense, while 128 bits at r=12 still leaves ~9-bit
+    chunks."""
     nchunks = max_hamming + 1
     bounds = [(bits * c) // nchunks for c in range(nchunks + 1)]
     return [(bounds[c], bounds[c + 1] - bounds[c]) for c in range(nchunks)]
@@ -1198,85 +1102,40 @@ def extract_chunk128(lo_lane: np.ndarray, hi_lane: np.ndarray, bit_lo: int, widt
     return ((lo_lane >> np.uint64(bit_lo)) | (hi_lane << np.uint64(64 - bit_lo))) & mask
 
 
-def simhash128_near_dup_pairs(
-    ds, col: str = "text", id_col: str = "doc_id", max_hamming: int = 12
+def simhash_near_dup_pairs(
+    ds, col: str = "text", id_col: str = "doc_id", max_hamming: int = 3, bits: int = 64
 ):
-    """128-bit SimHash near-dup (the r > 8 scale path): bucket by each of
-    ``max_hamming + 1`` contiguous bit-chunks of the two-lane
-    fingerprint (full recall for any r by pigeonhole), groupby
-    (chunk_id, chunk_value), verify Hamming in-bucket as the SUM of the
-    per-lane blocked-SWAR popcounts. Same one-exchange shape and
-    first-matching-chunk pair emission as ``simhash_near_dup_pairs``."""
-    params = simhash_chunk_params_wide(max_hamming)
-    nchunks = len(params)
+    """SimHash near-dup over ``bits``-wide (64 or 128) fingerprints:
+    every id pair within Hamming ≤ ``max_hamming``, each once.
 
-    def add_chunks(batch: pa.Table) -> pa.Table:
-        sh = simhash128(batch[col].to_pylist())
-        ids = batch[id_col].to_pylist()
-        n = len(ids)
-        chunk_id = np.tile(np.arange(nchunks, dtype=np.int32), n)
-        chunks = np.empty(nchunks * n, dtype=np.int64)
-        for c, (lo, w) in enumerate(params):
-            chunks[c::nchunks] = extract_chunk128(sh[:, 0], sh[:, 1], lo, w).astype(
-                np.int64
-            )
-        return pa.table(
-            {
-                "chunk_id": pa.array(chunk_id),
-                "chunk_val": pa.array(chunks),
-                id_col: pa.array(np.repeat(ids, nchunks)),
-                "sh_lo": pa.array(np.repeat(sh[:, 0], nchunks).view(np.int64)),
-                "sh_hi": pa.array(np.repeat(sh[:, 1], nchunks).view(np.int64)),
-            }
-        )
+    One ``_lsh_pairs`` stage: the keys are the ``max_hamming + 1``
+    contiguous pigeonhole chunks of the fingerprint
+    (``simhash_chunk_params_wide`` — a pair within Hamming ≤ r shares ≥ 1
+    exact chunk, so recall is full for ANY r), the fingerprint lanes
+    ride the exchange, and the ``within`` filter is Hamming ≤ r, the sum
+    of the per-lane SWAR popcounts. 128 bits is the scale path past
+    r ≈ 8. Returns the Dataset of (id_a < id_b, hamming)."""
+    if bits not in (64, 128):
+        raise ValueError(f"bits must be 64 or 128, got {bits}")
+    lanes = ("sh0", "sh1")[: bits // 64]
+    params = simhash_chunk_params_wide(max_hamming, bits)
 
-    def verify(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group[id_col].to_pylist(), dtype=object)
-        sh_lo = group["sh_lo"].to_numpy(zero_copy_only=False).view(np.uint64)
-        sh_hi = group["sh_hi"].to_numpy(zero_copy_only=False).view(np.uint64)
-        chunk_col = group["chunk_id"].to_numpy(zero_copy_only=False)
-        a_out, b_out, d_out = [], [], []
-        for rows in _iter_real_buckets(group, ["chunk_id", "chunk_val"]):
-            order = rows[np.argsort(ids[rows])]
-            c = int(chunk_col[rows[0]])
-            lo_o, hi_o = sh_lo[order], sh_hi[order]
-            ham = _hamming64(lo_o[:, None], lo_o[None, :]).astype(np.int64)
-            ham += _hamming64(hi_o[:, None], hi_o[None, :])
-            xs, ys = np.nonzero(np.triu(ham <= max_hamming, k=1))
-            if xs.size == 0:
-                continue
-            ia, ib = order[xs], order[ys]
-            # first-matching-chunk emission (vectorized over the ≤ r+1
-            # chunk params — same dedup as the 64-bit pipeline)
-            eq = np.empty((nchunks, xs.size), dtype=bool)
-            for cc, (blo, w) in enumerate(params):
-                eq[cc] = extract_chunk128(sh_lo[ia], sh_hi[ia], blo, w) == (
-                    extract_chunk128(sh_lo[ib], sh_hi[ib], blo, w)
-                )
-            keep = (np.argmax(eq, axis=0) == c) & (ids[ia] != ids[ib])
-            a_out.append(ids[ia][keep])
-            b_out.append(ids[ib][keep])
-            d_out.append(ham[xs, ys][keep])
-        if not a_out:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.string()),
-                    "id_b": pa.array([], pa.string()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(a_out), pa.string()),
-                "id_b": pa.array(np.concatenate(b_out), pa.string()),
-                "hamming": pa.array(np.concatenate(d_out), pa.int64()),
-            }
-        )
+    def fingerprints(batch: pa.Table) -> pa.Table:
+        sh = _simhash_lanes(batch[col].to_pylist(), bits).view(np.int64)
+        return pa.table({id_col: batch[id_col], "sh0": sh[:, 0], "sh1": sh[:, 1]})
 
-    return bucket_reduce(
-        ds.map_batches(add_chunks, batch_format="pyarrow"),
-        ["chunk_id", "chunk_val"],
-        verify,
+    def chunk_keys(batch: pa.Table) -> np.ndarray:
+        lo, hi = (batch[c].to_numpy().view(np.uint64) for c in ("sh0", "sh1"))
+        keys = [extract_chunk128(lo, hi, b, w) for b, w in params]
+        return np.stack(keys, axis=1).view(np.int64)
+
+    def within(a: np.ndarray, b: np.ndarray):
+        ham = _popcount64((a ^ b).view(np.uint64)).sum(axis=1, dtype=np.int64)
+        return ham <= max_hamming, {"hamming": ham}
+
+    return _lsh_pairs(
+        ds.map_batches(fingerprints, batch_format="pyarrow"),
+        id_col, chunk_keys, carry=lanes, within=within,
     )
 
 
@@ -1341,15 +1200,13 @@ def embedding_near_dup_pairs(
     """Near-duplicate vectors, two-phase so the exchange never carries
     embeddings (mirrors ``minhash_near_dup_pairs``):
 
-    **Phase A — candidates.** Multi-table sign-LSH (``n_tables``
+    **Phase A — candidates** (``_lsh_pairs``). Multi-table sign-LSH (``n_tables``
     independent ``n_planes``-plane sets — the banding trick) over the
     2^-20-QUANTIZED integer vectors with deterministic integer planes:
     every bucket bit is exact integer arithmetic, reproducible under
-    retries AND by the DuckDB oracle. Emits ``(bucket, id, buckets)``
-    rows, ``buckets`` being the doc's key in every table; the
-    coarse-bucket groupby resolves real buckets, and each distinct
-    candidate pair comes out once, from its first colliding table
-    (``_first_collision_pairs``).
+    retries AND by the DuckDB oracle. The (n, n_tables) bucket matrix
+    is the ``_lsh_pairs`` key matrix, so each distinct candidate pair
+    comes out once, from its first colliding table.
 
     **Phase B — verify, fully distributed** (the shared
     ``_verify_join_collect`` skeleton):
@@ -1360,49 +1217,15 @@ def embedding_near_dup_pairs(
     output-sized by LSH design."""
     planes = lsh_planes_int(dim, n_planes * n_tables)
 
-    def add_lsh_bucket(batch: pa.Table) -> pa.Table:
+    def table_keys(batch: pa.Table) -> np.ndarray:
         eq = quantize_embeddings(np.asarray(batch[col].to_pylist(), dtype=np.float64))
-        n = len(eq)
-        sig = (eq @ planes > 0).astype(np.int64).reshape(n, n_tables, n_planes)
-        bucket = np.zeros((n, n_tables), dtype=np.int64)
+        sig = (eq @ planes > 0).astype(np.int64).reshape(len(eq), n_tables, n_planes)
+        bucket = np.zeros((len(eq), n_tables), dtype=np.int64)
         for p in range(n_planes):
             bucket = (bucket << 1) | sig[:, :, p]
-        # fold the table id into the key so tables never cross-collide
-        bucket = bucket * n_tables + np.arange(n_tables, dtype=np.int64)[None, :]
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket.reshape(-1)),
-                id_col: pa.array(np.repeat(ids, n_tables)),
-                "buckets": _key_vectors(bucket),
-            }
-        )
+        return bucket
 
-    def pairs_of(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        vecs = _vectors_of(group["buckets"])
-        bucket = group["bucket"].to_numpy()
-        a_out, b_out = [], []
-        for rows in _iter_real_buckets(group, ["bucket"]):
-            a, b = _first_collision_pairs(
-                ids[rows], vecs[rows], int(bucket[rows[0]] % n_tables)
-            )
-            a_out.append(a)
-            b_out.append(b)
-        if not a_out:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(a_out).astype(np.int64)),
-                "id_b": pa.array(np.concatenate(b_out).astype(np.int64)),
-            }
-        )
-
-    cand = bucket_reduce(
-        ds.map_batches(add_lsh_bucket, batch_format="pyarrow"), ["bucket"], pairs_of
-    )
+    cand = _lsh_pairs(ds, id_col, table_keys)
     empty = pa.table(
         {
             "id_a": pa.array([], pa.int64()),

@@ -472,15 +472,12 @@ def _sources():
 
 # Driver folds that are not a sum/min/max, so shuffle.fold cannot express
 # them: first/last by time (q_event_ohlc, q_curation_funnel,
-# q_shuffle_shards), exact Python-int sums (q_value_outliers), and other
-# folds (q_event_transitions, q_ann_recall_eval, q_knn_tiles_haversine,
-# q_events_rolling7); the XOR, HLL-register and CC-forest folds live in
-# whole files.
+# q_shuffle_shards) and a transition count (q_event_transitions); the
+# XOR, HLL-register and CC-forest folds live in whole files.
 _FOLD_FILES = {"engine/shuffle.py", "engine/driver.py", "sim/sketch.py",
                "sim/hll.py", "engine/cc.py"}
-_FOLD_FUNCS = {"q_event_ohlc", "q_curation_funnel", "q_shuffle_shards",
-               "q_value_outliers", "q_event_transitions", "q_ann_recall_eval",
-               "q_knn_tiles_haversine", "q_events_rolling7"}
+_FOLD_FUNCS = {"q_curation_funnel", "q_event_ohlc", "q_event_transitions",
+               "q_shuffle_shards"}
 _FOLD_ATTRS = {"sum", "agg", "aggregate", "min", "max"}
 _NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 

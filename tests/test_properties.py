@@ -142,11 +142,11 @@ def test_popcount64_matches_int_bit_count(vals):
 @settings(max_examples=120, deadline=None)
 def test_simhash_pigeonhole_guarantee(a, b, r):
     """If hamming(a, b) <= r, a and b share at least one exact chunk
-    under simhash_chunk_params(r) — the recall guarantee the bucketing
-    relies on. Chunks must also tile all 64 bits disjointly."""
-    from raycells.text.dedup import simhash_chunk_params
+    under simhash_chunk_params_wide(r, 64) — the recall guarantee the
+    bucketing relies on. Chunks must also tile all 64 bits disjointly."""
+    from raycells.text.dedup import simhash_chunk_params_wide
 
-    params = simhash_chunk_params(r)
+    params = [(s, (1 << w) - 1) for s, w in simhash_chunk_params_wide(r, 64)]
     covered = 0
     for s, m in params:
         assert covered & (m << s) == 0  # disjoint
@@ -263,14 +263,14 @@ def test_dedup_clusters_union_find_matches_brute_force(edges, ray_session):
     )
     if pairs.num_rows == 0:
         return
-    # drive the same component resolution the query uses, via the
-    # pair-cache shim (cleared per example — the cache is process-wide)
-    orig = q._minhash_pairs_cached
-    q._minhash_pairs_cached = lambda sf: pairs
+    # drive the same component resolution the query uses on these pairs
+    # (patched by hand: hypothesis re-runs the body per example)
+    orig = q.q_minhash_pairs
+    q.q_minhash_pairs = lambda sf: pairs
     try:
         out = q.q_dedup_clusters("unused").to_pandas()
     finally:
-        q._minhash_pairs_cached = orig
+        q.q_minhash_pairs = orig
     # brute force: BFS components over the same edges
     adj: dict = {}
     for a, b in edges:

@@ -102,8 +102,8 @@ def test_minhash_estimates_jaccard():
 def test_simhash_hamming_tracks_similarity():
     sh = dd.simhash64(TEXTS)
     assert sh[0] == sh[5]
-    d_near = dd._hamming64(sh[0:1], sh[1:2])[0]
-    d_far = dd._hamming64(sh[0:1], sh[2:3])[0]
+    d_near = dd._popcount64(sh[0:1] ^ sh[1:2])[0]
+    d_far = dd._popcount64(sh[0:1] ^ sh[2:3])[0]
     assert d_near < d_far
 
 
@@ -204,7 +204,7 @@ def test_simhash_chunk_params_pigeonhole():
     <= r always share an exact chunk — including the old failure mode of
     r=8 with bits spread one-per-16-bit-chunk."""
     for r in (1, 3, 8, 15):
-        params = dd.simhash_chunk_params(r)
+        params = [(s, (1 << w) - 1) for s, w in dd.simhash_chunk_params_wide(r, 64)]
         assert len(params) == r + 1
         covered = 0
         for shift, mask in params:
@@ -297,8 +297,8 @@ def test_simhash128_pairs_match_brute_force_at_r12(ray_session):
     assert len(want) >= 5  # the fixture must actually exercise the range
     assert any(h >= 8 for _, _, h in want)  # beyond the 64-bit default r
     t = pa.table({"doc_id": pa.array(ids), "text": pa.array(texts)})
-    pairs = dd.simhash128_near_dup_pairs(
-        rd.from_arrow(t), id_col="doc_id", max_hamming=12
+    pairs = dd.simhash_near_dup_pairs(
+        rd.from_arrow(t), id_col="doc_id", max_hamming=12, bits=128
     ).to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"], pairs["hamming"]))
     assert got == want
@@ -563,7 +563,7 @@ def test_leakage_safe_split_never_straddles_near_dup_pairs(ray_session):
     assert set(out["split"]) <= {"train", "val"}
     assert out["n_docs"].sum() == 500
 
-    pairs = q._minhash_pairs_cached(sf)
+    pairs = q.q_minhash_pairs(sf)
     comp = connected_components(pairs, a="id_a", b="id_b")
     canon = dict(zip(comp["node"], comp["root"]))
 
@@ -852,3 +852,50 @@ def test_repeated_id_payloads(ray_session, monkeypatch, broadcast):
     differ = rd.from_arrow(pa.table({"doc_id": ["d0", "d1", "d0"], "text": [TEXTS[0], TEXTS[1], TEXTS[1]]}))
     with pytest.raises(ValueError, match="d0"):
         dd.minhash_near_dup_pairs(differ, threshold=0.6)
+
+
+@pytest.mark.parametrize("bits, r", [(64, 8), (128, 16)], ids=["64", "128"])
+def test_simhash_repeated_ids(ray_session, bits, r):
+    """SimHash, like MinHash, counts a doc id repeated with the SAME
+    text once and raises on an id repeated with differing texts, at
+    both fingerprint widths."""
+    import ray.data as rd
+
+    sh = dd.simhash128(TEXTS[:2])[:, : bits // 64]
+    ham = sum((int(x) ^ int(y)).bit_count() for x, y in zip(*sh))
+    assert ham <= r
+    same = rd.from_arrow(pa.table({"doc_id": ["d0", "d1", "d0"], "text": [TEXTS[0], TEXTS[1], TEXTS[0]]}))
+    out = dd.simhash_near_dup_pairs(same, max_hamming=r, bits=bits).to_pandas()
+    assert list(zip(out["id_a"], out["id_b"], out["hamming"])) == [("d0", "d1", ham)]
+    differ = rd.from_arrow(pa.table({"doc_id": ["d0", "d1", "d0"], "text": [TEXTS[0], TEXTS[1], TEXTS[1]]}))
+    with pytest.raises(ValueError, match="d0"):
+        dd.simhash_near_dup_pairs(differ, max_hamming=r, bits=bits).to_pandas()
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 14])
+def test_lsh_pairs_any_pair_block(ray_session, monkeypatch, block):
+    """Phase A's pairs do not depend on ``_PAIR_BLOCK``: blocks that cut
+    through one bucket's pairs, or span several buckets, give the same
+    exactly-once MinHash candidates and the same SimHash pairs and
+    distances as brute force."""
+    import ray.data as rd
+
+    monkeypatch.setattr(dd, "_PAIR_BLOCK", block)
+    ids, texts = _near_copies(12)
+    bands = dd.lsh_bands(dd.MinHasher(64).batch_signatures(texts, 5), 16)
+    seen = _spy_candidates(monkeypatch)
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts})).repartition(3)
+    dd.minhash_near_dup_pairs(ds, threshold=0.5)
+    (cand,) = seen
+    assert len(cand) == len(set(cand)) and set(cand) == _bucket_pairs(ids, bands)
+    sh = dd.simhash64(texts)
+    want = {
+        (ids[i], ids[j], (int(sh[i]) ^ int(sh[j])).bit_count())
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+        if (int(sh[i]) ^ int(sh[j])).bit_count() <= 8
+    }
+    assert len(want) > 20
+    out = dd.simhash_near_dup_pairs(ds, max_hamming=8).to_pandas()
+    got = list(zip(out["id_a"], out["id_b"], out["hamming"]))
+    assert len(got) == len(set(got)) and set(got) == want
