@@ -255,8 +255,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     sits in the first eight entries, then the round-3 additions, then
     the long-green tail. After the round-4 oracle rewrites the FULL
     gate costs ~58 s at sf0.01 (41 s Ray + 17 s DuckDB), so one
-    snapshot should now hold all 197. ALL queries hash-match DuckDB
-    locally at sf0.01 (the timed replica of the gate)."""
+    snapshot should now hold every query below. ALL queries hash-match
+    DuckDB locally at sf0.01 (the timed replica of the gate)."""
     from raycells.pipelines import queries as q
 
     _ensure_docs()

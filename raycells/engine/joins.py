@@ -1,12 +1,13 @@
 """Co-partitioned join/window operators Ray Data lacks natively.
 
-Each operator composes ``map_batches`` + coarse-bucket ``groupby`` +
-``map_groups`` (SURVEY.md §2.9 pattern (a)): both sides are projected
-into one narrow common schema, tagged, unioned, shuffled ONCE on a
-coarse hash bucket of the join key, and joined with one vectorized
-pandas kernel per bucket. The reference has no joins at all
-(/root/reference — confirmed absences, SURVEY.md §2.8); these are graft
-operators designed Ray-Data-first.
+Each join cuts its two sides to the key and the columns it carries and
+hands them to ``shuffle.bucket_reduce`` as two inputs (SURVEY.md §2.9
+pattern (a)): one exchange hashes both on the key, and one vectorized
+pandas kernel per bucket joins the bucket's left table with its right
+table. Each side executes once, and its Arrow types come from its own
+blocks. The reference implementation has no joins at all (confirmed
+absences, SURVEY.md §2.8); these are graft operators designed
+Ray-Data-first.
 
 Partitioning assumption (documented per SURVEY.md §2.9): rows with the
 same join key land in the same bucket — guaranteed by hashing only the
@@ -24,9 +25,8 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from raycells.engine.shuffle import aggregate, bucket_reduce, from_pandas_clean
+from raycells.engine.shuffle import aggregate, bucket_reduce, from_pandas_clean, materialized
 
 __all__ = [
     "asof_join",
@@ -36,10 +36,10 @@ __all__ = [
     "grouped_topk",
 ]
 
-# int columns that hold nulls (the tagged union fills the other side's
-# columns with nulls) must NOT round-trip through float64 — values
-# >= 2^53 would silently corrupt, and this repo carries uint64 hashes
-# as int64 bit patterns. Map them to pandas nullable ints instead.
+# int columns that hold nulls (an outer or left join's misses) must NOT
+# round-trip through float64 — values >= 2^53 would silently corrupt,
+# and this repo carries uint64 hashes as int64 bit patterns. Map them to
+# pandas nullable ints instead.
 _NULLABLE_INTS = {
     pa.int8(): pd.Int8Dtype(),
     pa.int16(): pd.Int16Dtype(),
@@ -53,7 +53,16 @@ _NULLABLE_INTS = {
 
 
 def _to_pandas_exact(t: pa.Table) -> pd.DataFrame:
-    return t.to_pandas(types_mapper=_NULLABLE_INTS.get)
+    """``t`` in pandas with integer columns as nullable ints (never
+    float64), and a null-free join key (and ``_on``) as plain numpy:
+    pandas merges on nullable-int extension keys are several times
+    slower, and ``merge_asof`` needs plain on/by dtypes."""
+    df = t.to_pandas(types_mapper=_NULLABLE_INTS.get)
+    for c in ("_k", "_on"):
+        if (c in df and isinstance(df[c].dtype, pd.api.extensions.ExtensionDtype)
+                and not df[c].isna().any()):
+            df[c] = df[c].astype(df[c].dtype.numpy_dtype)
+    return df
 
 
 def _restore_ints(out: pd.DataFrame, col_types) -> pd.DataFrame:
@@ -86,11 +95,34 @@ def _out_type(typ: pa.DataType) -> pa.DataType:
     return typ
 
 
-def _empty_join_table(keep_left, keep_right, l_types, r_types) -> pa.Table:
-    return pa.table(
-        {c: pa.array([], _out_type(l_types[c])) for c in keep_left}
-        | {c: pa.array([], _out_type(r_types[c])) for c in keep_right}
-    )
+def _joined(out: pd.DataFrame, col_types: list) -> pa.Table:
+    """A bucket's joined rows, typed: ``col_types`` is ``[(column, input
+    Arrow type)]`` in output order; an empty bucket gives the same
+    ``_out_type`` schema as a full one."""
+    if out.empty:
+        return pa.schema([(c, _out_type(t)) for c, t in col_types]).empty_table()
+    return from_pandas_clean(_restore_ints(out[[c for c, _ in col_types]].copy(), col_types))
+
+
+def _cut(ds, key: str, cols: Sequence[str], on: str | None = None) -> tuple:
+    """A join side cut to its key (as ``_k``), its ``on`` column (as
+    ``_on``) and ``cols``, executed once: ``(Dataset, schema or None)``
+    (``shuffle.materialized``)."""
+
+    def cut(b: pa.Table) -> pa.Table:
+        data = {"_k": b[key]} | ({"_on": b[on]} if on else {})
+        return pa.table(data | {c: b[c] for c in cols})
+
+    return materialized(ds.map_batches(cut, batch_format="pyarrow"))
+
+
+def _typed(side: tuple, what: str, remedy: str = ""):
+    """A cut side's Dataset; a side with no schema (no blocks, or only
+    rowless ones) raises ``ValueError`` naming ``what``."""
+    ds, schema = side
+    if schema is None:
+        raise ValueError(f"{what} has no schema: it has no blocks or only rowless ones{remedy}")
+    return ds
 
 
 def hash_join(
@@ -106,22 +138,24 @@ def hash_join(
     key_out: str | None = None,
 ):
     """Large-large equi-join (``how`` = "inner", "left" or "outer") with NO
-    broadcast side: both inputs
-    are projected to (key, carried columns), tagged, unioned, shuffled
-    once on a coarse hash bucket of the key, and merged with one
-    vectorized pandas join per bucket. Multi-matches produce the full
-    per-key cross product (standard inner-join semantics).
+    broadcast side: both inputs are cut to (key, carried columns) and
+    co-partitioned through one ``bucket_reduce`` exchange on the key,
+    and each bucket runs one vectorized pandas merge. Multi-matches
+    produce the full per-key cross product (standard inner-join
+    semantics).
 
     Use the broadcast pattern instead when one side fits the object
     store; use this when BOTH sides are large. Skewed keys: a single
     hot key's bucket holds that key's rows from both sides; per-key row
     explosions are inherent to the join itself.
 
-    A fully-empty side (zero blocks — the shape a groupby/map_groups
-    produces on empty input) has no Dataset schema; ``type_hints``
-    supplies the carried-column Arrow types for that case so the
-    result keeps a stable typed schema (empty inner join → typed empty
-    table; left join with empty right → left rows with typed nulls).
+    A side with no rows at all may have no Dataset schema (zero blocks,
+    or only rowless ones — the shape an exchange or a filter leaves on
+    empty input); ``type_hints`` supplies its carried-column Arrow types
+    and it joins as a typed empty input, so the result keeps a stable
+    typed schema (empty inner join → typed empty table; left join with
+    empty right → left rows with typed nulls). Its key takes the other
+    side's type (``type_hints[key_out]`` when both are empty).
 
     ``how="outer"`` (FULL OUTER) keeps unmatched rows from BOTH sides
     with typed nulls for the absent side's carried columns. A full
@@ -129,135 +163,38 @@ def hash_join(
     the output column carrying the (never-null) coalesced join key —
     required for "outer", ignored otherwise; both key columns must
     share one Arrow type."""
+    import ray.data as rd
+
     if how == "outer" and key_out is None:
         raise ValueError("hash_join(how='outer') requires key_out")
     hints = dict(type_hints or {})
-    l_schema = left_ds.schema()
-    r_schema = right_ds.schema()
+    sides = [_cut(left_ds, key_left, keep_left), _cut(right_ds, key_right, keep_right)]
+    known = [s for _, s in sides if s is not None]
+    k_type = known[0].field("_k").type if known else hints.get(key_out, pa.null())
 
-    def _types(schema, cols, side):
-        if schema is not None:
-            base = schema.base_schema
-            return {c: base.field(c).type for c in cols}
-        try:
-            return {c: hints[c] for c in cols}
-        except KeyError as e:
-            raise ValueError(
-                f"{side} side of hash_join is empty with no schema; pass "
-                f"type_hints covering its carried columns (missing {e})"
-            ) from None
+    def hinted(side: tuple, cols) -> tuple:
+        if side[1] is not None or any(c not in hints for c in cols):
+            return side
+        schema = pa.schema([("_k", k_type), *((c, hints[c]) for c in cols)])
+        return rd.from_arrow(schema.empty_table()), schema
 
-    l_types = _types(l_schema, keep_left, "left")
-    r_types = _types(r_schema, keep_right, "right")
-    if how == "outer":
-        if l_schema is not None:
-            k_type = l_schema.base_schema.field(key_left).type
-        elif r_schema is not None:
-            k_type = r_schema.base_schema.field(key_right).type
-        else:
-            k_type = _types(None, [key_out], "key")[key_out]
-    else:
-        k_type = None
+    remedy = "; pass type_hints covering its carried columns"
+    left = _typed(hinted(sides[0], keep_left), "left side of hash_join", remedy)
+    right = _typed(hinted(sides[1], keep_right), "right side of hash_join", remedy)
 
-    def _empty_result() -> pa.Table:
-        cols = {}
-        if k_type is not None:
-            cols[key_out] = pa.array([], _out_type(k_type))
-        return pa.table(
-            cols
-            | {c: pa.array([], _out_type(l_types[c])) for c in keep_left}
-            | {c: pa.array([], _out_type(r_types[c])) for c in keep_right}
-        )
-
-    if (
-        (l_schema is None and r_schema is None)
-        or (how == "inner" and (l_schema is None or r_schema is None))
-        or (how == "left" and l_schema is None)
-    ):
-        import ray
-
-        return ray.data.from_arrow(_empty_result())
-    if r_schema is None:  # left/outer: all left rows, typed null right
-
-        def pad_right(b: pa.Table) -> pa.Table:
-            data = {}
-            if k_type is not None:
-                data[key_out] = pc.cast(b[key_left], _out_type(k_type))
-            data |= {c: pc.cast(b[c], _out_type(l_types[c])) for c in keep_left}
-            for c in keep_right:
-                data[c] = pa.nulls(b.num_rows, _out_type(r_types[c]))
-            return pa.table(data)
-
-        return left_ds.map_batches(pad_right, batch_format="pyarrow")
-    if l_schema is None:  # how == "outer": all right rows, typed null left
-
-        def pad_left(b: pa.Table) -> pa.Table:
-            data = {key_out: pc.cast(b[key_right], _out_type(k_type))}
-            for c in keep_left:
-                data[c] = pa.nulls(b.num_rows, _out_type(l_types[c]))
-            data |= {c: pc.cast(b[c], _out_type(r_types[c])) for c in keep_right}
-            return pa.table(data)
-
-        return right_ds.map_batches(pad_left, batch_format="pyarrow")
-
-    def project_left(b: pa.Table) -> pa.Table:
-        data = {"_k": b[key_left], "_side": pa.array(np.zeros(b.num_rows, np.int8))}
-        for c in keep_left:
-            data[c] = b[c]
-        for c in keep_right:
-            data[c] = pa.nulls(b.num_rows, r_types[c])
-        return pa.table(data)
-
-    def project_right(b: pa.Table) -> pa.Table:
-        data = {"_k": b[key_right], "_side": pa.array(np.ones(b.num_rows, np.int8))}
-        for c in keep_left:
-            data[c] = pa.nulls(b.num_rows, l_types[c])
-        for c in keep_right:
-            data[c] = b[c]
-        return pa.table(data)
-
-    tagged = left_ds.map_batches(project_left, batch_format="pyarrow").union(
-        right_ds.map_batches(project_right, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        # Split the sides at the Arrow level BEFORE to_pandas so each
-        # side's frame only holds its own (non-null-filled) columns, and
-        # convert via nullable-int dtypes: int columns never pass
-        # through float64, so values >= 2^53 survive exactly.
-        lmask = pc.equal(g["_side"], 0)
-        left = _to_pandas_exact(g.filter(lmask).select(["_k", *keep_left]))
-        right = _to_pandas_exact(
-            g.filter(pc.invert(lmask)).select(["_k", *keep_right])
-        )
-        if (left.empty and how != "outer") or (right.empty and how == "inner"):
-            return _empty_join_table(keep_left, keep_right, l_types, r_types)
-        # merge on plain numpy keys when possible: pandas merges on
-        # nullable-int extension keys are several times slower, and join
-        # keys are non-null in every caller (cast both sides or neither —
-        # mixed-dtype merge keys are their own trap)
-        if all(
-            isinstance(f["_k"].dtype, pd.api.extensions.ExtensionDtype)
-            and not f["_k"].isna().any()
-            for f in (left, right)
-        ):
-            left["_k"] = left["_k"].astype(left["_k"].dtype.numpy_dtype)
-            right["_k"] = right["_k"].astype(right["_k"].dtype.numpy_dtype)
-        merged = left.merge(right, on="_k", how=how)
-        out = merged[[*keep_left, *keep_right]].copy()
-        restore = [
-            *((c, l_types[c]) for c in keep_left),
-            *((c, r_types[c]) for c in keep_right),
-        ]
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        cols = [*((c, lt.schema.field(c).type) for c in keep_left),
+                *((c, rt.schema.field(c).type) for c in keep_right)]
         if how == "outer":
             # the coalesced merge key is never null — both sides' rows
             # carry it, so it restores as a plain (non-nullable) column
-            out.insert(0, key_out, merged["_k"])
-            restore.insert(0, (key_out, k_type))
-        out = _restore_ints(out, restore)
-        return from_pandas_clean(out)
+            cols.insert(0, (key_out, lt.schema.field("_k").type))
+        merged = _to_pandas_exact(lt).merge(_to_pandas_exact(rt), on="_k", how=how)
+        if how == "outer":
+            merged[key_out] = merged["_k"]
+        return _joined(merged, cols)
 
-    return bucket_reduce(tagged, "_k", join_bucket)
+    return bucket_reduce([left, right], "_k", join_bucket)
 
 
 def asof_join(
@@ -277,68 +214,22 @@ def asof_join(
     ascending order, i.e. the greatest ``keep_right[0]`` — deterministic
     and SQL-reproducible via ROW_NUMBER.
 
-    Unmatched left rows are dropped (inner as-of). Both sides are
-    projected to (key, on, carried columns) BEFORE the exchange, so the
-    shuffle moves only the join-relevant columns.
+    Unmatched left rows are dropped (inner as-of). Both sides are cut
+    to (key, on, carried columns) BEFORE the exchange, so the shuffle
+    moves only the join-relevant columns. A side with no schema (no
+    blocks, or only rowless ones) raises ``ValueError``.
     """
-    # resolve carried-column types from each side so the null columns on
-    # the other side get the right dtype (union requires one schema)
-    l_schema = left_ds.schema()
-    r_schema = right_ds.schema()
-    l_types = {c: l_schema.base_schema.field(c).type for c in keep_left}
-    r_types = {c: r_schema.base_schema.field(c).type for c in keep_right}
+    left = _typed(_cut(left_ds, key_left, keep_left, on_left), "left side of asof_join")
+    right = _typed(_cut(right_ds, key_right, keep_right, on_right), "right side of asof_join")
 
-    def project_left(b: pa.Table) -> pa.Table:
-        data = {
-            "_k": b[key_left],
-            "_on": b[on_left],
-            "_side": pa.array(np.zeros(b.num_rows, dtype=np.int8)),
-        }
-        for c in keep_left:
-            data[c] = b[c]
-        for c in keep_right:
-            data[c] = pa.nulls(b.num_rows, r_types[c])
-        return pa.table(data)
-
-    def project_right(b: pa.Table) -> pa.Table:
-        data = {
-            "_k": b[key_right],
-            "_on": b[on_right],
-            "_side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
-        }
-        for c in keep_left:
-            data[c] = pa.nulls(b.num_rows, l_types[c])
-        for c in keep_right:
-            data[c] = b[c]
-        return pa.table(data)
-
-    tagged = left_ds.map_batches(project_left, batch_format="pyarrow").union(
-        right_ds.map_batches(project_right, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        # Split sides before to_pandas (see hash_join.join_bucket): int
-        # columns never round-trip through float64.
-        lmask = pc.equal(g["_side"], 0)
-        left = _to_pandas_exact(
-            g.filter(lmask).select(["_k", "_on", *keep_left])
-        )
-        right = _to_pandas_exact(
-            g.filter(pc.invert(lmask)).select(["_k", "_on", *keep_right])
-        )
-        if left.empty or right.empty:
-            return _empty_join_table(keep_left, keep_right, l_types, r_types)
-        # merge_asof needs plain (non-extension) on/by dtypes; both are
-        # non-null after the side split, so the cast is exact.
-        for frame in (left, right):
-            for c in ("_k", "_on"):
-                if isinstance(frame[c].dtype, pd.api.extensions.ExtensionDtype):
-                    frame[c] = frame[c].astype(frame[c].dtype.numpy_dtype)
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        cols = [*((c, lt.schema.field(c).type) for c in keep_left),
+                *((c, rt.schema.field(c).type) for c in keep_right)]
         # merge_asof requires both frames sorted by the 'on' column; a
         # stable secondary sort on keep_right[0] makes the tie-break
         # (last match wins) deterministic: greatest keep_right[0].
-        left = left.sort_values("_on", kind="stable")
-        right = right.sort_values(["_on", keep_right[0]], kind="stable")
+        left = _to_pandas_exact(lt).sort_values("_on", kind="stable")
+        right = _to_pandas_exact(rt).sort_values(["_on", keep_right[0]], kind="stable")
         # always-non-null match sentinel: filtering on a user column
         # would wrongly drop matches whose first carried value is null
         right = right.assign(_matched=np.int8(1))
@@ -350,16 +241,9 @@ def asof_join(
             direction="backward",
             allow_exact_matches=True,
         )
-        merged = merged[merged["_matched"].notna()]
-        out = merged[[*keep_left, *keep_right]].copy()
-        out = _restore_ints(
-            out,
-            [*((c, l_types[c]) for c in keep_left),
-             *((c, r_types[c]) for c in keep_right)],
-        )
-        return from_pandas_clean(out)
+        return _joined(merged[merged["_matched"].notna()], cols)
 
-    return bucket_reduce(tagged, "_k", join_bucket)
+    return bucket_reduce([left, right], "_k", join_bucket)
 
 
 def distinct_count(ds, group_col: str, distinct_col: str, alias: str = "n_distinct"):
@@ -443,8 +327,8 @@ def band_join_count(
     """Temporal/interval BAND join that COUNTS matches instead of
     materializing them: for each left row, ``m`` = number of right rows
     with the same key and ``on_right ∈ [on_left + low, on_left + high]``
-    (both integer columns, e.g. day ordinals). Both sides co-locate via
-    one tagged-union coarse-bucket exchange on the key; inside a bucket
+    (both integer columns, e.g. day ordinals). Both sides co-locate
+    through one ``bucket_reduce`` exchange on the key; inside a bucket
     the right rows sort once on the monotone composite
     ``key·on_scale + on`` and every left row's window count falls out of
     TWO vectorized searchsorted calls — no per-row loop, no row
@@ -452,57 +336,31 @@ def band_join_count(
     ``on + low >= 0``, AND ``|key| < 2^62 / on_scale`` so the composite
     stays lexicographic without wrapping int64 (checked per bucket —
     NOT safe for 64-bit hashes carried as int64 bit patterns; bucket
-    such keys into a smaller range first).
+    such keys into a smaller range first). A side with no schema (no
+    blocks, or only rowless ones) raises ``ValueError``.
 
     Returns a Dataset of ``keep_left`` columns + ``m`` (int64). For the
     single-latest-match shape use :func:`asof_join`; for materialized
     pairs use :func:`hash_join` with a post-filter."""
     scale = np.int64(on_scale)
-    l_schema = left_ds.schema().base_schema
-    l_types = {c: l_schema.field(c).type for c in keep_left}
+    left = _typed(_cut(left_ds, key_left, keep_left, on_left), "left side of band_join_count")
+    right = _typed(_cut(right_ds, key_right, (), on_right), "right side of band_join_count")
 
-    def project_left(b: pa.Table) -> pa.Table:
-        data = {
-            "_k": b[key_left],
-            "_on": b[on_left],
-            "_side": pa.array(np.zeros(b.num_rows, np.int8)),
-        }
-        for c in keep_left:
-            data[c] = b[c]
-        return pa.table(data)
-
-    def project_right(b: pa.Table) -> pa.Table:
-        data = {
-            "_k": b[key_right],
-            "_on": b[on_right],
-            "_side": pa.array(np.ones(b.num_rows, np.int8)),
-        }
-        for c in keep_left:
-            data[c] = pa.nulls(b.num_rows, l_types[c])
-        return pa.table(data)
-
-    tagged = left_ds.map_batches(project_left, batch_format="pyarrow").union(
-        right_ds.map_batches(project_right, batch_format="pyarrow")
-    )
-
-    def count_bucket(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        k = g["_k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        on = g["_on"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def composite(t: pa.Table) -> np.ndarray:
+        k = t["_k"].to_numpy(zero_copy_only=False).astype(np.int64)
         if k.size and int(np.abs(k).max()) >= (1 << 62) // int(scale):
             raise ValueError(
                 "band_join_count: |key| too large for on_scale — the "
                 "composite key would wrap int64 and silently miscount"
             )
-        comp = k * scale + on
-        rightk = np.sort(comp[side == 1])
-        lm = side == 0
-        cl = comp[lm]
+        return k * scale + t["_on"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    def count_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rightk = np.sort(composite(rt))
+        cl = composite(lt)
         m = np.searchsorted(rightk, cl + high, side="right") - np.searchsorted(
             rightk, cl + low, side="left"
         )
-        cols = {c: g[c].filter(pa.array(lm)) for c in keep_left}
-        cols["m"] = pa.array(m.astype(np.int64))
-        return pa.table(cols)
+        return lt.select(list(keep_left)).append_column("m", pa.array(m.astype(np.int64)))
 
-    return bucket_reduce(tagged, "_k", count_bucket)
+    return bucket_reduce([left, right], "_k", count_bucket)

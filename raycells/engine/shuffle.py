@@ -2,7 +2,10 @@
 §7.5), plus salting.
 
 - ``bucket_reduce``: the one wide exchange — bucket rows on a key,
-  co-locate each bucket, reduce it with a vectorized function.
+  co-locate each bucket, reduce it with a vectorized function. Given
+  several inputs (a join's sides) it co-partitions them and hands the
+  function one table per input; the tagged union that carries them
+  through the exchange lives here alone.
 - One aggregate declaration, ``(keys, schema, ops)``: every non-key
   column of ``schema`` folds with sum/min/max, a count is a column of
   int64 ones. ``combine`` is its one per-batch combine, and it has two
@@ -39,6 +42,7 @@ import pyarrow as pa
 
 __all__ = [
     "bucket_reduce",
+    "materialized",
     "combine",
     "fold",
     "aggregate",
@@ -220,27 +224,93 @@ def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.T
     return batch.append_column("_bucket", pa.array(b))
 
 
-def bucket_reduce(ds, key, fn, num_buckets: int | None = None):
+def bucket_reduce(inputs, key, fn):
     """The engine's one wide exchange: bucket every row on ``key``
     (``add_bucket``), co-locate each bucket, and reduce it with ``fn``
     (``pa.Table`` in, ``pa.Table`` out). All rows of one key value reach
     the same ``fn`` call, which never sees the ``_bucket`` column.
 
+    ``inputs`` is one Dataset, or a list of Datasets co-partitioned on
+    the same ``key`` columns (SURVEY.md §2.9 pattern (a)): then ``fn``
+    gets one table per input, ``fn(t0, t1, …)``, each holding only its
+    own input's columns and Arrow types — a zero-row table where the
+    input has no rows in that bucket — and every key's rows from every
+    input reach the same call. Each input executes once
+    (``materialized``) and its types come from its block metadata; key
+    types that differ between inputs raise ``TypeError``. An input with
+    no schema (no blocks, or only rowless ones) has no rows and no
+    known columns: its tables are zero-row and zero-column. When no
+    input has a row, the result is ``fn``'s typed zero-row output, run
+    once on the driver. One Dataset stays lazy.
+
     The width resolves HERE, once, on the driver at build time
-    (``scaled_buckets()`` unless given): two tasks of one exchange
-    computing different widths would split equal keys across buckets
-    and double-emit rows."""
-    if num_buckets is None:
-        num_buckets = scaled_buckets()
-    return (
-        ds.map_batches(
-            lambda b: add_bucket(b, key, num_buckets), batch_format="pyarrow"
+    (``scaled_buckets()``): two tasks of one exchange computing
+    different widths would split equal keys across buckets and
+    double-emit rows."""
+    import ray.data as rd
+
+    width = scaled_buckets()
+    if not isinstance(inputs, (list, tuple)):
+        return _exchange(
+            inputs.map_batches(lambda b: add_bucket(b, key, width), batch_format="pyarrow"),
+            fn,
         )
-        .groupby("_bucket")
-        .map_groups(
-            lambda g: fn(g.drop_columns(["_bucket"])), batch_format="pyarrow"
-        )
+    mats, schemas = zip(*(materialized(ds) for ds in inputs))
+    schemas = [pa.schema([]) if s is None else s.remove_metadata() for s in schemas]
+    keys = [key] if isinstance(key, str) else list(key)
+    key_types = {tuple(s.field(k).type for k in keys) for s in schemas if s.names}
+    if len(key_types) > 1:
+        raise TypeError(f"bucket_reduce key {key!r} types differ between inputs: {key_types}")
+    if not any(m.count() for m in mats):
+        return rd.from_arrow(fn(*(s.empty_table() for s in schemas)))
+
+    # The tagged union: input i's column j travels as ``_{i}_{j}``, beside
+    # typed nulls for every other input's columns and the tag ``_side``.
+    names = [[f"_{i}_{j}" for j in range(len(s))] for i, s in enumerate(schemas)]
+
+    def tag(b: pa.Table, i: int) -> pa.Table:
+        cols = {"_bucket": add_bucket(b, key, width)["_bucket"],
+                "_side": pa.array(np.full(b.num_rows, i, np.int8))}
+        for side, s in enumerate(schemas):
+            for name, f in zip(names[side], s):
+                cols[name] = (b[f.name].cast(f.type) if side == i
+                              else pa.nulls(b.num_rows, f.type))
+        return pa.table(cols)
+
+    def split(g: pa.Table) -> pa.Table:
+        side = g["_side"].to_numpy()
+        return fn(*(
+            pa.Table.from_arrays(g.filter(pa.array(side == i)).select(names[i]).columns,
+                                 schema=s)
+            for i, s in enumerate(schemas)
+        ))
+
+    tagged = [m.map_batches(tag, fn_args=(i,), batch_format="pyarrow")
+              for i, m in enumerate(mats)]
+    return _exchange(tagged[0].union(*tagged[1:]), split)
+
+
+def _exchange(ds, fn):
+    """``ds``'s rows grouped on its ``_bucket`` column; ``fn`` reduces
+    each group without it."""
+    return ds.groupby("_bucket").map_groups(
+        lambda g: fn(g.drop_columns(["_bucket"])), batch_format="pyarrow"
     )
+
+
+def materialized(ds) -> tuple:
+    """``(ds executed once, its Arrow schema)``, the schema read from
+    block metadata — never from a lazy ``Dataset.schema()``, which runs
+    the plan under ``LimitOperator[limit=1]`` (Ray 2.49). The schema is
+    None when ``ds`` has no blocks or only rowless ones (a map stage
+    leaves those column-less). An already-materialized Dataset is not
+    run again; one holding pandas blocks is converted to Arrow once."""
+    m = ds.materialize()
+    s = m.schema(fetch_if_missing=False)
+    if s is not None and not isinstance(s.base_schema, pa.Schema):
+        m = m.map_batches(lambda b: b, batch_format="pyarrow").materialize()
+        s = m.schema(fetch_if_missing=False)
+    return m, None if s is None else s.base_schema
 
 
 FOLD_OPS = ("sum", "min", "max")

@@ -261,12 +261,13 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
     Exchange diet (VERDICT r3 #6): the replicated ring bytes never enter
     the shuffle — each cover row carries only (cover_cell, footprint_id,
     category) and the fid → ring vertex map broadcasts once via plasma
-    (memoized per worker). Padded columns on the other side ride as
-    Arrow NULLS (validity bitmap only), and the tile/polygon tag is
-    ``footprint_id IS NULL`` instead of a dedicated column."""
+    (memoized per worker). The two sides are the two inputs of one
+    ``shuffle.bucket_reduce``, so each cell group arrives as a tile
+    table and a polygon table."""
     import ray
     import ray.data as rd
 
+    from raycells.engine.shuffle import bucket_reduce
     from raycells.io.footprints import rings_as_numpy
     from raycells.geo.pip import polygon_cell_cover
 
@@ -281,14 +282,9 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
             fid_col.append(fid)
             cat_col.append(cat)
     ring_ref = ray.put(ring_map)
-    n_fp = len(cells_col)
     fp_rows = pa.table(
         {
             "cover_cell": pa.array(np.asarray(cells_col, np.uint64), pa.uint64()),
-            "doc_id": pa.nulls(n_fp, pa.string()),
-            "span_idx": pa.nulls(n_fp, pa.int32()),
-            "lon": pa.nulls(n_fp, pa.float64()),
-            "lat": pa.nulls(n_fp, pa.float64()),
             "footprint_id": pa.array(fid_col, pa.string()),
             "category": pa.array(cat_col, pa.string()),
         }
@@ -297,7 +293,6 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
     def tile_rows(b: pa.Table) -> pa.Table:
         lon = b["lon"].to_numpy(zero_copy_only=False)
         lat = b["lat"].to_numpy(zero_copy_only=False)
-        n = b.num_rows
         return pa.table(
             {
                 "cover_cell": pa.array(cellid.encode(lon, lat, level), pa.uint64()),
@@ -305,29 +300,19 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
                 "span_idx": b["span_idx"],
                 "lon": b["lon"],
                 "lat": b["lat"],
-                "footprint_id": pa.nulls(n, pa.string()),
-                "category": pa.nulls(n, pa.string()),
             }
         )
 
-    from raycells.engine.shuffle import bucket_reduce
-
-    both = stats_ds.map_batches(tile_rows, batch_format="pyarrow").union(
-        rd.from_arrow(fp_rows)
+    out_schema = pa.schema(
+        [
+            ("doc_id", pa.string()),
+            ("span_idx", pa.int32()),
+            ("footprint_id", pa.string()),
+            ("category", pa.string()),
+        ]
     )
 
-    def group_join(g: pa.Table) -> pa.Table:
-        is_poly = pc.is_valid(g["footprint_id"]).to_numpy(zero_copy_only=False)
-        tiles = g.filter(pa.array(~is_poly))
-        polys = g.filter(pa.array(is_poly))
-        out_schema = pa.schema(
-            [
-                ("doc_id", pa.string()),
-                ("span_idx", pa.int32()),
-                ("footprint_id", pa.string()),
-                ("category", pa.string()),
-            ]
-        )
+    def group_join(tiles: pa.Table, polys: pa.Table) -> pa.Table:
         if tiles.num_rows == 0 or polys.num_rows == 0:
             return out_schema.empty_table()
         rings = _broadcast_memo(ring_ref)
@@ -372,7 +357,11 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
     # shuffle on a coarse bucket of the cell (NOT the raw cell id —
     # per-distinct-group overhead, see shuffle.add_bucket); exact cell
     # equality is enforced vectorized inside the group
-    return bucket_reduce(both, "cover_cell", group_join)
+    return bucket_reduce(
+        [stats_ds.map_batches(tile_rows, batch_format="pyarrow"), rd.from_arrow(fp_rows)],
+        "cover_cell",
+        group_join,
+    )
 
 
 class PIPJoiner:

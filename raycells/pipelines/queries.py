@@ -1714,27 +1714,30 @@ def q_quantiles_qty(sf_dir: str):
 def q_sessionize(sf_dir: str):
     """Stateful per-key windowing: gap-based sessionization of the events
     stream (new session when >30 min since the user's previous event),
-    via groupby(user).map_groups with a vectorized gaps-and-islands body."""
+    via one user-bucket exchange with a vectorized gaps-and-islands body
+    over each whole bucket: sort by (user, ts), and a session starts at
+    every user boundary and every gap."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def sessions(g: pa.Table) -> pa.Table:
-        ts = g["ts"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ts, kind="stable")
-        ts_us = ts[order].astype("datetime64[us]").astype(np.int64)
-        gap = np.diff(ts_us, prepend=ts_us[0]) > 30 * 60 * 1_000_000
-        session_id = np.cumsum(gap)  # 0-based; first event starts session 0
-        n_sessions = int(session_id[-1]) + 1
-        counts = np.bincount(session_id)
+        user = g["user_id"].to_numpy(zero_copy_only=False)
+        ts = g["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
+        order = np.lexsort((ts, user))
+        user, ts = user[order], ts[order]
+        first = np.r_[True, user[1:] != user[:-1]]
+        starts = np.flatnonzero(first | (np.diff(ts, prepend=ts[0]) > 30 * 60 * 1_000_000))
+        sizes = np.diff(np.r_[starts, user.size])  # events per session
+        user_first = np.flatnonzero(first[starts])  # each user's first session
         return pa.table(
             {
-                "user_id": g["user_id"].slice(0, 1),
-                "n_events": pa.array([g.num_rows], pa.int64()),
-                "n_sessions": pa.array([n_sessions], pa.int64()),
-                "max_session_events": pa.array([int(counts.max())], pa.int64()),
+                "user_id": g["user_id"].take(pa.array(order[first])),
+                "n_events": np.add.reduceat(sizes, user_first).astype(np.int64),
+                "n_sessions": np.diff(np.r_[user_first, starts.size]).astype(np.int64),
+                "max_session_events": np.maximum.reduceat(sizes, user_first).astype(np.int64),
             }
         )
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pyarrow")
+    return shuffle_mod.bucket_reduce(ds, "user_id", sessions)
 
 
 def q_revenue_by_nation(sf_dir: str):
@@ -9925,9 +9928,10 @@ def q_fulfillment_lag(sf_dir: str):
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
     )
     DAY = np.int64(86_400_000_000)
+    hist_schema = pa.schema([("prio", pa.string()), *_i64("lag", "n")])
 
     def li_part(b: pa.Table) -> pa.Table:
-        out = (
+        return shuffle_mod.from_pandas_clean(
             pd.DataFrame(
                 {
                     "key": b["l_orderkey"].to_numpy(zero_copy_only=False),
@@ -9940,52 +9944,40 @@ def q_fulfillment_lag(sf_dir: str):
             .max()
             .reset_index()
         )
-        out["side"] = np.int64(0)
-        out["prio"] = ""
-        return shuffle_mod.from_pandas_clean(out)
 
     def o_part(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "key": b["o_orderkey"],
-                "ship_us": pa.array(
+                "order_us": pa.array(
                     b["o_orderdate"].to_numpy(zero_copy_only=False).view(
                         np.int64
                     )
                 ),
-                "side": pa.array(np.ones(b.num_rows, np.int64)),
                 "prio": b["o_orderpriority"],
             }
         )
 
-    both = li.map_batches(li_part, batch_format="pyarrow").union(
-        orders.map_batches(o_part, batch_format="pyarrow")
-    )
-
-    def lag_hist(g: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": g["key"].to_numpy(zero_copy_only=False),
-                "ship_us": g["ship_us"].to_numpy(zero_copy_only=False),
-                "side": g["side"].to_numpy(zero_copy_only=False),
-                "prio": g["prio"].to_numpy(zero_copy_only=False),
-            }
-        )
-        li_max = (
-            df[df["side"] == 0].groupby("key", sort=False)["ship_us"].max()
-        )
-        od = df[df["side"] == 1].set_index("key")
-        j = od.join(li_max.rename("ship_max"), how="inner")
-        lag = ((j["ship_max"] - j["ship_us"]) // DAY).to_numpy(np.int64)
+    def lag_hist(ships: pa.Table, od: pa.Table) -> pa.Table:
+        if ships.num_rows == 0 or od.num_rows == 0:
+            return hist_schema.empty_table()
+        li_max = ships.to_pandas().groupby("key", sort=False)["ship_us"].max()
+        j = od.to_pandas().set_index("key").join(li_max.rename("ship_max"), how="inner")
+        lag = ((j["ship_max"] - j["order_us"]) // DAY).to_numpy(np.int64)
         return pa.table(
             {"prio": pa.array(j["prio"].to_numpy(object), pa.string()),
              "lag": lag, "n": np.ones(len(lag), np.int64)}
         )
 
     hist = shuffle_mod.fold(
-        shuffle_mod.bucket_reduce(both, "key", lag_hist),
+        shuffle_mod.bucket_reduce(
+            [li.map_batches(li_part, batch_format="pyarrow"),
+             orders.map_batches(o_part, batch_format="pyarrow")],
+            "key",
+            lag_hist,
+        ),
         ["prio", "lag"],
-        pa.schema([("prio", pa.string()), *_i64("lag", "n")]),
+        hist_schema,
     ).to_pandas()
     rows = []
     for prio, g in hist.groupby("prio", sort=True):

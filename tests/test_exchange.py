@@ -1,11 +1,14 @@
 """The engine's exchange and aggregate spec in engine/shuffle.py: the
 bucket exchange (bucket_reduce: key placement for every key kind, the
-reducer's view of the group, the pinned bucket hash), the two executors
+reducer's view of the group, the pinned bucket hash, and the
+co-partitioned exchange of several inputs: one call per key, each
+input's own columns and types, typed results on empty inputs, each
+input run once), the two executors
 of one aggregate declaration (fold on the driver, aggregate through the
 exchange: answers against a plain pandas fold and each other, ordering,
 typing, salting; partial_cell_agg against its frozen formula), the one
 block collect (collect_refs), plus a source scan that keeps hand-rolled
-exchanges, driver folds, Ray Data aggregates and direct
+exchanges, tagged unions, driver folds, Ray Data aggregates and direct
 ``to_arrow_refs()`` collects out."""
 
 import ast
@@ -135,6 +138,135 @@ def test_bucket_reduce_width_is_resolved_once(ray_session, monkeypatch):
     out = ds.to_pandas()
     assert len(calls) == 1
     assert len(out) <= 3 and out["n_keys"].sum() == 11
+
+
+# --- bucket_reduce over several inputs -------------------------------------
+
+def _co_inputs(kind: str) -> tuple:
+    """Two inputs keyed like ``_keyed_table(kind)`` whose other column
+    names collide (``rid`` int64 vs string, ``v`` float64 vs int32).
+    Input 1 holds every third key only, so many buckets hold no input-1
+    row. Each is split over several blocks with rowless blocks between."""
+    import ray.data as rd
+
+    t0, key = _keyed_table(kind)
+    keys = [key] if isinstance(key, str) else key
+    t0 = t0.append_column("v", pa.array(np.arange(t0.num_rows) * 0.5))
+    t1, _ = _keyed_table(kind, reps=2)
+    t1 = t1.filter(pa.array(np.arange(t1.num_rows) % 3 == 0))
+    t1 = t1.set_column(t1.schema.get_field_index("rid"), "rid",
+                       pa.array([f"r{i}" for i in range(t1.num_rows)]))
+    t1 = t1.append_column("v", pa.array(np.arange(t1.num_rows), pa.int32()))
+
+    def blocks(t, n):
+        out = [t.slice(0, 0)]
+        for i in range(0, t.num_rows, n):
+            out += [t.slice(i, n), t.slice(0, 0)]
+        return rd.from_arrow(out)
+
+    return (t0, t1), (blocks(t0, 250), blocks(t1, 70)), key, keys
+
+
+@pytest.mark.parametrize("kind", ["int64", "uint64_high", "string", "pair"])
+def test_bucket_reduce_co_partitions_several_inputs(ray_session, kind):
+    """Every key's rows from every input reach one ``fn`` call; each
+    table holds only its own input's columns and types, and an input
+    with no rows in a bucket arrives as a zero-row table."""
+    import pandas as pd
+
+    tabs, inputs, key, keys = _co_inputs(kind)
+
+    def per_group(t0: pa.Table, t1: pa.Table) -> pa.Table:
+        # input 0 holds every key, so it has rows in every call; the
+        # call is named by its smallest input-0 row id
+        same = t0.schema == tabs[0].schema and t1.schema == tabs[1].schema
+        parts = []
+        for side, t in enumerate((t0, t1)):
+            n = t.select(keys).to_pandas().groupby(keys, sort=False).size()
+            parts.append(n.reset_index(name="n").assign(side=side))
+        return shuffle.from_pandas_clean(pd.concat(parts, ignore_index=True).assign(
+            call=int(np.min(t0["rid"].to_numpy())), t1_rows=t1.num_rows, same=same))
+
+    out = shuffle.bucket_reduce(list(inputs), key, per_group).to_pandas()
+    assert out["same"].all()
+    assert (out.groupby(keys)["call"].nunique() == 1).all()
+    for side, t in enumerate(tabs):
+        want = t.select(keys).to_pandas().groupby(keys).size()
+        got = out[out["side"] == side].groupby(keys)["n"].sum()
+        assert got.sort_index().to_dict() == want.sort_index().to_dict()
+    assert out["call"].nunique() > 1
+    assert (out["t1_rows"] == 0).any()  # a bucket with no input-1 row
+
+
+def test_bucket_reduce_rejects_differing_key_types(ray_session):
+    import ray.data as rd
+
+    a = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    b = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int32())}))
+    with pytest.raises(TypeError, match="differ"):
+        shuffle.bucket_reduce([a, b], "k", lambda t0, t1: t0)
+
+
+def test_bucket_reduce_takes_pandas_block_inputs(ray_session):
+    """An input held as pandas blocks reaches ``fn`` as Arrow, typed."""
+    import pandas as pd
+    import ray.data as rd
+
+    a = rd.from_pandas(pd.DataFrame({"k": [1, 2, 2], "s": ["x", "y", "z"]}))
+    b = rd.from_arrow(pa.table({"k": pa.array([2, 3], pa.int64())}))
+    out = shuffle.bucket_reduce([a, b], "k", lambda t0, t1: t0.append_column(
+        "n1", pa.array(np.full(t0.num_rows, t1.num_rows, np.int64)))).to_pandas()
+    assert sorted(zip(out["k"], out["s"], out["n1"])) == [(1, "x", 0), (2, "y", 1), (2, "z", 1)]
+
+
+def test_bucket_reduce_on_empty_inputs_is_fns_typed_result(ray_session):
+    """With no row in any input, the result is ``fn``'s typed zero-row
+    output, never a schema-less Dataset; an input with no schema at all
+    arrives as a zero-row, zero-column table."""
+    import ray.data as rd
+
+    tab, _ = _keyed_table("string")
+    typed = rd.from_arrow([tab.slice(0, 0)] * 3)
+    schemaless = rd.from_arrow(tab).filter(lambda r: False).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    out_schema = pa.schema([("n0", pa.int64()), ("cols1", pa.string())])
+    seen = []
+
+    def fn(t0: pa.Table, t1: pa.Table) -> pa.Table:
+        seen.append((t0.schema, t1.schema, t0.num_rows + t1.num_rows))
+        return out_schema.empty_table()
+
+    out = shuffle.bucket_reduce([typed, schemaless], "k", fn).materialize()
+    assert seen == [(tab.schema, pa.schema([]), 0)]
+    assert out.count() == 0
+    assert out.schema().base_schema == out_schema
+
+
+def test_bucket_reduce_runs_each_input_once_and_one_input_lazily(ray_session, tmp_path):
+    """Several inputs: each input's plan runs once (its types come from
+    its blocks, not a ``LimitOperator[limit=1]`` rerun). One input: the
+    call runs nothing until the result is consumed."""
+    import ray.data as rd
+
+    log = tmp_path / "calls"
+
+    def tag(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("x")
+        return b.rename_columns(["k"])
+
+    def plan():
+        return rd.range(40, override_num_blocks=4).map_batches(tag, batch_format="pyarrow")
+
+    lazy = shuffle.bucket_reduce(plan(), "k", lambda g: g)
+    assert not log.exists()
+    assert lazy.count() == 40 and log.read_text() == "xxxx"
+    log.unlink()
+    other = rd.from_arrow(pa.table({"k": pa.array([3, 5], pa.int64())}))
+    both = shuffle.bucket_reduce([plan(), other], "k", lambda t0, t1: t0.append_column(
+        "n1", pa.array(np.full(t0.num_rows, t1.num_rows, np.int64))))
+    assert log.read_text() == "xxxx"
+    assert both.count() == 40 and log.read_text() == "xxxx"
 
 
 # --- fold ------------------------------------------------------------------
@@ -613,11 +745,27 @@ def helper(ds):
 
 
 # The per-key exchanges that are not aggregates: each hands every row of
-# one key to a Python body (sessions' gaps-and-islands, n-gram Jaccard
-# verify, per-shard kNN rings).
-_MAP_GROUPS_SITES = {"pipelines/queries.py:q_sessionize",
-                     "text/dedup.py:ngram_jaccard_near_dup_pairs",
+# one key to a Python body (n-gram Jaccard verify, per-shard kNN rings).
+_MAP_GROUPS_SITES = {"text/dedup.py:ngram_jaccard_near_dup_pairs",
                      "geo/knn.py:sharded_knn"}
+
+# ``.union(`` outside engine/shuffle.py, whose co-partitioned exchange
+# is the one tagged union of differently-typed inputs. Each site below
+# unions inputs of one schema, so nothing is null-padded:
+# - dup_span_report: confirmed and singleton dup spans, and the direct
+#   and exchanged span tables (same columns);
+# - run_diff_job and q_snapshot_diff: the two fingerprinted snapshots
+#   with a ``side`` label column, which ``diff_classify`` reads as data;
+# - q_fuzzy_token_match: the vocabulary fanned out twice, label-tagged
+#   probe and word variants of one schema.
+# The other two are not Datasets: a Python set union (lsh_topk) and a
+# cell-type union (CellValue).
+_UNION_SITES = {"text/dedup.py:dup_span_report",
+                "engine/driver.py:run_diff_job",
+                "pipelines/queries.py:q_snapshot_diff",
+                "pipelines/queries.py:q_fuzzy_token_match",
+                "sim/knn.py:lsh_topk",
+                "cells/ctype.py:CellValue"}
 _SHUFFLE_NAMES = {"shuffle", "shuffle_mod"}
 
 
@@ -649,6 +797,20 @@ def _is_map_groups(call) -> bool:
     return call.func.attr == "map_groups"
 
 
+def _is_union(call) -> bool:
+    return call.func.attr == "union"
+
+
+def _side_column_sites(tree) -> list:
+    """Functions (outermost name) that name a ``"_side"`` column."""
+    return [
+        getattr(fn, "name", "<module>")
+        for fn in tree.body
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Constant) and n.value == "_side"
+    ]
+
+
 def test_aggregate_scan_sees_ray_data_aggregates():
     """The aggregate scan below is not vacuous: every Ray Data spelling
     is found, the shuffle executors and pandas group sizes are not."""
@@ -676,6 +838,28 @@ def per_key(ds):
     assert _call_sites(tree, _is_map_groups) == ["per_key"]
 
 
+def test_co_location_scan_sees_hand_rolled_tagged_unions():
+    """The union and ``_side`` scans are not vacuous: a hand-rolled
+    tagged union is found by both, a co-partitioned ``bucket_reduce``
+    and a ``left_side`` name by neither."""
+    src = """
+def tagged(a, b):
+    def tag_a(t):
+        return t.append_column("_side", zeros(t.num_rows))
+    both = a.map_batches(tag_a).union(b.map_batches(tag_b))
+    return bucket_reduce(both, "_k", join)
+
+def split(g):
+    return g.filter(pc.equal(g["_side"], 0))
+
+def co_partitioned(a, b, left_side):
+    return bucket_reduce([a, b], "_k", lambda l, r: l)
+"""
+    tree = ast.parse(src)
+    assert _call_sites(tree, _is_union) == ["tagged"]
+    assert _side_column_sites(tree) == ["tagged", "split"]
+
+
 def test_exchange_is_written_once():
     """Hand-rolled add_bucket → groupby → map_groups chains stay gone:
     the bucket groupby and the width resolution live in engine/shuffle.py
@@ -684,7 +868,10 @@ def test_exchange_is_written_once():
     go through shuffle.fold, except the named non-sum/min/max folds.
     Every group-by aggregate is shuffle.fold or shuffle.aggregate: no
     Ray Data aggregate, no ``salted_aggregate``, and ``map_groups`` only
-    in engine/shuffle.py and the named per-key exchanges."""
+    in engine/shuffle.py and the named per-key exchanges. Co-location
+    of several inputs is ``bucket_reduce``'s alone: a ``_side`` column
+    only in engine/shuffle.py, ``.union(`` only at the named
+    same-schema sites."""
     fold_sites = []
     for rel, text in _sources():
         if rel not in _FOLD_FILES:
@@ -713,11 +900,15 @@ def test_exchange_is_written_once():
         if word in text
     ]
     assert text_sites == []
-    agg_sites, group_sites = [], set()
+    agg_sites, group_sites, union_sites, side_sites = [], set(), set(), set()
     for rel, text in _sources():
         tree = ast.parse(text)
         agg_sites += [f"{rel}:{n}" for n in _call_sites(tree, _is_ray_aggregate)]
         if rel != "engine/shuffle.py":
             group_sites |= {f"{rel}:{n}" for n in _call_sites(tree, _is_map_groups)}
+            union_sites |= {f"{rel}:{n}" for n in _call_sites(tree, _is_union)}
+            side_sites |= {f"{rel}:{n}" for n in _side_column_sites(tree)}
     assert agg_sites == []
     assert group_sites == _MAP_GROUPS_SITES
+    assert union_sites == _UNION_SITES
+    assert side_sites == set()

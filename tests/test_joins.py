@@ -526,3 +526,53 @@ def test_hash_join_outer_matches_pandas_merge(ray_session, tables):
     got = got[["k", "lv", "rv"]].sort_values(["k", "lv", "rv"]).reset_index(drop=True)
     want = want[["k", "lv", "rv"]].sort_values(["k", "lv", "rv"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_hash_join_runs_each_side_once(ray_session, tmp_path):
+    """Each join side executes once: its types come from its own blocks,
+    not from a lazy ``.schema()`` that reruns the side under
+    ``LimitOperator[limit=1]``."""
+    import ray.data as rd
+
+    from raycells.engine.joins import hash_join
+
+    log = tmp_path / "calls"
+
+    def tag(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("x")
+        return b.append_column("lv", pa.array(b["id"].to_numpy() * 10))
+
+    left = rd.range(40, override_num_blocks=4).map_batches(tag, batch_format="pyarrow")
+    right = rd.from_arrow(pa.table({"id": pa.array([3, 7, 99], pa.int64()),
+                                    "rv": pa.array([1, 2, 3], pa.int64())}))
+    out = hash_join(left, right, key_left="id", key_right="id",
+                    keep_left=["lv"], keep_right=["rv"]).materialize()
+    assert sorted(out.to_pandas()["lv"].tolist()) == [30, 70]
+    assert log.read_text() == "xxxx"
+
+
+@pytest.mark.parametrize("empty_side", ["left", "right"])
+def test_asof_and_band_joins_name_a_side_with_no_schema(ray_session, empty_side):
+    """A side with zero blocks or only rowless ones has no Dataset
+    schema; both joins raise a ValueError naming it."""
+    import ray.data as rd
+
+    from raycells.engine.joins import band_join_count
+
+    t = pa.table({"k": pa.array([1, 2], pa.int64()), "t": pa.array([5, 9], pa.int64()),
+                  "id": pa.array([7, 8], pa.int64())})
+    full = rd.from_arrow(t)
+    no_schema = {
+        "rowless": rd.from_arrow(t).filter(lambda r: False).map_batches(
+            lambda b: b, batch_format="pyarrow"),
+        "no blocks": rd.from_items([]),
+    }
+    for empty in no_schema.values():
+        left, right = (empty, full) if empty_side == "left" else (full, empty)
+        with pytest.raises(ValueError, match=f"{empty_side} side of asof_join"):
+            asof_join(left, right, key_left="k", key_right="k", on_left="t",
+                      on_right="t", keep_left=["id"], keep_right=["id"])
+        with pytest.raises(ValueError, match=f"{empty_side} side of band_join_count"):
+            band_join_count(left, right, key_left="k", key_right="k", on_left="t",
+                            on_right="t", low=0, high=1, keep_left=["id"], on_scale=64)
