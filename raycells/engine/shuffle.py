@@ -2,10 +2,13 @@
 §7.5), plus salting.
 
 - ``bucket_reduce``: the one wide exchange — bucket rows on a key,
-  co-locate each bucket, reduce it with a vectorized function. Given
-  several inputs (a join's sides) it co-partitions them and hands the
-  function one table per input; the tagged union that carries them
-  through the exchange lives here alone.
+  co-locate each bucket, reduce it with ONE vectorized function call.
+  It is a hash exchange of plain Ray tasks, not a Ray Data sort: one
+  split task per group of input blocks slices its rows by bucket, one
+  reduce task per bucket concatenates its slices and calls the
+  function (Exoshuffle, SIGCOMM 2023). Given several inputs (a join's
+  sides) it splits each on its own and hands the function one table
+  per input.
 - One aggregate declaration, ``(keys, schema, ops)``: every non-key
   column of ``schema`` folds with sum/min/max, a count is a column of
   int64 ones. ``combine`` is its one per-batch combine, and it has two
@@ -34,6 +37,7 @@ all-to-all exchanges. Two defenses:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +143,8 @@ def partial_cell_agg(batch: pa.Table, key: str = "cell_id", salt: int = DEFAULT_
     return from_pandas_clean(combine(df, ["key", "salt"], _CELL_OPS))
 
 
-DEFAULT_BUCKETS = 64
+# the exchange width's floor (``scaled_buckets``)
+DEFAULT_BUCKETS = 2
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -175,11 +180,14 @@ def collect_refs(ds) -> list:
 
 
 def scaled_buckets(floor: int = DEFAULT_BUCKETS) -> int:
-    """Exchange width ≈ 2× cluster CPUs, floor ``DEFAULT_BUCKETS`` — a
-    fixed 64-bucket merge caps reduce parallelism on a multi-node
-    cluster (VERDICT r3 #3). ``bucket_reduce`` resolves it once per
-    exchange on the driver. Bucket counts never appear in
-    oracle-visible output."""
+    """Exchange width ≈ 2× cluster CPUs, floor ``DEFAULT_BUCKETS``.
+    The width is both the bucket count and the number of reduce tasks,
+    so it scales reduce parallelism with the cluster (VERDICT r3 #3)
+    while a small cluster runs few, larger reducers. On 1 CPU the
+    perfbench neardup job's median ``wall_s`` was 0.61 s at a floor of
+    2, 0.62 s at 4 and 0.66 s at 8 (3 rotated runs each).
+    ``bucket_reduce`` resolves it once per exchange on the driver.
+    Bucket counts never appear in oracle-visible output."""
     try:
         import ray
 
@@ -190,12 +198,12 @@ def scaled_buckets(floor: int = DEFAULT_BUCKETS) -> int:
     return floor
 
 
-def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.Table:
-    """Coarse hash-bucket column ``_bucket`` for the exchange. Ray Data's
-    sort-based aggregate pays per-distinct-group Python overhead, so we
-    shuffle on ~num_buckets coarse buckets and run ONE vectorized
-    groupby per bucket instead (map_groups). num_buckets scales with the
-    cluster, independent of the (possibly huge) key cardinality.
+def bucket_of(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> np.ndarray:
+    """Each row's hash bucket on ``key``, an int64 array in
+    ``[0, num_buckets)``: the exchange's placement. The bucket count
+    scales with the cluster, independent of the (possibly huge) key
+    cardinality; ``fn`` resolves the real keys vectorized inside each
+    bucket.
 
     ``key`` is one column name or a list of columns. One column: integer
     keys take the high bits of a golden-ratio multiply, other keys
@@ -207,95 +215,195 @@ def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.T
         k = batch[key].to_numpy(zero_copy_only=False)
         if k.dtype.kind in "iu":
             with np.errstate(over="ignore"):
-                b = ((k.astype(np.uint64) * _GOLDEN) >> np.uint64(48)).astype(
+                return ((k.astype(np.uint64) * _GOLDEN) >> np.uint64(48)).astype(
                     np.int64
                 ) % num_buckets
-        else:  # string/object keys: deterministic vectorized hash
-            b = (pd.util.hash_array(k) % num_buckets).astype(np.int64)
-    else:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for c in key:
-                vals = batch[c].to_numpy(zero_copy_only=False)
-                if vals.dtype.kind not in "iuf":
-                    vals = pd.util.hash_array(np.asarray(vals, dtype=object))
-                h = (h ^ vals.astype(np.uint64)) * _GOLDEN
-        b = ((h >> np.uint64(33)) % num_buckets).astype(np.int64)
-    return batch.append_column("_bucket", pa.array(b))
+        # string/object keys: deterministic vectorized hash
+        return (pd.util.hash_array(k) % num_buckets).astype(np.int64)
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for c in key:
+            vals = batch[c].to_numpy(zero_copy_only=False)
+            if vals.dtype.kind not in "iuf":
+                vals = pd.util.hash_array(np.asarray(vals, dtype=object))
+            h = (h ^ vals.astype(np.uint64)) * _GOLDEN
+    return ((h >> np.uint64(33)) % num_buckets).astype(np.int64)
+
+
+def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.Table:
+    """``batch`` with its ``bucket_of`` column appended as ``_bucket``."""
+    return batch.append_column("_bucket", pa.array(bucket_of(batch, key, num_buckets)))
+
+
+# A split task takes consecutive blocks of one input until they hold at
+# least this many bytes per reducer, so its pieces average above Ray's
+# 100 KB inline-object limit: a smaller task return is held in its
+# owner's heap, and the driver owns every piece.
+PIECE_BYTES = 128 << 10
 
 
 def bucket_reduce(inputs, key, fn):
     """The engine's one wide exchange: bucket every row on ``key``
-    (``add_bucket``), co-locate each bucket, and reduce it with ``fn``
+    (``bucket_of``) and reduce each bucket with ONE ``fn`` call
     (``pa.Table`` in, ``pa.Table`` out). All rows of one key value reach
-    the same ``fn`` call, which never sees the ``_bucket`` column.
+    the same call.
 
     ``inputs`` is one Dataset, or a list of Datasets co-partitioned on
     the same ``key`` columns (SURVEY.md §2.9 pattern (a)): then ``fn``
     gets one table per input, ``fn(t0, t1, …)``, each holding only its
     own input's columns and Arrow types — a zero-row table where the
     input has no rows in that bucket — and every key's rows from every
-    input reach the same call. Each input executes once
-    (``materialized``) and its types come from its block metadata; key
-    types that differ between inputs raise ``TypeError``. An input with
-    no schema (no blocks, or only rowless ones) has no rows and no
-    known columns: its tables are zero-row and zero-column. When no
-    input has a row, the result is ``fn``'s typed zero-row output, run
-    once on the driver. One Dataset stays lazy.
+    input reach the same call. Key types that differ between inputs
+    raise ``TypeError``.
 
-    The width resolves HERE, once, on the driver at build time
-    (``scaled_buckets()``): two tasks of one exchange computing
-    different widths would split equal keys across buckets and
-    double-emit rows."""
+    The exchange is plain Ray tasks, run when this is called. Each
+    input's blocks stream out of its plan (each input executes once);
+    one split task per group of blocks (``PIECE_BYTES``) sorts its rows
+    stably on their bucket and returns one slice per bucket; one reduce
+    task per bucket concatenates its slices per input and calls ``fn``.
+    A bucket with no row in any input calls nothing. The result is a
+    materialized Dataset of the calls' outputs, so its ``count()`` and
+    ``schema()`` read block metadata. When no input has a row, it is
+    ``fn``'s typed zero-row output over the inputs' block schemas, run
+    once on the driver; a zero-row input with no schema (no blocks, or
+    only column-less ones) arrives as a zero-column table, and one such
+    input alone gives an empty Dataset without calling ``fn``.
+
+    The width resolves HERE, once, on the driver (``scaled_buckets()``):
+    two tasks of one exchange computing different widths would split
+    equal keys across buckets and double-emit rows."""
+    import ray
     import ray.data as rd
 
     width = scaled_buckets()
-    if not isinstance(inputs, (list, tuple)):
-        return _exchange(
-            inputs.map_batches(lambda b: add_bucket(b, key, width), batch_format="pyarrow"),
-            fn,
-        )
-    mats, schemas = zip(*(materialized(ds) for ds in inputs))
-    schemas = [pa.schema([]) if s is None else s.remove_metadata() for s in schemas]
+    several = isinstance(inputs, (list, tuple))
+    splits, schemas, rows = zip(*(_split(ds, key, width) for ds in
+                                  (inputs if several else [inputs])))
     keys = [key] if isinstance(key, str) else list(key)
     key_types = {tuple(s.field(k).type for k in keys) for s in schemas if s.names}
     if len(key_types) > 1:
         raise TypeError(f"bucket_reduce key {key!r} types differ between inputs: {key_types}")
-    if not any(m.count() for m in mats):
-        return rd.from_arrow(fn(*(s.empty_table() for s in schemas)))
+    if not any(rows):
+        if not (several or schemas[0].names):
+            return rd.from_arrow_refs([])
+        return rd.from_arrow(_arrow(fn(*(s.empty_table() for s in schemas))))
 
-    # The tagged union: input i's column j travels as ``_{i}_{j}``, beside
-    # typed nulls for every other input's columns and the tag ``_side``.
-    names = [[f"_{i}_{j}" for j in range(len(s))] for i, s in enumerate(schemas)]
-
-    def tag(b: pa.Table, i: int) -> pa.Table:
-        cols = {"_bucket": add_bucket(b, key, width)["_bucket"],
-                "_side": pa.array(np.full(b.num_rows, i, np.int8))}
-        for side, s in enumerate(schemas):
-            for name, f in zip(names[side], s):
-                cols[name] = (b[f.name].cast(f.type) if side == i
-                              else pa.nulls(b.num_rows, f.type))
-        return pa.table(cols)
-
-    def split(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy()
-        return fn(*(
-            pa.Table.from_arrays(g.filter(pa.array(side == i)).select(names[i]).columns,
-                                 schema=s)
-            for i, s in enumerate(schemas)
-        ))
-
-    tagged = [m.map_batches(tag, fn_args=(i,), batch_format="pyarrow")
-              for i, m in enumerate(mats)]
-    return _exchange(tagged[0].union(*tagged[1:]), split)
+    fn_ref = ray.put(fn)
+    counts = [len(s) for s in splits]
+    reduce = _remote(_reduce_bucket).options(num_returns=2)
+    outs = [
+        reduce.remote(fn_ref, counts, schemas, *(p[i] for s in splits for p in s))
+        for i in range(width)
+    ]
+    metas = ray.get([m for _, m in outs])
+    kept = [(t, m) for (t, _), m in zip(outs, metas) if m is not None]
+    return _from_blocks([t for t, _ in kept], [m for _, m in kept])
 
 
-def _exchange(ds, fn):
-    """``ds``'s rows grouped on its ``_bucket`` column; ``fn`` reduces
-    each group without it."""
-    return ds.groupby("_bucket").map_groups(
-        lambda g: fn(g.drop_columns(["_bucket"])), batch_format="pyarrow"
-    )
+def _split(ds, key, width: int) -> tuple:
+    """Submit one input's split tasks: ``(one list of ``width`` piece
+    refs per split task, the input's Arrow schema from its block
+    metadata, its row count)``. Rowless blocks are skipped; their
+    schemas still type the input."""
+    split = _remote(_split_blocks).options(num_returns=width)
+    splits, schemas, group, size, rows = [], [], [], 0, 0
+
+    def submit():
+        pieces = split.remote(key, width, *group)
+        splits.append(pieces if width > 1 else [pieces])  # one return is one ref
+
+    for bundle in ds.iter_internal_ref_bundles():
+        if bundle.schema is not None:
+            schemas.append(_arrow_schema(bundle.schema))
+        for ref, meta in bundle.blocks:
+            if not meta.num_rows:
+                continue
+            group.append(ref)
+            size += meta.size_bytes or 0
+            rows += meta.num_rows
+            if size >= width * PIECE_BYTES:
+                submit()
+                group, size = [], 0
+    if group:
+        submit()
+    schema = (pa.unify_schemas(schemas, promote_options="permissive").remove_metadata()
+              if schemas else pa.schema([]))
+    return splits, schema, rows
+
+
+def _split_blocks(key, width: int, *blocks):
+    """A split task: ``blocks`` as one Arrow table, its rows sorted
+    stably on their bucket, cut into ``width`` slices (slice i holds
+    bucket i's rows, zero-row and typed when it has none)."""
+    from ray.data.block import BlockAccessor
+
+    t = pa.concat_tables([BlockAccessor.for_block(b).to_arrow() for b in blocks],
+                         promote_options="permissive")
+    b = bucket_of(t, key, width)
+    t = t.take(np.argsort(b, kind="stable"))
+    ends = np.cumsum(np.bincount(b, minlength=width))
+    pieces = [t.slice(hi - n, n) for hi, n in zip(ends, np.diff(ends, prepend=0))]
+    return pieces if width > 1 else pieces[0]
+
+
+def _reduce_bucket(fn, counts, schemas, *pieces):
+    """A reduce task: input j's ``counts[j]`` pieces concatenated into
+    one table (``schemas[j]``'s zero-row table when the input has no
+    rows at all), and ``fn`` called once on one table per input.
+    Returns ``(fn's output, its block metadata)``, or ``(None, None)``
+    when no input has a row in this bucket."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    tabs, at = [], 0
+    for n, s in zip(counts, schemas):
+        tabs.append(pa.concat_tables(pieces[at:at + n], promote_options="permissive")
+                    if n else s.empty_table())
+        at += n
+    if not any(t.num_rows for t in tabs):
+        return None, None
+    out = _arrow(fn(*tabs))
+    return out, BlockMetadataWithSchema.from_block(out)
+
+
+def _arrow(batch) -> pa.Table:
+    """A reducer's output (Arrow, pandas or a dict of columns) as Arrow."""
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(BlockAccessor.batch_to_block(batch)).to_arrow()
+
+
+def _arrow_schema(schema) -> pa.Schema:
+    """A block-metadata schema as Arrow (pandas blocks carry dtypes)."""
+    if isinstance(schema, pa.Schema):
+        return schema
+    return pa.Schema.from_pandas(
+        pd.DataFrame({n: pd.Series(dtype=t) for n, t in zip(schema.names, schema.types)}),
+        preserve_index=False)
+
+
+@functools.cache
+def _remote(f):
+    import ray
+
+    return ray.remote(f)
+
+
+def _from_blocks(blocks: list, metas: list):
+    """The materialized Dataset of Arrow block refs whose metadata the
+    reduce tasks returned: ``ray.data.from_arrow_refs`` without its one
+    metadata task per block. Those tasks need a worker of their own; on
+    1 CPU one sometimes had to start, and a neardup job took 1.0 s
+    instead of 0.65 s."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(blocks, metas), plan._context))
 
 
 def materialized(ds) -> tuple:
@@ -320,10 +428,10 @@ FOLD_OPS = ("sum", "min", "max")
 # pass over all partials grew with them (+151 MB at 1.92M rows, +506 MB
 # at 7.68M); 2M-row chunks held +162 MB at 3.84M and +261 MB at 7.68M,
 # and 256k-row chunks a flat +46-49 MB from 1.92M to 7.68M, none slower
-# than one pass. A bucket exchange of the same partials was 2.5-5x
-# slower at every size and did not bound the driver heap either (+357
-# MB at 3.84M, +1066 MB at 7.68M over 128 blocks): Ray keeps shuffle
-# pieces under its 100 KB inline-object limit in the driver, their
+# than one pass. A Ray Data sort exchange of the same partials was
+# 2.5-5x slower at every size and did not bound the driver heap either
+# (+357 MB at 3.84M, +1066 MB at 7.68M over 128 blocks): Ray keeps task
+# returns under its 100 KB inline-object limit in the driver, their
 # owner.
 FOLD_DRIVER_ROWS = 1 << 21
 
@@ -378,11 +486,12 @@ def fold(ds, keys, schema: pa.Schema, ops: dict | None = None) -> pa.Table:
     The driver folds the partials as their blocks stream out, in
     chunks of at most ``FOLD_DRIVER_ROWS`` rows (a bigger single block
     is its own chunk) counted from block metadata; each chunk folds
-    together with the running result. No all-to-all runs: Ray's sort
-    exchange costs seconds of fixed cost however small its input (~2 s
-    to merge lineitem pricing's 384 partial rows into 6 groups; 0.5 s
-    for the flagship's 7.8k cell partials at 64 buckets). Driver memory
-    is bounded by the chunk plus the output, never by the input size."""
+    together with the running result. No exchange runs: a driver fold
+    schedules no split or reduce task (a Ray Data sort exchange took
+    ~2 s to merge lineitem pricing's 384 partial rows into 6 groups,
+    0.5 s for the flagship's 7.8k cell partials at 64 buckets). Driver
+    memory is bounded by the chunk plus the output, never by the input
+    size."""
     import ray
 
     keys, spec = _spec(keys, schema, ops)

@@ -6167,9 +6167,10 @@ def q_fuzzy_token_match(sf_dir: str):
         u = np.unique(g["word"].to_numpy(zero_copy_only=False))
         return pa.table({"word": pa.array(u.astype(object), pa.string())})
 
+    # materialized (the exchange's result): it feeds BOTH fan-out sides
     vocab = shuffle_mod.bucket_reduce(
         ds.map_batches(batch_tokens, batch_format="pyarrow"), "word", bucket_distinct
-    ).materialize()  # feeds BOTH fan-out sides
+    )
 
     def deletions(words: np.ndarray) -> tuple:
         """All 1-char deletions of each word → (variants, parent_idx).
@@ -9042,20 +9043,24 @@ def q_ab_test_zscore(sf_dir: str):
         stats[a] = (int(conv[m].sum()), int(m.sum()))
     x1, n1 = stats[0]
     x2, n2 = stats[1]
-    # pooled two-proportion z, identical expression tree in SQL
-    p1 = float(x1) / float(n1)
-    p2 = float(x2) / float(n2)
-    p = float(x1 + x2) / float(n1 + n2)
-    z = (p1 - p2) / np.sqrt(
-        p * (1.0 - p) * (1.0 / float(n1) + 1.0 / float(n2))
-    )
+    z = None
+    if n1 and n2:
+        # pooled two-proportion z, identical expression tree in SQL
+        p1 = float(x1) / float(n1)
+        p2 = float(x2) / float(n2)
+        p = float(x1 + x2) / float(n1 + n2)
+        den = np.sqrt(p * (1.0 - p) * (1.0 / float(n1) + 1.0 / float(n2)))
+        # SQL's division by zero is NULL
+        z = float((p1 - p2) / den) if den else None
+    if not uid.size:  # SUM over no users is NULL
+        x1 = x2 = None
     return pa.table(
         {
             "x1": pa.array([x1], pa.int64()),
             "n1": pa.array([n1], pa.int64()),
             "x2": pa.array([x2], pa.int64()),
             "n2": pa.array([n2], pa.int64()),
-            "z": pa.array([float(z)], pa.float64()),
+            "z": pa.array([z], pa.float64()),
         }
     )
 
@@ -9181,8 +9186,11 @@ def q_key_skew_report(sf_dir: str):
             "k",
             pa.schema(_i64("k", "n")),
         )["n"].to_numpy()
-        cnt_sorted = np.sort(cnt)
         nk = cnt.size
+        if not nk:  # SUM, MAX and the rank lookup over no keys are NULL
+            rows.append((name, None, 0, None, None, None))
+            continue
+        cnt_sorted = np.sort(cnt)
         p99 = int(cnt_sorted[int(np.ceil(0.99 * nk)) - 1])
         rows.append(
             (

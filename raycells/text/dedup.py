@@ -21,10 +21,10 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
 - **exact n-gram Jaccard**: size-banded dense set-similarity join
   (recall 1.0, no LSH).
 
-Every shuffle keys on a COARSE hash bucket (``shuffle.bucket_reduce``),
-never on the raw high-cardinality key: Ray's sort-based groupby pays
-per-distinct-group Python overhead, so real buckets are resolved
-vectorized inside each coarse group (CLAUDE.md platform notes). All hash
+Every shuffle is ``shuffle.bucket_reduce``: rows hash to a few COARSE
+buckets (about 2× the cluster's CPUs), one reduce task per bucket, and
+the real high-cardinality keys (LSH band buckets, ids) are resolved
+vectorized inside each bucket, never one Python call per key. All hash
 seeds are fixed constants → deterministic under Ray task retries.
 """
 
@@ -743,15 +743,17 @@ def _verify_join_collect(
         # the attach would score whichever copy it met first
         touched = bucket_reduce(
             touched, id_col, lambda g: _one_payload_per_id(g, id_col, payload_col)
-        ).materialize()
+        )
 
     if touched.size_bytes() <= _VERIFY_BROADCAST_BYTES:
         refs = tuple(collect_refs(touched))
-        # repartition before the attach: cand's post-groupby blocks are
-        # many and tiny, so mapping them directly fans the attach stage
-        # out to every worker and rebuilds the broadcast dict 32× —
-        # measured 0.7 s SLOWER than paying this small exchange
-        # (interleaved A/B at sf0.1: 1.54 s vs 2.23 s best-of-6)
+        # repartition before the attach: cand holds one block per
+        # exchange reducer (about 2× the cluster's CPUs), tiny when the
+        # candidates are few, so mapping them directly fans the attach
+        # stage out to every worker and rebuilds the broadcast dict on
+        # each — measured 0.7 s SLOWER than paying this small exchange
+        # (interleaved A/B at sf0.1 over the sort exchange's many small
+        # output blocks: 1.54 s vs 2.23 s best-of-6)
         n_blocks = max(1, min(64, n_cand // 2048))
         with_ab = (
             cand.repartition(n_blocks)
@@ -800,8 +802,8 @@ def _verify_join_collect(
     # The concat below builds the function's RETURN VALUE — the verified
     # pair table, output-sized by LSH design. Callers that expect pair
     # lists beyond one heap consume `verified` via the sink_dir mode
-    # above. Ray can surface schema-less empty blocks from empty groupby
-    # buckets; drop them before the concat (they carry no rows)
+    # above. Ray can surface schema-less empty blocks from map stages;
+    # drop them before the concat (they carry no rows)
     tabs = ray.get(collect_refs(verified))
     tabs = [t for t in tabs if t.num_rows > 0]
     if not tabs:

@@ -396,7 +396,9 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     range (one constant-key group); over no rows DuckDB answers one
     all-NULL quantile row with n_rows 0, and 0 rows, respectively.
     global_stats and sample_lineitem are aggregates without GROUP BY:
-    one row with count 0 and NULL sums/min/max."""
+    one row with count 0 and NULL sums/min/max. ab_test_zscore answers
+    one row with zero arm sizes and NULL conversions and z, and
+    key_skew_report one row per key with zero keys and NULL counts."""
     import pyarrow.parquet as pq
 
     queries, sqls = contract
@@ -411,7 +413,8 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     for name, n_rows in (("corpus_mixture", 0), ("orders_by_segment", 0),
                          ("lineitem_pricing", 0), ("events_daily", 0),
                          ("quantiles_price", 1), ("value_ntiles", 0),
-                         ("global_stats", 1), ("sample_lineitem", 1)):
+                         ("global_stats", 1), ("sample_lineitem", 1),
+                         ("ab_test_zscore", 1), ("key_skew_report", 3)):
         got = _norm(_to_df(queries[name](str(tmp_path))))
         want = _norm(con2.sql(sqls[name]).df())
         assert list(got.columns) == list(want.columns), name
