@@ -241,6 +241,10 @@ def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.T
 # owner's heap, and the driver owns every piece.
 PIECE_BYTES = 128 << 10
 
+# Most input bytes one reducer holds on average: an exchange bigger than
+# width × REDUCER_BYTES gets more reducers (``bucket_reduce``).
+REDUCER_BYTES = 32 << 20
+
 
 def bucket_reduce(inputs, key, fn):
     """The engine's one wide exchange: bucket every row on ``key``
@@ -256,38 +260,45 @@ def bucket_reduce(inputs, key, fn):
     input reach the same call. Key types that differ between inputs
     raise ``TypeError``.
 
-    The exchange is plain Ray tasks, run when this is called. Each
-    input's blocks stream out of its plan (each input executes once);
-    one split task per group of blocks (``PIECE_BYTES``) sorts its rows
-    stably on their bucket and returns one slice per bucket; one reduce
-    task per bucket concatenates its slices per input and calls ``fn``.
-    A bucket with no row in any input calls nothing. The result is a
-    materialized Dataset of the calls' outputs, so its ``count()`` and
-    ``schema()`` read block metadata. When no input has a row, it is
-    ``fn``'s typed zero-row output over the inputs' block schemas, run
-    once on the driver; a zero-row input with no schema (no blocks, or
-    only column-less ones) arrives as a zero-column table, and one such
-    input alone gives an empty Dataset without calling ``fn``.
+    The exchange is plain Ray tasks, run when this is called. Each input
+    executes once and is typed by ``materialized`` (pandas blocks become
+    Arrow); one split task per group of its blocks (``PIECE_BYTES``)
+    sorts their rows stably on their bucket and returns one slice per
+    bucket; one reduce task per bucket concatenates its slices per input
+    and calls ``fn``; a bucket with no row in any input calls nothing.
+    The result is ``ray.data.from_arrow_refs`` of the calls' outputs, a
+    materialized Dataset whose ``count()`` and ``schema()`` read block
+    metadata. When no input has a row, it is ``fn``'s typed zero-row
+    output over the inputs' schemas, run once on the driver; a zero-row
+    input with no schema (no blocks, or only column-less ones) arrives
+    as a zero-column table, and one such input alone gives an empty
+    Dataset without calling ``fn``.
 
-    The width resolves HERE, once, on the driver (``scaled_buckets()``):
-    two tasks of one exchange computing different widths would split
-    equal keys across buckets and double-emit rows."""
+    The width (bucket and reducer count) resolves HERE, once, on the
+    driver: ``scaled_buckets()``, raised so that a reducer holds
+    ``REDUCER_BYTES`` of input on average. Two tasks of one exchange
+    computing different widths would split equal keys across buckets
+    and double-emit rows."""
     import ray
     import ray.data as rd
 
-    width = scaled_buckets()
     several = isinstance(inputs, (list, tuple))
-    splits, schemas, rows = zip(*(_split(ds, key, width) for ds in
-                                  (inputs if several else [inputs])))
+    mats = [materialized(ds) for ds in (inputs if several else [inputs])]
+    schemas = [pa.schema([]) if s is None else s.remove_metadata() for _, s in mats]
     keys = [key] if isinstance(key, str) else list(key)
     key_types = {tuple(s.field(k).type for k in keys) for s in schemas if s.names}
     if len(key_types) > 1:
         raise TypeError(f"bucket_reduce key {key!r} types differ between inputs: {key_types}")
-    if not any(rows):
+    blocks = [[(ref, meta) for bundle in m.iter_internal_ref_bundles()
+               for ref, meta in bundle.blocks if meta.num_rows] for m, _ in mats]
+    if not any(blocks):
         if not (several or schemas[0].names):
             return rd.from_arrow_refs([])
         return rd.from_arrow(_arrow(fn(*(s.empty_table() for s in schemas))))
 
+    size = sum(meta.size_bytes or 0 for b in blocks for _, meta in b)
+    width = max(scaled_buckets(), -(-size // REDUCER_BYTES))
+    splits = [_split(b, key, width) for b in blocks]
     fn_ref = ray.put(fn)
     counts = [len(s) for s in splits]
     reduce = _remote(_reduce_bucket).options(num_returns=2)
@@ -295,50 +306,30 @@ def bucket_reduce(inputs, key, fn):
         reduce.remote(fn_ref, counts, schemas, *(p[i] for s in splits for p in s))
         for i in range(width)
     ]
-    metas = ray.get([m for _, m in outs])
-    kept = [(t, m) for (t, _), m in zip(outs, metas) if m is not None]
-    return _from_blocks([t for t, _ in kept], [m for _, m in kept])
+    rows = ray.get([n for _, n in outs])
+    return rd.from_arrow_refs([t for (t, _), n in zip(outs, rows) if n is not None])
 
 
-def _split(ds, key, width: int) -> tuple:
-    """Submit one input's split tasks: ``(one list of ``width`` piece
-    refs per split task, the input's Arrow schema from its block
-    metadata, its row count)``. Rowless blocks are skipped; their
-    schemas still type the input."""
+def _split(blocks: list, key, width: int) -> list:
+    """Submit one input's split tasks over its ``(ref, metadata)``
+    blocks: one list of ``width`` piece refs per split task."""
     split = _remote(_split_blocks).options(num_returns=width)
-    splits, schemas, group, size, rows = [], [], [], 0, 0
-
-    def submit():
-        pieces = split.remote(key, width, *group)
-        splits.append(pieces if width > 1 else [pieces])  # one return is one ref
-
-    for bundle in ds.iter_internal_ref_bundles():
-        if bundle.schema is not None:
-            schemas.append(_arrow_schema(bundle.schema))
-        for ref, meta in bundle.blocks:
-            if not meta.num_rows:
-                continue
-            group.append(ref)
-            size += meta.size_bytes or 0
-            rows += meta.num_rows
-            if size >= width * PIECE_BYTES:
-                submit()
-                group, size = [], 0
-    if group:
-        submit()
-    schema = (pa.unify_schemas(schemas, promote_options="permissive").remove_metadata()
-              if schemas else pa.schema([]))
-    return splits, schema, rows
+    splits, group, size = [], [], 0
+    for i, (ref, meta) in enumerate(blocks):
+        group.append(ref)
+        size += meta.size_bytes or 0
+        if size >= width * PIECE_BYTES or i == len(blocks) - 1:
+            pieces = split.remote(key, width, *group)
+            splits.append(pieces if width > 1 else [pieces])  # one return is one ref
+            group, size = [], 0
+    return splits
 
 
-def _split_blocks(key, width: int, *blocks):
+def _split_blocks(key, width: int, *blocks: pa.Table):
     """A split task: ``blocks`` as one Arrow table, its rows sorted
     stably on their bucket, cut into ``width`` slices (slice i holds
     bucket i's rows, zero-row and typed when it has none)."""
-    from ray.data.block import BlockAccessor
-
-    t = pa.concat_tables([BlockAccessor.for_block(b).to_arrow() for b in blocks],
-                         promote_options="permissive")
+    t = pa.concat_tables(blocks, promote_options="permissive")
     b = bucket_of(t, key, width)
     t = t.take(np.argsort(b, kind="stable"))
     ends = np.cumsum(np.bincount(b, minlength=width))
@@ -349,11 +340,11 @@ def _split_blocks(key, width: int, *blocks):
 def _reduce_bucket(fn, counts, schemas, *pieces):
     """A reduce task: input j's ``counts[j]`` pieces concatenated into
     one table (``schemas[j]``'s zero-row table when the input has no
-    rows at all), and ``fn`` called once on one table per input.
-    Returns ``(fn's output, its block metadata)``, or ``(None, None)``
-    when no input has a row in this bucket."""
-    from ray.data.block import BlockMetadataWithSchema
-
+    rows at all), and ``fn`` called once on one table per input. Each
+    split task of the input sends a piece, zero-row ones included, so
+    the table has the type of all the input's blocks unified, whichever
+    rows reach it. Returns ``(fn's output, its row count)``, or
+    ``(None, None)`` when no input has a row in this bucket."""
     tabs, at = [], 0
     for n, s in zip(counts, schemas):
         tabs.append(pa.concat_tables(pieces[at:at + n], promote_options="permissive")
@@ -362,7 +353,7 @@ def _reduce_bucket(fn, counts, schemas, *pieces):
     if not any(t.num_rows for t in tabs):
         return None, None
     out = _arrow(fn(*tabs))
-    return out, BlockMetadataWithSchema.from_block(out)
+    return out, out.num_rows
 
 
 def _arrow(batch) -> pa.Table:
@@ -372,38 +363,11 @@ def _arrow(batch) -> pa.Table:
     return BlockAccessor.for_block(BlockAccessor.batch_to_block(batch)).to_arrow()
 
 
-def _arrow_schema(schema) -> pa.Schema:
-    """A block-metadata schema as Arrow (pandas blocks carry dtypes)."""
-    if isinstance(schema, pa.Schema):
-        return schema
-    return pa.Schema.from_pandas(
-        pd.DataFrame({n: pd.Series(dtype=t) for n, t in zip(schema.names, schema.types)}),
-        preserve_index=False)
-
-
 @functools.cache
 def _remote(f):
     import ray
 
     return ray.remote(f)
-
-
-def _from_blocks(blocks: list, metas: list):
-    """The materialized Dataset of Arrow block refs whose metadata the
-    reduce tasks returned: ``ray.data.from_arrow_refs`` without its one
-    metadata task per block. Those tasks need a worker of their own; on
-    1 CPU one sometimes had to start, and a neardup job took 1.0 s
-    instead of 0.65 s."""
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.from_operators import FromArrow
-    from ray.data._internal.plan import ExecutionPlan
-    from ray.data._internal.stats import DatasetStats
-    from ray.data.context import DataContext
-    from ray.data.dataset import MaterializedDataset
-
-    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
-                         DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(blocks, metas), plan._context))
 
 
 def materialized(ds) -> tuple:
@@ -412,7 +376,9 @@ def materialized(ds) -> tuple:
     the plan under ``LimitOperator[limit=1]`` (Ray 2.49). The schema is
     None when ``ds`` has no blocks or only rowless ones (a map stage
     leaves those column-less). An already-materialized Dataset is not
-    run again; one holding pandas blocks is converted to Arrow once."""
+    run again; one holding pandas blocks is converted to Arrow once.
+    Join sides and every ``bucket_reduce`` input are executed and typed
+    here."""
     m = ds.materialize()
     s = m.schema(fetch_if_missing=False)
     if s is not None and not isinstance(s.base_schema, pa.Schema):

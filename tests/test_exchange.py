@@ -140,6 +140,22 @@ def test_bucket_reduce_width_is_resolved_once(ray_session, monkeypatch):
     assert len(out) <= 3 and out["n_keys"].sum() == 11
 
 
+def test_bucket_reduce_width_grows_past_reducer_bytes(ray_session, monkeypatch):
+    """The width is ``scaled_buckets()`` raised to ceil(input bytes /
+    ``REDUCER_BYTES``), so one reducer's bucket stays bounded as the
+    input grows: 32 KB over 4 KB per reducer is 8 reducers, not 2."""
+    import ray.data as rd
+
+    monkeypatch.setattr(shuffle, "scaled_buckets", lambda: 2)
+    monkeypatch.setattr(shuffle, "REDUCER_BYTES", 4 << 10)
+    ds = rd.from_arrow([pa.table({"k": pa.array(np.arange(i, i + 512) % 997, pa.int64())})
+                        for i in range(0, 4096, 512)])
+    out = shuffle.bucket_reduce(ds, "k", lambda g: pa.table(
+        {"n": [g.num_rows], "keys": [len(set(g["k"].to_pylist()))]})).to_pandas()
+    assert len(out) == 8
+    assert out["n"].sum() == 4096 and out["keys"].sum() == 997
+
+
 # --- bucket_reduce over several inputs -------------------------------------
 
 def _co_inputs(kind: str) -> tuple:
@@ -221,6 +237,37 @@ def test_bucket_reduce_takes_pandas_block_inputs(ray_session, monkeypatch):
     out = shuffle.bucket_reduce([a, b], "k", lambda t0, t1: t0.append_column(
         "n1", pa.array(np.full(t0.num_rows, t1.num_rows, np.int64)))).to_pandas()
     assert sorted(zip(out["k"], out["s"], out["n1"])) == [(1, "x", 0), (2, "y", 1), (2, "z", 1)]
+    # a string key held in pandas blocks is typed from its data (string),
+    # so it co-partitions with an Arrow string key
+    c = rd.from_pandas(pd.DataFrame({"s": ["x", "y", "z"], "n": [1, 2, 3]}))
+    d = rd.from_arrow(pa.table({"s": pa.array(["y", "w"])}))
+    both = shuffle.bucket_reduce([c, d], "s", lambda t0, t1: t0.append_column(
+        "matches", pa.array([t1["s"].to_pylist().count(v) for v in t0["s"].to_pylist()],
+                            pa.int64())))
+    assert both.schema().base_schema.field("s").type == pa.string()
+    out = both.to_pandas()
+    assert sorted(zip(out["s"], out["n"], out["matches"])) == [("x", 1, 0), ("y", 2, 1),
+                                                               ("z", 3, 0)]
+
+
+def test_bucket_reduce_types_each_input_as_its_blocks_unified(ray_session, monkeypatch):
+    """An input whose blocks type a column differently (all-null in one
+    block) reaches every ``fn`` call with the blocks' unified type, so
+    the result's blocks agree: each split task sends every reducer a
+    piece, zero-row ones included. 64 buckets, so keys 1 and 2 reach
+    different calls, and one split task per block, so no split task
+    sees both types."""
+    import ray
+    import ray.data as rd
+
+    monkeypatch.setattr(shuffle, "scaled_buckets", lambda: 64)
+    monkeypatch.setattr(shuffle, "PIECE_BYTES", 1)
+    ds = rd.from_arrow([pa.table({"k": pa.array([1], pa.int64()), "v": pa.nulls(1)}),
+                        pa.table({"k": pa.array([2], pa.int64()), "v": pa.array([5])})])
+    out = shuffle.bucket_reduce(ds, "k", lambda g: g)
+    blocks = ray.get(shuffle.collect_refs(out))
+    assert len(blocks) == 2
+    assert all(b.schema.field("v").type == pa.int64() for b in blocks)
 
 
 def test_bucket_reduce_on_empty_inputs_is_fns_typed_result(ray_session):

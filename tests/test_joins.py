@@ -300,12 +300,16 @@ def test_asof_exact_above_2p53_and_null_first_carried(ray_session):
     assert out["rid"].tolist() == [7, 8]
 
 
-def test_hash_join_int32_carried_schema_stable(ray_session):
+def test_hash_join_int32_carried_schema_stable(ray_session, monkeypatch):
     """Empty buckets must emit the SAME output schema as non-empty ones:
     _restore_ints widens carried integer columns to int64, so empty
     buckets emitting the original int32 produced conflicting block
-    schemas in one Dataset (regression)."""
+    schemas in one Dataset (regression). 64 buckets, so that key 3
+    (left rows, no match) has a bucket of its own."""
+    from raycells.engine import shuffle
     from raycells.engine.joins import hash_join
+
+    monkeypatch.setattr(shuffle, "scaled_buckets", lambda: 64)
 
     left = pa.table(
         {
@@ -326,7 +330,7 @@ def test_hash_join_int32_carried_schema_stable(ray_session):
         key_right="k",
         keep_left=["lv"],
         keep_right=["rv"],
-    )  # 3 keys over scaled_buckets() >= 64 buckets → most buckets empty
+    )  # 3 keys over 64 buckets → most buckets empty
     # a downstream groupby forces Ray to unify block schemas — this is
     # where conflicting int32/int64 blocks blew up
     agg = out.groupby("lv").count().to_pandas()
