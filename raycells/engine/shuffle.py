@@ -51,6 +51,7 @@ __all__ = [
     "fold",
     "aggregate",
     "collect_refs",
+    "row_blocks",
     "partial_cell_agg",
     "merge_cell_agg",
     "exact_dedup_winners",
@@ -179,6 +180,13 @@ def collect_refs(ds) -> list:
     return ds.materialize().to_arrow_refs()
 
 
+def row_blocks(ds) -> list:
+    """``(ref, BlockMetadata)`` of each block of an executed Dataset that
+    holds rows, in block order, read from its metadata (nothing runs)."""
+    return [(ref, meta) for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
 def scaled_buckets(floor: int = DEFAULT_BUCKETS) -> int:
     """Exchange width ≈ 2× cluster CPUs, floor ``DEFAULT_BUCKETS``.
     The width is both the bucket count and the number of reduce tasks,
@@ -289,8 +297,7 @@ def bucket_reduce(inputs, key, fn):
     key_types = {tuple(s.field(k).type for k in keys) for s in schemas if s.names}
     if len(key_types) > 1:
         raise TypeError(f"bucket_reduce key {key!r} types differ between inputs: {key_types}")
-    blocks = [[(ref, meta) for bundle in m.iter_internal_ref_bundles()
-               for ref, meta in bundle.blocks if meta.num_rows] for m, _ in mats]
+    blocks = [row_blocks(m) for m, _ in mats]
     if not any(blocks):
         if not (several or schemas[0].names):
             return rd.from_arrow_refs([])

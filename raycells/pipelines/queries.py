@@ -1693,8 +1693,11 @@ def q_quantiles_qty(sf_dir: str):
         ds.map_batches(counts, batch_format="pyarrow"), "qty",
         pa.schema(_i64("qty", "n")),
     )
+    if not hist.num_rows:  # DuckDB: quantile_disc over no rows is NULL
+        nulls = {c: pa.nulls(1, pa.int64()) for c in ("p50", "p90", "p99")}
+        return pa.table({**nulls, "n_rows": pa.array([0], pa.int64())})
     cum = np.cumsum(hist["n"].to_numpy())
-    total = int(cum[-1]) if len(cum) else 0
+    total = int(cum[-1])
     vals = hist["qty"].to_numpy()
 
     def pick(q: float) -> int:
@@ -6717,6 +6720,11 @@ def q_gap_fill(sf_dir: str):
     import datetime as _dt
 
     bars = q_events_daily(sf_dir).to_pandas().rename(columns={"sum_value_c": "sum_c"})
+    if bars.empty:  # no events: no calendar, no types
+        return pa.schema(
+            [("event_type", pa.string()), ("day", pa.string())]
+            + _i64("n_events", "sum_c", "had_events")
+        ).empty_table()
     d0 = _dt.date.fromisoformat(bars["day"].min())
     d1 = _dt.date.fromisoformat(bars["day"].max())
     days = [

@@ -15,9 +15,11 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
   colliding band, with no pair-dedup exchange. SimHash verifies inside
   that reducer (Hamming ≤ r over the carried fingerprint lanes; the
   pigeonhole chunks give full recall for any radius); MinHash and
-  embedding hand the candidates to ``_verify_join_collect``, which
-  meets each pair with its two payloads and scores exact n-gram
-  Jaccard or integer cosine.
+  embedding hand the candidates to ``_verify_join_collect``: a
+  semi-join read fetches the candidate-touched payloads, and plain Ray
+  verify tasks, one per group of candidate blocks, attach each pair's
+  two payloads and score exact shingle Jaccard (one ``searchsorted``
+  over dense shingle ranks) or integer cosine.
 - **exact n-gram Jaccard**: size-banded dense set-similarity join
   (recall 1.0, no LSH).
 
@@ -32,14 +34,15 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-import glob
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raycells.engine.shuffle import bucket_reduce, collect_refs, from_pandas_clean
+from raycells.engine.shuffle import (
+    _remote, block_tables, bucket_reduce, collect_refs, from_pandas_clean, row_blocks,
+)
 
 __all__ = [
     "content_hash64",
@@ -313,6 +316,40 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
+def _pair_jaccard(id_a, id_b, text_a, text_b, k: int = 5) -> np.ndarray:
+    """``jaccard(char_shingles(a), char_shingles(b))`` of every pair row,
+    vectorized over one slice of pairs (Arrow columns; an id carries one
+    text). Each distinct id is shingled once; the slice's shingles are
+    ranked densely (one ``np.unique``), and each side becomes int64 keys
+    ``row·U + rank``, sorted already because every set is sorted. One
+    ``searchsorted`` of a's keys in b's counts every intersection."""
+    n = len(id_a)
+    if n == 0:
+        return np.empty(0)
+    ids = pc.dictionary_encode(pa.chunked_array([id_a, id_b]).combine_chunks())
+    code = ids.indices.to_numpy()
+    at = np.empty(len(ids.dictionary), np.int64)
+    at[code] = np.arange(code.size)  # one row per distinct id (any copy)
+    texts = pa.chunked_array([text_a, text_b]).combine_chunks().take(at).to_pylist()
+    sets = _shingle_sets(texts, k)
+    size = np.fromiter((s.size for s in sets), np.int64, count=len(sets))
+    start = np.cumsum(size) - size
+    rank = np.unique(np.concatenate(sets), return_inverse=True)[1]
+    width = np.int64(rank.max() + 1)
+
+    def keys(doc: np.ndarray) -> tuple:
+        cnt = size[doc]
+        end = np.cumsum(cnt)
+        pos = np.repeat(start[doc] - end + cnt, cnt) + np.arange(end[-1])
+        return np.repeat(np.arange(n, dtype=np.int64), cnt) * width + rank[pos], cnt
+
+    ka, la = keys(code[:n])
+    kb, lb = keys(code[n:])
+    hit = kb[np.minimum(np.searchsorted(kb, ka), kb.size - 1)] == ka
+    inter = np.bincount(ka[hit] // width, minlength=n)
+    return inter / (la + lb - inter)  # ≥ 1: char_shingles never returns empty
+
+
 # ---------------------------------------------------------------------------
 # LSH candidate stage (shared by every near-dup pipeline)
 # ---------------------------------------------------------------------------
@@ -331,10 +368,16 @@ def _key_vectors(keys: np.ndarray) -> pa.FixedSizeListArray:
     return pa.FixedSizeListArray.from_arrays(pa.array(flat, pa.int64()), bands)
 
 
-def _vectors_of(col: pa.ChunkedArray) -> np.ndarray:
-    """FixedSizeList column → (rows, width) int64 matrix."""
+def _vectors_of(col: pa.ChunkedArray, width: int | None = None) -> np.ndarray:
+    """List column → (rows, width) matrix of its values, ``width``
+    defaulting to a FixedSizeList's size. A null row or a row of
+    another length raises ``ValueError``."""
     arr = col.combine_chunks()
-    return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
+    if width is None:
+        width = arr.type.list_size
+    elif arr.null_count or (pc.list_value_length(arr).to_numpy(zero_copy_only=False) != width).any():
+        raise ValueError(f"vector column rows must each hold {width} values")
+    return arr.flatten().to_numpy().reshape(len(arr), width)
 
 
 def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
@@ -465,8 +508,8 @@ def minhash_near_dup_pairs(
     prefilter over the corpus, and each pair meets its two texts —
     broadcast block refs when the candidate-touched texts are small,
     else TWO co-partitioned ``hash_join`` exchanges (engine/joins.py),
-    pair ⋈ text(id_a) ⋈ text(id_b) — verified batch-local with exact
-    shingle Jaccard. No corpus-derived table is ever
+    pair ⋈ text(id_a) ⋈ text(id_b) — verified in plain Ray tasks with
+    exact shingle Jaccard (``_pair_jaccard``). No corpus-derived table is ever
     ``ray.get``-collected on the driver; only the final verified pairs
     (the output) come back. A ``doc_id`` repeated with differing texts
     raises ``ValueError`` (in Phase A when its copies share a bucket,
@@ -487,41 +530,12 @@ def minhash_near_dup_pairs(
     )
 
     def verify(batch: pa.Table) -> pa.Table:
-        # Batched exact Jaccard: shingle each DISTINCT doc once, then
-        # ONE lexsort over (pair_row, shingle) of both sides counts
-        # every pair's intersection in a single pass — each side is
-        # unique within itself (np.unique output), so an adjacent
-        # duplicate within a row is exactly one A∩B hit. No per-pair
-        # kernel calls (VERDICT r3 #4).
-        n = batch.num_rows
-        if n == 0:
-            return empty
-        a_in = batch["id_a"].to_pylist()
-        b_in = batch["id_b"].to_pylist()
-        ta_in = batch["text_a"].to_pylist()
-        tb_in = batch["text_b"].to_pylist()
-        docs = dict(zip(a_in + b_in, ta_in + tb_in))
-        cache = dict(zip(docs, _shingle_sets(list(docs.values()), k)))
-        sha = [cache[i] for i in a_in]
-        shb = [cache[i] for i in b_in]
-        la = np.fromiter((s.size for s in sha), np.int64, count=n)
-        lb = np.fromiter((s.size for s in shb), np.int64, count=n)
-        rows = np.concatenate(
-            [np.repeat(np.arange(n), la), np.repeat(np.arange(n), lb)]
-        )
-        hashes = np.concatenate(sha + shb)
-        order = np.lexsort((hashes, rows))
-        r, h = rows[order], hashes[order]
-        dup = (r[1:] == r[:-1]) & (h[1:] == h[:-1])
-        inter = np.bincount(r[1:][dup], minlength=n)
-        union = la + lb - inter  # ≥ 1: char_shingles never returns empty
-        jac = inter / union
-        keep = np.nonzero(jac >= threshold)[0]
-        idx = pa.array(keep, pa.int64())
+        jac = _pair_jaccard(batch["id_a"], batch["id_b"], batch["text_a"], batch["text_b"], k)
+        keep = np.flatnonzero(jac >= threshold)
         return pa.table(
             {
-                "id_a": pc.take(batch["id_a"], idx),
-                "id_b": pc.take(batch["id_b"], idx),
+                "id_a": batch["id_a"].take(keep),
+                "id_b": batch["id_b"].take(keep),
                 "jaccard": pa.array(jac[keep], pa.float64()),
             }
         )
@@ -552,25 +566,23 @@ def minhash_near_dup_pairs(
 _VERIFY_BROADCAST_BYTES = 256 << 20
 
 
+# a verify task takes consecutive candidate blocks until it holds at
+# least max(_VERIFY_TASK_PAIRS, n_cand / _VERIFY_TASKS) pairs: a few
+# thousand candidates run as one task, however many exchange reducers
+# emitted them (each task builds the id → payload index once)
+_VERIFY_TASK_PAIRS = 2048
+_VERIFY_TASKS = 64
+
+
 class _AttachPayloads:
-    """Broadcast-task stage: append payload_a/payload_b columns to a
-    candidate-pair batch from worker-local state built ONCE per worker
-    out of the materialized (bounded) payload blocks — plasma reads in
-    the workers, nothing through the driver."""
+    """Append payload_a/payload_b columns to candidate-pair slices from
+    an id → payload index built once out of the candidate-touched
+    payload blocks (Arrow ``index_in`` + ``take``, no per-row Python)."""
 
-    def __init__(self, _ref0, refs, id_col, payload_col, payload_names):
-        # _ref0 is broadcast_task's mandatory lead ref (also refs[0])
-        import ray
-
-        from raycells.engine.shuffle import block_tables
-
+    def __init__(self, tabs, id_col, payload_col, payload_names):
         self.names = payload_names
-        tabs = [ray.get(r) for r in ref_list(refs)]
-        # Ray hands EMPTY blocks through map_batches with the UPSTREAM
-        # schema (the UDF never runs), so a rowless documents-read block
-        # reaching this concat would carry the wrong columns — filter
-        # through block_tables (which also raises on a NON-empty block
-        # with a bad schema, a real producer bug).
+        # block_tables raises on a NON-empty block with a bad schema, a
+        # real producer bug
         tabs = block_tables(tabs, id_col)
         if not tabs:
             # n_cand > 0 guarantees candidate-touched payload rows exist;
@@ -580,8 +592,6 @@ class _AttachPayloads:
                 "stage — semi-join prefilter emitted only empty blocks"
             )
         t = pa.concat_tables(tabs)
-        # dictionary-index attach: ids as an Arrow value_set, payloads
-        # taken by position — no per-row Python (VERDICT r3 #4)
         self.ids = t[id_col].combine_chunks()
         self.vals = t[payload_col].combine_chunks()
 
@@ -590,9 +600,9 @@ class _AttachPayloads:
         ia = pc.index_in(batch["id_a"], value_set=self.ids)
         ib = pc.index_in(batch["id_b"], value_set=self.ids)
         if ia.null_count or ib.null_count:
-            # index_in returns NULL for a missing id — the old dict
-            # lookup raised KeyError; a silent null payload here would
-            # make verify_fn quietly drop (or mis-score) the pair
+            # index_in returns NULL for a missing id; a silent null
+            # payload here would make verify_fn quietly drop (or
+            # mis-score) the pair
             raise KeyError(
                 "candidate pair references an id absent from the "
                 "candidate-touched payload set"
@@ -607,16 +617,33 @@ class _AttachPayloads:
         )
 
 
-def ref_list(refs):
-    return list(refs) if isinstance(refs, (list, tuple)) else [refs]
+def _verify_group(verify_fn, block, attach, path, n_payload, *blocks):
+    """A verify task: the group's candidate blocks (``blocks[n_payload:]``)
+    as one table, scored by ``verify_fn`` in slices of at most ``block``
+    pairs. ``attach`` is ``(id_col, payload_col, payload_names)`` when
+    the pairs still need their payloads, from the candidate-touched
+    payload blocks ``blocks[:n_payload]`` (``_AttachPayloads``, built
+    once per task); None when they already carry them. Returns the
+    verified table, or with a ``path`` writes it there (when it has
+    rows) and returns its row count."""
+    pairs = pa.concat_tables(blocks[n_payload:])
+    add = _AttachPayloads(blocks[:n_payload], *attach) if attach else (lambda t: t)
+    out = pa.concat_tables(
+        [verify_fn(add(pairs.slice(lo, block))) for lo in range(0, pairs.num_rows, block)]
+    )
+    if path is None:
+        return out
+    if out.num_rows:
+        import pyarrow.parquet as pq
+
+        pq.write_table(out, path)
+    return out.num_rows
 
 
 def _union_id_blocks(*tabs):
     """Worker-side union of candidate-pair blocks → one sorted array of
     DISTINCT endpoint ids and its length (runs as a Ray task so the id
     set never lands on the driver)."""
-    from raycells.engine.shuffle import block_tables
-
     arrs = [
         t[c].to_numpy(zero_copy_only=False)
         for t in block_tables(tabs, "id_a")
@@ -690,21 +717,24 @@ def _verify_join_collect(
        corpus, copies with identical payloads collapse to one and
        differing payloads raise ``ValueError`` (one bucket exchange,
        run only then);
-    3. each pair meets its two payloads — ADAPTIVELY by measured size:
-       candidate-touched payloads under ``_VERIFY_BROADCAST_BYTES``
-       stay in the object store as materialized blocks whose REFS
-       broadcast to the verify workers (zero exchanges; each worker
-       reads the blocks zero-copy — nothing is collected on the
-       driver); a larger payload set takes the scale path, two
+    3. plain Ray verify tasks, one per group of consecutive candidate
+       blocks holding at least max(``_VERIFY_TASK_PAIRS``, n_cand /
+       ``_VERIFY_TASKS``) pairs. Candidate-touched payloads under
+       ``_VERIFY_BROADCAST_BYTES`` stay in the object store and their
+       block refs go to every task, which indexes them once and
+       attaches + verifies its pairs in slices of ``_PAIR_BLOCK``
+       (``_verify_group``); no Ray Data operator runs after the
+       semi-join. A larger payload set takes the scale path first, two
        co-partitioned ``hash_join`` exchanges
-       (pair ⋈ payload(id_a) ⋈ payload(id_b));
-    4. ``verify_fn`` per batch; only the verified pairs are collected.
+       (pair ⋈ payload(id_a) ⋈ payload(id_b)), and the tasks verify the
+       joined blocks;
+    4. only the verified pairs are collected, with one ``ray.get``.
 
-    Returns the verified pa.Table (or None when there are no candidates).
-    With ``sink_dir`` the verified pairs STREAM to partitioned parquet
-    instead (one file per verify block — the pair table never needs one
-    heap on a dup-heavy corpus) and a ``{"sink_dir", "n_pairs",
-    "n_files"}`` summary comes back.
+    Returns the verified pa.Table (or None when no pair passes). With
+    ``sink_dir`` each task writes its verified pairs to its own
+    ``part-<i>.parquet`` instead (the pair table never needs one heap
+    on a dup-heavy corpus) and a ``{"sink_dir", "n_pairs", "n_files"}``
+    summary comes back, ``n_files`` counting the tasks that wrote rows.
     """
     import ray
 
@@ -712,26 +742,24 @@ def _verify_join_collect(
     from raycells.engine.stages import broadcast_task
 
     cand = cand_ds.materialize()
-    n_cand = cand.count()
-    if n_cand == 0:
-        if sink_dir is not None:
-            # a zero-candidate run must still OWN the sink dir: leaving
-            # a previous run's pair parquet behind would contradict the
-            # n_pairs=0 summary the caller publishes
-            import shutil
+    if sink_dir is not None:
+        # the run OWNS the sink dir: a previous run's pair parquet left
+        # behind would contradict the summary the caller publishes
+        import shutil
 
-            shutil.rmtree(sink_dir, ignore_errors=True)
-            os.makedirs(sink_dir, exist_ok=True)
-            return {"sink_dir": sink_dir, "n_pairs": 0, "n_files": 0}
-        return None
+        shutil.rmtree(sink_dir, ignore_errors=True)
+        os.makedirs(sink_dir, exist_ok=True)
+    pairs = row_blocks(cand)
+    if not pairs:
+        return None if sink_dir is None else {"sink_dir": sink_dir, "n_pairs": 0, "n_files": 0}
 
     # DISTINCT candidate ids stay in the object store: ONE Ray task
     # unions cand's materialized pair blocks into a single sorted plasma
     # array that broadcasts to the fetch workers — no extra Dataset
     # execution, and the id set never lands on the driver.
-    wanted_ref, n_wanted = ray.remote(num_cpus=1, num_returns=2)(
-        _union_id_blocks
-    ).remote(*collect_refs(cand))
+    wanted_ref, n_wanted = _remote(_union_id_blocks).options(num_returns=2).remote(
+        *(ref for ref, _ in pairs)
+    )
 
     name_a, name_b = payload_names
     touched = corpus_ds.map_batches(
@@ -746,25 +774,8 @@ def _verify_join_collect(
         )
 
     if touched.size_bytes() <= _VERIFY_BROADCAST_BYTES:
-        refs = tuple(collect_refs(touched))
-        # repartition before the attach: cand holds one block per
-        # exchange reducer (about 2× the cluster's CPUs), tiny when the
-        # candidates are few, so mapping them directly fans the attach
-        # stage out to every worker and rebuilds the broadcast dict on
-        # each — measured 0.7 s SLOWER than paying this small exchange
-        # (interleaved A/B at sf0.1 over the sort exchange's many small
-        # output blocks: 1.54 s vs 2.23 s best-of-6)
-        n_blocks = max(1, min(64, n_cand // 2048))
-        with_ab = (
-            cand.repartition(n_blocks)
-            .map_batches(
-                broadcast_task(
-                    _AttachPayloads, refs[0], refs,
-                    id_col, payload_col, payload_names,
-                ),
-                batch_format="pyarrow",
-            )
-        )
+        payloads = [ref for ref, _ in row_blocks(touched)]
+        attach = (id_col, payload_col, payload_names)
     else:
         side_a = touched.map_batches(
             lambda b: pa.table({"_pid": b[id_col], name_a: b[payload_col]}),
@@ -784,31 +795,37 @@ def _verify_join_collect(
             key_left="id_b", key_right="_pid",
             keep_left=["id_a", "id_b", name_a], keep_right=[name_b],
         )
-    verified = with_ab.map_batches(verify_fn, batch_format="pyarrow")
+        pairs, payloads, attach = row_blocks(with_ab), [], None
+
+    n_cand = sum(meta.num_rows for _, meta in pairs)
+    target = max(_VERIFY_TASK_PAIRS, n_cand // _VERIFY_TASKS)
+    groups, group, rows = [], [], 0
+    for ref, meta in pairs:
+        group.append(ref)
+        rows += meta.num_rows
+        if rows >= target:
+            groups.append(group)
+            group, rows = [], 0
+    if group:
+        groups.append(group)
+    fn_ref = ray.put(verify_fn)
+    task = _remote(_verify_group)
+    # _PAIR_BLOCK resolves here, on the driver, like the exchange width
+    outs = ray.get([
+        task.remote(
+            fn_ref, _PAIR_BLOCK, attach,
+            None if sink_dir is None else os.path.join(sink_dir, f"part-{i:05d}.parquet"),
+            len(payloads), *payloads, *g,
+        )
+        for i, g in enumerate(groups)
+    ])
     if sink_dir is not None:
-        # streamed sink (VERDICT r3 #9): the pair table goes straight to
-        # partitioned parquet; only the summary counts reach the driver
-        import shutil
-
-        shutil.rmtree(sink_dir, ignore_errors=True)
-        os.makedirs(sink_dir, exist_ok=True)
-        verified.write_parquet(sink_dir)
-        import pyarrow.parquet as _pq
-
-        files = sorted(glob.glob(os.path.join(sink_dir, "*.parquet")))
-        n_pairs = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
-        return {"sink_dir": sink_dir, "n_pairs": int(n_pairs),
-                "n_files": len(files)}
-    # The concat below builds the function's RETURN VALUE — the verified
-    # pair table, output-sized by LSH design. Callers that expect pair
-    # lists beyond one heap consume `verified` via the sink_dir mode
-    # above. Ray can surface schema-less empty blocks from map stages;
-    # drop them before the concat (they carry no rows)
-    tabs = ray.get(collect_refs(verified))
-    tabs = [t for t in tabs if t.num_rows > 0]
-    if not tabs:
-        return None
-    return pa.concat_tables(tabs)
+        return {"sink_dir": sink_dir, "n_pairs": int(sum(outs)),
+                "n_files": sum(1 for n in outs if n)}
+    # the verified pair table is the RETURN VALUE, output-sized by LSH
+    # design; callers expecting pair lists beyond one heap use sink_dir
+    tabs = [t for t in outs if t.num_rows]
+    return pa.concat_tables(tabs) if tabs else None
 
 
 # ---------------------------------------------------------------------------
@@ -1214,13 +1231,14 @@ def embedding_near_dup_pairs(
     ``_verify_join_collect`` skeleton):
     DISTINCT-candidate-id broadcast prefilter → payloads meet pairs
     adaptively (broadcast block refs / co-partitioned hash joins) →
-    integer-cosine ≥ threshold per batch. Only the verified pairs reach
+    integer-cosine ≥ threshold per slice of pairs, the vectors read
+    straight from the list values (``_vectors_of``). Only the verified pairs reach
     the driver. More tables → higher recall; the candidate set is
     output-sized by LSH design."""
     planes = lsh_planes_int(dim, n_planes * n_tables)
 
     def table_keys(batch: pa.Table) -> np.ndarray:
-        eq = quantize_embeddings(np.asarray(batch[col].to_pylist(), dtype=np.float64))
+        eq = quantize_embeddings(_vectors_of(batch[col], dim))
         sig = (eq @ planes > 0).astype(np.int64).reshape(len(eq), n_tables, n_planes)
         bucket = np.zeros((len(eq), n_tables), dtype=np.int64)
         for p in range(n_planes):
@@ -1241,8 +1259,8 @@ def embedding_near_dup_pairs(
         b_in = batch["id_b"].to_numpy(zero_copy_only=False)
         if len(a_in) == 0:
             return empty
-        eq_a = quantize_embeddings(np.asarray(batch["vec_a"].to_pylist(), dtype=np.float64))
-        eq_b = quantize_embeddings(np.asarray(batch["vec_b"].to_pylist(), dtype=np.float64))
+        eq_a = quantize_embeddings(_vectors_of(batch["vec_a"], dim))
+        eq_b = quantize_embeddings(_vectors_of(batch["vec_b"], dim))
         sims = int_cosine(eq_a, eq_b)
         hit = sims >= threshold
         return pa.table(

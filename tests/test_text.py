@@ -899,3 +899,103 @@ def test_lsh_pairs_any_pair_block(ray_session, monkeypatch, block):
     out = dd.simhash_near_dup_pairs(ds, max_hamming=8).to_pandas()
     got = list(zip(out["id_a"], out["id_b"], out["hamming"]))
     assert len(got) == len(set(got)) and set(got) == want
+
+
+# ---------------------------------------------------------------------------
+# near-dup verify: the Jaccard kernel and the plain-task verify path
+# ---------------------------------------------------------------------------
+
+_EDGE_TEXTS = ["", "", "ab", "ab", "abc", "abcd", "x" * 7, "a", "ü" * 3]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_pair_jaccard_matches_per_pair_reference(k):
+    """``_pair_jaccard`` equals ``jaccard(char_shingles(a),
+    char_shingles(b))`` float for float: texts shorter than k (one
+    whole-text shingle), the empty text, identical texts, and ids on
+    both the a and b side of one slice, over chunked columns."""
+    ids, texts = _near_copies(6)
+    ids, texts = ids + [f"e{i}" for i in range(len(_EDGE_TEXTS))], texts + _EDGE_TEXTS
+    text_of = dict(zip(ids, texts))
+    rng = np.random.default_rng(k)
+    pairs = [(ids[i], ids[j]) for i, j in rng.integers(0, len(ids), (300, 2))]
+    pairs += [("e0", "e1"), ("e1", "e2"), ("e2", "e3"), ("e3", "e4"), ("e4", "e5"),
+              ("d000", "d000"), ("e7", "e0"), ("e8", "e6")]
+    a, b = (list(x) for x in zip(*pairs))
+
+    def col(v, pieces=3):
+        cut = np.array_split(np.arange(len(v)), pieces)
+        return pa.chunked_array([pa.array([v[i] for i in c], pa.string()) for c in cut])
+
+    got = dd._pair_jaccard(col(a), col(b), col([text_of[i] for i in a]),
+                           col([text_of[i] for i in b]), k)
+    want = [dd.jaccard(dd.char_shingles(text_of[x], k), dd.char_shingles(text_of[y], k))
+            for x, y in pairs]
+    np.testing.assert_array_equal(got, np.array(want))
+    assert got[len(pairs) - 8] == 1.0 and got[len(pairs) - 3] == 1.0  # empty ≡ empty, self
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 14])
+def test_minhash_verify_any_pair_block(ray_session, monkeypatch, block):
+    """The verify tasks score every candidate with the per-pair
+    reference Jaccard at any ``_PAIR_BLOCK``, in one task or one task
+    per candidate block, on the broadcast and the ``hash_join`` paths;
+    with threshold 0 every candidate comes out once, sorted."""
+    import ray.data as rd
+
+    monkeypatch.setattr(dd, "_PAIR_BLOCK", block)
+    ids, texts = _near_copies(12)
+    ids, texts = ids + [f"e{i}" for i in range(len(_EDGE_TEXTS))], texts + _EDGE_TEXTS
+    text_of = dict(zip(ids, texts))
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts})).repartition(3)
+    seen = _spy_candidates(monkeypatch)
+    for task_pairs, broadcast_bytes in ((2048, 256 << 20), (1, 256 << 20), (1, -1)):
+        monkeypatch.setattr(dd, "_VERIFY_TASK_PAIRS", task_pairs)
+        monkeypatch.setattr(dd, "_VERIFY_BROADCAST_BYTES", broadcast_bytes)
+        out = dd.minhash_near_dup_pairs(ds, threshold=0.0)
+        got = list(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
+        assert got == sorted(set(seen[-1])) and len(got) > 60
+        assert ("e0", "e1") in got and ("e2", "e3") in got
+        want = [dd.jaccard(dd.char_shingles(text_of[x]), dd.char_shingles(text_of[y]))
+                for x, y in got]
+        assert out["jaccard"].to_pylist() == want
+
+
+def test_broadcast_verify_runs_no_dataset_operator():
+    """After the semi-join read, the broadcast verify path of
+    ``_verify_join_collect`` runs plain Ray tasks only: no
+    ``.map_batches(`` outside the ``hash_join`` scale branch, and no
+    ``.repartition(`` anywhere in dedup.py."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(dd))
+    calls = lambda node: [  # noqa: E731
+        n.func.attr for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    ]
+    assert "repartition" not in calls(tree)
+    (fn,) = [n for n in tree.body
+             if isinstance(n, ast.FunctionDef) and n.name == "_verify_join_collect"]
+    semi = next(i for i, st in enumerate(fn.body)
+                if any(isinstance(n, ast.Name) and n.id == "_SemiJoinFetch" for n in ast.walk(st)))
+    rest = fn.body[semi + 1:]
+    split = [st for st in rest if isinstance(st, ast.If)
+             and "_VERIFY_BROADCAST_BYTES" in ast.unparse(st.test)]
+    assert len(split) == 1
+    for st in rest:
+        parts = [*split[0].body] if st is split[0] else [st]
+        for part in parts:
+            assert "map_batches" not in calls(part), ast.unparse(part)
+
+
+def test_vectors_of_reads_lists_without_python_rows():
+    """Embedding payloads read as (rows, dim) straight from the list
+    values; a row of another length or a null row raises."""
+    rows = [[0.5, -1.25, 3.0], [1.0, 2.0, 4.0], [0.0, 0.0, 1e-9]]
+    col = pa.chunked_array([pa.array(rows[:1]), pa.array(rows[1:]).slice(0, 2)])
+    np.testing.assert_array_equal(dd._vectors_of(col, 3), np.asarray(rows))
+    with pytest.raises(ValueError, match="3 values"):
+        dd._vectors_of(pa.chunked_array([pa.array([[1.0, 2.0, 3.0], [1.0, 2.0]])]), 3)
+    with pytest.raises(ValueError, match="3 values"):
+        dd._vectors_of(pa.chunked_array([pa.array([[1.0, 2.0, 3.0], None])]), 3)
