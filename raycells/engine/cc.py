@@ -6,9 +6,9 @@ oracles.py ``dedup_clusters``):
 
 1. **Bucketed contraction (distributed).** Edges are hash-bucketed on
    one endpoint and each bucket's edge subset is contracted by a
-   VECTORIZED hash-to-min label propagation (``map_groups``, one numpy
-   kernel per bucket — no Python per-row work). Each bucket emits its
-   spanning forest ``node → bucket-local min label``: at most
+   VECTORIZED hash-to-min label propagation (``shuffle.bucket_reduce``,
+   one numpy kernel per bucket — no Python per-row work). Each bucket
+   emits its spanning forest ``node → bucket-local min label``: at most
    ``distinct nodes in bucket`` rows, so the union over buckets is
    bounded by ``buckets × distinct_nodes`` — NODE-sized (i.e.
    output-sized for dedup clustering), never PAIR-sized. Within a dense
@@ -82,8 +82,8 @@ def connected_components(
     Returns a pandas DataFrame ``(node, root)`` — root = min component
     member in the id type's natural order (lexicographic for strings,
     numeric for ints) — via the two-level contraction described in the module
-    docstring. The distributed stage always runs (one coarse-bucket
-    ``map_groups`` exchange); the driver folds only the node-sized
+    docstring. The distributed stage always runs (one
+    ``bucket_reduce`` exchange); the driver folds only the node-sized
     contracted forest."""
     import ray.data
     from ray.data import Dataset

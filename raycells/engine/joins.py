@@ -287,9 +287,10 @@ def grouped_topk(
 ):
     """Top-k rows per group by (order_col, tiebreak_col) in the given
     per-column directions (default DESC, DESC): per-batch partial top-k
-    (each batch can only contribute its own best k per group) → one
-    small final merge task. The final table is O(groups × k); the
-    exchange moves only the per-batch survivors."""
+    (each batch can only contribute its own best k per group) → a
+    ``bucket_reduce`` on ``group_col`` whose reducers rank their groups'
+    survivors. The final table is O(groups × k); the exchange moves only
+    the per-batch survivors."""
     asc = list(ascending)
 
     def partial_topk(b: pa.Table) -> pa.Table:
@@ -305,10 +306,7 @@ def grouped_topk(
         return from_pandas_clean(df)
 
     small = ds.map_batches(partial_topk, batch_format="pyarrow")
-    # survivors are O(blocks × groups × k): coalesce and finish in one task
-    return small.repartition(1).map_batches(
-        final_topk, batch_format="pyarrow", batch_size=None
-    )
+    return bucket_reduce(small, group_col, final_topk)
 
 
 def band_join_count(

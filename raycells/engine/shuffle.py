@@ -218,24 +218,44 @@ def bucket_of(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> np.nd
     ``pd.util.hash_array`` (``merge_cell_agg`` and the bucket-size trace
     read this formula). A list folds its columns into one uint64
     (``h = (h ^ col) * golden``, non-numeric columns hashed first) and
-    buckets on bits 33+."""
+    buckets on bits 33+. A null hashes as 0 in every column type, so a
+    key column that some blocks type as all-null (``pa.null()``) or
+    hold nulls in places its rows as the other blocks do."""
     if isinstance(key, str):
-        k = batch[key].to_numpy(zero_copy_only=False)
-        if k.dtype.kind in "iu":
-            with np.errstate(over="ignore"):
+        col = batch[key]
+        k = _key_values(col)
+        with np.errstate(over="ignore"):
+            if k.dtype.kind in "iu":
                 return ((k.astype(np.uint64) * _GOLDEN) >> np.uint64(48)).astype(
                     np.int64
                 ) % num_buckets
-        # string/object keys: deterministic vectorized hash
-        return (pd.util.hash_array(k) % num_buckets).astype(np.int64)
+            # string/object keys: deterministic vectorized hash
+            b = (pd.util.hash_array(k) % num_buckets).astype(np.int64)
+        if col.null_count:
+            b[col.is_null().to_numpy(zero_copy_only=False)] = 0
+        return b
     h = np.zeros(batch.num_rows, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for c in key:
-            vals = batch[c].to_numpy(zero_copy_only=False)
+            col = batch[c]
+            vals = _key_values(col)
             if vals.dtype.kind not in "iuf":
                 vals = pd.util.hash_array(np.asarray(vals, dtype=object))
+                if col.null_count:
+                    vals[col.is_null().to_numpy(zero_copy_only=False)] = 0
             h = (h ^ vals.astype(np.uint64)) * _GOLDEN
     return ((h >> np.uint64(33)) % num_buckets).astype(np.int64)
+
+
+def _key_values(col) -> np.ndarray:
+    """A key column as numpy: integer columns stay integers with their
+    nulls as 0 (``to_numpy`` would make them float), an all-null column
+    is int64 zeros, a float column has its nulls as 0.0."""
+    if pa.types.is_null(col.type):
+        return np.zeros(len(col), np.int64)
+    if col.null_count and (pa.types.is_integer(col.type) or pa.types.is_floating(col.type)):
+        col = col.fill_null(0)
+    return col.to_numpy(zero_copy_only=False)
 
 
 def add_bucket(batch: pa.Table, key, num_buckets: int = DEFAULT_BUCKETS) -> pa.Table:
@@ -266,7 +286,8 @@ def bucket_reduce(inputs, key, fn):
     own input's columns and Arrow types — a zero-row table where the
     input has no rows in that bucket — and every key's rows from every
     input reach the same call. Key types that differ between inputs
-    raise ``TypeError``.
+    raise ``TypeError``; an all-null (``pa.null()``) key type matches
+    any other.
 
     The exchange is plain Ray tasks, run when this is called. Each input
     executes once and is typed by ``materialized`` (pandas blocks become
@@ -294,8 +315,10 @@ def bucket_reduce(inputs, key, fn):
     mats = [materialized(ds) for ds in (inputs if several else [inputs])]
     schemas = [pa.schema([]) if s is None else s.remove_metadata() for _, s in mats]
     keys = [key] if isinstance(key, str) else list(key)
-    key_types = {tuple(s.field(k).type for k in keys) for s in schemas if s.names}
-    if len(key_types) > 1:
+    # an all-null key column (``pa.null()``, e.g. typed from an all-null
+    # first block) matches any type: the reducers unify the pieces
+    key_types = [{s.field(k).type for s in schemas if s.names} - {pa.null()} for k in keys]
+    if any(len(t) > 1 for t in key_types):
         raise TypeError(f"bucket_reduce key {key!r} types differ between inputs: {key_types}")
     blocks = [row_blocks(m) for m, _ in mats]
     if not any(blocks):

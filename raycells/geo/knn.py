@@ -8,10 +8,10 @@ state a ``map_batches`` actor pool holds (SURVEY.md §2.9): build in
 ``__init__``, query per batch.
 
 Scale path: the index here stores only (lon, lat, key) per tile — ~24
-bytes/tile. At 10^12-doc scale the index itself shards by parent cell:
-route each query batch to the actor owning the query's coarse parent
-cell (groupby(parent) → map_groups), same ring logic per shard. The
-sandbox uses the broadcast single-index path.
+bytes/tile. ``sharded_knn`` never gathers the points: each block answers
+the queries routed to its points' coarse parent cells with a local
+top-k, and the driver merges those (a top-k per block is exact, so no
+point moves). The ring logic is the same as ``KnnIndex.query_one``.
 
 Distances are great-circle-approximate equirectangular (good enough for
 ranking at tile scale and matched exactly by the DuckDB oracle's formula).
@@ -130,18 +130,19 @@ class KnnIndex:
 
 
 def sharded_knn(points_ds, queries, k: int, parent_level: int = 3):
-    """Distributed kNN with NO driver-side point materialization — the
-    scale path the module docstring promises (SURVEY.md §2.9): points
-    shard by coarse parent cell (one filtered exchange per probe round),
-    each shard answers routed queries with a vectorized local top-k, and
-    only the per-shard top-k rows (≤ queries × k per shard) reach the
-    driver for the global merge. Probe rings expand until the kth-best
-    distance is closed out by the ring lower bound — the same
-    termination rule as ``KnnIndex.query_one``, so results are exact.
-
-    Partitioning assumption (documented per SURVEY.md §2.9): a shard =
-    one parent cell's points; dense city parents make big shards, which
-    costs a larger local top-k scan but never wrong answers.
+    """Distributed kNN with NO driver-side point materialization and no
+    exchange — the scale path the module docstring promises (SURVEY.md
+    §2.9). The narrow ``(seed, lon, lat, _parent)`` projection (parent
+    cell at ``parent_level``) is materialized once. Each probe round is
+    one ``map_batches`` over those blocks: a batch sorts its points by
+    parent cell, slices each probed cell out with ``searchsorted`` and
+    keeps each routed query's top-k over its slices by ``(dist, seed)``,
+    so only ≤ queries × k rows per block reach the driver for the
+    global merge. A top-k per block is exact: the
+    global top-k is a subset of the union of the blocks' top-k. Probe
+    rings expand until the kth-best distance is closed out by the ring
+    lower bound — the same termination rule as ``KnnIndex.query_one``,
+    so results are exact.
 
     ``points_ds``: Dataset with (seed int64, lon f64, lat f64) columns.
     ``queries``: sequence of (query_id, qlon, qlat).
@@ -149,6 +150,9 @@ def sharded_knn(points_ds, queries, k: int, parent_level: int = 3):
     seed (DuckDB-oracle parity: ORDER BY dist, seed).
     """
     import pyarrow as pa
+    import ray
+
+    from raycells.engine.shuffle import block_tables, collect_refs
 
     parent_deg = 180.0 / (1 << parent_level)
     qids = [int(q[0]) for q in queries]
@@ -169,13 +173,6 @@ def sharded_knn(points_ds, queries, k: int, parent_level: int = 3):
     active = set(qids)
     R = 1
     max_r = 1 << parent_level
-    # Round 1 runs fused against the raw lineage (the common
-    # single-round case pays no extra execution). If ring expansion
-    # needs MORE rounds, materialize the narrow tagged projection once
-    # — (seed, lon, lat, _parent) only — so later rounds filter a small
-    # cached table instead of re-executing the full upstream pipeline
-    # (e.g. explode + decode) per round.
-    tagged = None
 
     def tag_parent(b: pa.Table) -> pa.Table:
         lon = b["lon"].to_numpy(zero_copy_only=False)
@@ -186,9 +183,12 @@ def sharded_knn(points_ds, queries, k: int, parent_level: int = 3):
                 "seed": b["seed"],
                 "lon": b["lon"],
                 "lat": b["lat"],
-                "_parent": pa.array(p.astype(np.int64), pa.int64()),
+                "_parent": pa.array(p.view(np.int64), pa.int64()),
             }
         )
+
+    # once, before round 1: later rounds never re-run the upstream
+    tagged = points_ds.map_batches(tag_parent, batch_format="pyarrow").materialize()
 
     while active:
         # parent cells to probe this round (rings 0..R minus already-probed)
@@ -205,66 +205,50 @@ def sharded_knn(points_ds, queries, k: int, parent_level: int = 3):
             for c in probe[qid]:
                 qs_by_cell.setdefault(c, []).append(qid)
         if qs_by_cell:
-            cell_arr = np.array(sorted(qs_by_cell), dtype=np.uint64)
-            if R > 1 and tagged is None:
-                tagged = points_ds.map_batches(
-                    tag_parent, batch_format="pyarrow"
-                ).materialize()
-            src = tagged if tagged is not None else points_ds
+            cells = np.array(list(qs_by_cell), np.uint64).view(np.int64)
+            routed = list(qs_by_cell.values())
 
-            def tag_and_filter(b: pa.Table) -> pa.Table:
-                if "_parent" in b.column_names:  # already tagged (cached)
-                    p = b["_parent"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    t = b
-                else:
-                    lon = b["lon"].to_numpy(zero_copy_only=False)
-                    lat = b["lat"].to_numpy(zero_copy_only=False)
-                    p = cellid.encode(lon, lat, parent_level)
-                    t = b.append_column(
-                        "_parent", pa.array(p.astype(np.int64), pa.int64())
-                    )
-                keep = np.isin(p, cell_arr)  # prune BEFORE the exchange
-                return t.filter(pa.array(keep))
-
-            def shard_topk(g: pa.Table) -> pa.Table:
-                parent = int(g["_parent"][0].as_py())
-                lon = g["lon"].to_numpy(zero_copy_only=False)
-                lat = g["lat"].to_numpy(zero_copy_only=False)
-                seeds = g["seed"].to_numpy(zero_copy_only=False)
-                out_q, out_s, out_d = [], [], []
-                for qid in qs_by_cell.get(parent, ()):
-                    d = euclid_deg(qlon[qid], qlat[qid], lon, lat)
-                    top = np.lexsort((seeds, d))[: k]
-                    out_q.extend([qid] * len(top))
-                    out_s.append(seeds[top])
+            def block_topk(b: pa.Table) -> pa.Table:
+                parent = b["_parent"].to_numpy(zero_copy_only=False)
+                by_parent = np.argsort(parent, kind="stable")
+                parent = parent[by_parent]
+                lo = np.searchsorted(parent, cells, "left")
+                hi = np.searchsorted(parent, cells, "right")
+                rows: dict = {}  # query → the block rows of its probed cells
+                for i in np.flatnonzero(hi > lo):
+                    for qid in routed[i]:
+                        rows.setdefault(qid, []).append(by_parent[lo[i]:hi[i]])
+                lon = b["lon"].to_numpy(zero_copy_only=False)
+                lat = b["lat"].to_numpy(zero_copy_only=False)
+                seeds = b["seed"].to_numpy(zero_copy_only=False)
+                out_q, out_s = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+                out_d = [np.empty(0)]
+                for qid, idx in rows.items():
+                    idx = np.concatenate(idx)
+                    d = euclid_deg(qlon[qid], qlat[qid], lon[idx], lat[idx])
+                    top = np.lexsort((seeds[idx], d))[:k]
+                    out_q.append(np.full(top.size, qid, np.int64))
+                    out_s.append(seeds[idx[top]].astype(np.int64))
                     out_d.append(d[top])
-                if not out_q:
-                    return pa.table(
-                        {
-                            "query_id": pa.array([], pa.int64()),
-                            "seed": pa.array([], pa.int64()),
-                            "dist": pa.array([], pa.float64()),
-                        }
-                    )
                 return pa.table(
                     {
-                        "query_id": pa.array(np.asarray(out_q, np.int64)),
-                        "seed": pa.array(np.concatenate(out_s).astype(np.int64)),
+                        "query_id": pa.array(np.concatenate(out_q)),
+                        "seed": pa.array(np.concatenate(out_s)),
                         "dist": pa.array(np.concatenate(out_d)),
                     }
                 )
 
-            part = (
-                src.map_batches(tag_and_filter, batch_format="pyarrow")
-                .groupby("_parent")
-                .map_groups(shard_topk, batch_format="pyarrow")
-                .to_pandas()  # ≤ probed_cells × queries × k rows
+            tabs = block_tables(
+                ray.get(collect_refs(tagged.map_batches(block_topk, batch_format="pyarrow"))),
+                "query_id",
             )
-            for qid, sub in part.groupby("query_id", sort=False):
-                cand_s[qid] = np.concatenate(
-                    [cand_s[qid], sub["seed"].to_numpy().astype(np.int64)]
-                )
-                cand_d[qid] = np.concatenate([cand_d[qid], sub["dist"].to_numpy()])
+            if tabs:  # ≤ blocks × queries × k rows
+                part = pa.concat_tables(tabs).to_pandas()
+                for qid, sub in part.groupby("query_id", sort=False):
+                    cand_s[qid] = np.concatenate(
+                        [cand_s[qid], sub["seed"].to_numpy().astype(np.int64)]
+                    )
+                    cand_d[qid] = np.concatenate([cand_d[qid], sub["dist"].to_numpy()])
         # termination: kth best closed out by the unprobed-ring lower bound
         done = set()
         for qid in active:

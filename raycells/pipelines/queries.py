@@ -1510,12 +1510,13 @@ def q_pip_join_cellcover(sf_dir: str):
 
 def q_knn_tiles(sf_dir: str):
     """kNN tile lookup, SHARDED (geo/knn.sharded_knn — the scale path):
-    tile points shard by coarse parent cell, queries route to the shards
-    their probe rings touch, each shard answers a vectorized local
-    top-k, and only per-shard top-k rows reach the driver for the global
-    merge. No driver-side point materialization anywhere; ties broken by
-    seed (oracle parity). The single-index ``KnnIndex`` remains for
-    query-stream workloads where the point set is small enough to ship."""
+    tile points are tagged with their coarse parent cell once, queries
+    route to the parent cells their probe rings touch, each block
+    answers a vectorized local top-k over those cells' points, and only
+    per-block top-k rows reach the driver for the global merge. No point
+    moves and no exchange runs; ties broken by seed (oracle parity). The
+    single-index ``KnnIndex`` remains for query-stream workloads where
+    the point set is small enough to ship."""
     from raycells.geo.knn import sharded_knn
 
     pts = _exploded(sf_dir).map_batches(
@@ -1619,15 +1620,20 @@ def q_radius_neighbors(sf_dir: str):
 
 def q_top_dense_cells(sf_dir: str):
     """Top-k dense cells diagnostic (SURVEY.md §2.9): per-cell aggregate
-    → sort by tile count desc (grid_cell tie-break) → limit 20. The
-    skewed city boxes dominate, which is the point of the salting."""
-    agg = q_cell_agg_band(sf_dir)
-    top = agg.sort(["n_tiles", "grid_cell"], descending=[True, True]).limit(20)
+    → the top 20 by tile count desc (grid_cell tie-break), a
+    ``grouped_topk`` over one constant ``_g`` group. The skewed city
+    boxes dominate, which is the point of the salting."""
+    from raycells.engine.joins import grouped_topk
 
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({"grid_cell": t["grid_cell"], "n_tiles": t["n_tiles"]})
-
-    return top.map_batches(project, batch_format="pyarrow")
+    agg = q_cell_agg_band(sf_dir).map_batches(
+        lambda b: pa.table({"grid_cell": b["grid_cell"], "n_tiles": b["n_tiles"],
+                            "_g": np.zeros(b.num_rows, np.int64)}),
+        batch_format="pyarrow",
+    )
+    top = grouped_topk(agg, "_g", 20, order_col="n_tiles", tiebreak_col="grid_cell")
+    return top.map_batches(
+        lambda b: b.select(["grid_cell", "n_tiles"]), batch_format="pyarrow"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2397,8 +2403,6 @@ def q_fingerprint_docs(sf_dir: str):
 def q_media_features(sf_dir: str):
     """Multimodal plumbing pipeline: synth media → resize → frame-sample →
     decode features (stubbed codecs, real actor-pool stages)."""
-    import ray.data as rd
-
     from raycells.media.stages import media_pipeline, synth_media_batch
 
     n = {"0.001": 60, "0.01": 300, "0.1": 3000}.get(_sf_of(sf_dir), 60)
@@ -2408,9 +2412,8 @@ def q_media_features(sf_dir: str):
     ]
     # ≥ pool-size input blocks: a single from_arrow block starves the
     # min-2-actor pools (the r1 bench logged the Ray warning for it)
-    ds = rd.from_arrow(pa.concat_tables(tables)).repartition(8)
-    feats = media_pipeline(ds)
-    return feats.drop_columns(["pixel_mean", "pixel_std"]).sort("media_id")
+    feats = media_pipeline(_in_blocks(pa.concat_tables(tables), 8))
+    return _sorted_media(feats)
 
 
 def q_media_decode_real(sf_dir: str):
@@ -2425,8 +2428,6 @@ def q_media_decode_real(sf_dir: str):
     oracle-verified, not just unit-tested. Video containers remain the
     one honest stub (ffmpeg). Codec state loads once per worker; the
     decode itself is per-payload by nature."""
-    import ray.data as rd
-
     from raycells.media.stages import (
         MediaDecoder,
         _task_stage,
@@ -2438,11 +2439,27 @@ def q_media_decode_real(sf_dir: str):
         synth_media_batch_encoded(np.arange(0, n, 2, dtype=np.int64), "image"),
         synth_media_batch_encoded(np.arange(1, n, 2, dtype=np.int64), "audio"),
     ]
-    ds = rd.from_arrow(pa.concat_tables(tables)).repartition(8)
-    feats = ds.map_batches(
+    feats = _in_blocks(pa.concat_tables(tables), 8).map_batches(
         _task_stage(MediaDecoder, True), batch_format="pyarrow", batch_size=64
     )
-    return feats.drop_columns(["pixel_mean", "pixel_std"]).sort("media_id")
+    return _sorted_media(feats)
+
+
+def _in_blocks(t: pa.Table, n: int):
+    """``t`` as a Dataset of ``n`` near-equal blocks, no exchange."""
+    import ray.data as rd
+
+    cuts = np.linspace(0, t.num_rows, n + 1).astype(np.int64)
+    return rd.from_arrow([t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+def _sorted_media(feats) -> pa.Table:
+    """The media feature rows (at most a few thousand) collected and
+    sorted by ``media_id`` on the driver, without the pixel moments."""
+    import ray
+
+    tabs = ray.get(shuffle_mod.collect_refs(feats.drop_columns(["pixel_mean", "pixel_std"])))
+    return pa.concat_tables([t for t in tabs if t.num_rows]).sort_by("media_id")
 
 
 def _sf_of(sf_dir: str) -> str:
@@ -5712,9 +5729,9 @@ def q_mosaic_blend(sf_dir: str):
     Shape at scale: MAX is associative, so each batch PRE-BLENDS its
     tiles per cell (one vectorized pandas groupby-max over the 64 pixel
     columns + a tile count) — the exchange then moves one 520-B partial
-    row per (batch, cell), never one row per tile; a coarse-bucket
-    map_groups finishes the blend (the merge_cell_agg pattern: bucket
-    count scales with the cluster, not with cell cardinality)."""
+    row per (batch, cell), never one row per tile; a ``bucket_reduce``
+    on the cell finishes the blend (bucket count scales with the
+    cluster, not with cell cardinality)."""
     from raycells.geo import cellid
     from raycells.io import tilestore
 
@@ -6592,7 +6609,7 @@ def q_cell_value_hist(sf_dir: str):
     tile's 64 pixels into 9 int64 columns, pre-aggregated per cell
     (histogram addition is associative — the mosaic_blend pattern), so
     the exchange moves one 80-B partial row per (batch, cell); a
-    coarse-bucket map_groups finishes the sums."""
+    ``bucket_reduce`` on the cell finishes the sums."""
     from raycells.geo import cellid
     from raycells.io import tilestore
 
@@ -7380,11 +7397,10 @@ def q_order_baskets(sf_dir: str):
     assembly): per order with ≥ 5 distinct parts, the sorted
     comma-joined partkey basket string plus the item count.
 
-    Shape at scale: one coarse ORDER-bucket exchange co-locates basket
-    rows (the key is high-cardinality, so this is the bucketed
-    map_groups pattern — one vectorized pandas pass per bucket, never a
-    Ray per-group Aggregate); the join-to-string runs on int-sorted
-    arrays so the basket is deterministic."""
+    Shape at scale: one ``bucket_reduce`` on the order key co-locates
+    basket rows (the key is high-cardinality: one vectorized pandas pass
+    per bucket, never a Ray per-group Aggregate); the join-to-string
+    runs on int-sorted arrays so the basket is deterministic."""
     ds = _read(
         sf_dir, "lineitem", SMALL_TABLE_BLOCKS,
         columns=["l_orderkey", "l_partkey"],

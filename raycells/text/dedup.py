@@ -41,7 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raycells.engine.shuffle import (
-    _remote, block_tables, bucket_reduce, collect_refs, from_pandas_clean, row_blocks,
+    _remote, block_tables, bucket_reduce, collect_refs, from_pandas_clean, materialized,
+    row_blocks,
 )
 
 __all__ = [
@@ -521,13 +522,6 @@ def minhash_near_dup_pairs(
         return lsh_bands(sig, bands).view(np.int64)
 
     cand = _lsh_pairs(ds, id_col, band_keys)
-    empty = pa.table(
-        {
-            "id_a": pa.array([], pa.string()),
-            "id_b": pa.array([], pa.string()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
 
     def verify(batch: pa.Table) -> pa.Table:
         jac = _pair_jaccard(batch["id_a"], batch["id_b"], batch["text_a"], batch["text_b"], k)
@@ -549,8 +543,8 @@ def minhash_near_dup_pairs(
         # _verify_join_collect owns sink hygiene in every path (incl.
         # zero candidates), so `out` is always the summary dict here
         return out
-    if out is None or out.num_rows == 0:
-        return empty
+    if out is None:
+        return _no_pairs(cand, "jaccard")
     order = np.lexsort(
         (
             np.asarray(out["id_b"].to_pylist(), object),
@@ -558,6 +552,15 @@ def minhash_near_dup_pairs(
         )
     )
     return out.take(pa.array(order))
+
+
+def _no_pairs(cand, score: str) -> pa.Table:
+    """The zero-row pair table when no candidate reached verify, its ids
+    typed as the candidates' (string when they have no schema)."""
+    schema = materialized(cand)[1]
+    t = pa.string() if schema is None else schema.field("id_a").type
+    return pa.table({"id_a": pa.array([], t), "id_b": pa.array([], t),
+                     score: pa.array([], pa.float64())})
 
 
 # candidate-touched payload sets at or under this ride the object store
@@ -730,7 +733,8 @@ def _verify_join_collect(
        joined blocks;
     4. only the verified pairs are collected, with one ``ray.get``.
 
-    Returns the verified pa.Table (or None when no pair passes). With
+    Returns the verified pa.Table (zero-row and typed when no pair
+    passes, None when there is no candidate). With
     ``sink_dir`` each task writes its verified pairs to its own
     ``part-<i>.parquet`` instead (the pair table never needs one heap
     on a dup-heavy corpus) and a ``{"sink_dir", "n_pairs", "n_files"}``
@@ -824,8 +828,8 @@ def _verify_join_collect(
                 "n_files": sum(1 for n in outs if n)}
     # the verified pair table is the RETURN VALUE, output-sized by LSH
     # design; callers expecting pair lists beyond one heap use sink_dir
-    tabs = [t for t in outs if t.num_rows]
-    return pa.concat_tables(tabs) if tabs else None
+    # no pair passed: the first task's zero-row table is typed
+    return pa.concat_tables([t for t in outs if t.num_rows] or outs[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +859,9 @@ def ngram_jaccard_near_dup_pairs(
     pair's set sizes lie within one factor of den/num — banding docs by
     ``⌊log(sz)/log(den/num)⌋`` puts every such pair in the same or
     adjacent bands. Each doc is emitted once to its own band and once as
-    a GHOST to the band below; ONE shuffle on the band key; inside each
-    band group intersections are computed dense: a local shingle
+    a GHOST to the band below; ONE ``bucket_reduce`` exchange on the
+    band key; each reducer sorts its rows by band key and, inside each
+    band group, intersections are computed dense: a local shingle
     vocabulary (np.unique of the group's hashes), a binary N×V float32
     matrix, and a row-chunked ``M @ M.T`` BLAS matmul — exact integers
     (binary dot sums < 2^24), no candidate enumeration at all. The
@@ -881,12 +886,13 @@ def ngram_jaccard_near_dup_pairs(
     the standard blocked-cartesian trade: natives land in ONE slice as
     matrix ROWS (hash of id), and every doc is duplicated to ALL
     slices as matrix COLUMNS (own band, plus the band below as a
-    ghost), giving R independent (N/R)×N block tasks per band for
-    (2R+1)× exchange volume. Pair (i, j) in one band is emitted only
-    where the smaller id is the row; a native row × ghost column is
-    emitted unconditionally (the ghost's own band never sees the
-    native as a column) — each pair surfaces exactly once, no dedupe
-    pass. 2.3 s → 1.3 s at sf0.1/32 CPUs.
+    ghost), giving R independent (N/R)×N blocks per band, which the
+    exchange spreads over its reducers, for (2R+1)× exchange volume.
+    Pair (i, j) in one band is emitted only where the smaller id is the
+    row; a native row × ghost column is emitted unconditionally (the
+    ghost's own band never sees the native as a column) — each pair
+    surfaces exactly once, no dedupe pass. 2.3 s → 1.3 s at sf0.1/32
+    CPUs (measured with one Ray Data group task per band key).
     """
     num, den = threshold
     log_ratio = float(np.log(den / num))
@@ -991,12 +997,21 @@ def ngram_jaccard_near_dup_pairs(
             }
         )
 
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        # a bucket holds several gkeys: one band_pairs call per gkey
+        # slice, so no pair crosses two gkeys
+        t = t.sort_by("gkey")
+        g = t["gkey"].to_numpy()
+        lo = np.flatnonzero(np.diff(g, prepend=g[:1] - 1))
+        hi = np.append(lo[1:], g.size)
+        return pa.concat_tables(
+            [empty] + [band_pairs(t.slice(a, b - a)) for a, b in zip(lo, hi)]
+        )
+
     import ray
 
-    pairs = (
-        ds.map_batches(doc_sets, batch_format="pyarrow")
-        .groupby("gkey")
-        .map_groups(band_pairs, batch_format="pyarrow")
+    pairs = bucket_reduce(
+        ds.map_batches(doc_sets, batch_format="pyarrow"), "gkey", bucket_pairs
     )
     tabs = ray.get(collect_refs(pairs))
     tabs = [t for t in tabs if t.num_rows > 0]
@@ -1246,28 +1261,17 @@ def embedding_near_dup_pairs(
         return bucket
 
     cand = _lsh_pairs(ds, id_col, table_keys)
-    empty = pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "cosine": pa.array([], pa.float64()),
-        }
-    )
 
     def verify(batch: pa.Table) -> pa.Table:
-        a_in = batch["id_a"].to_numpy(zero_copy_only=False)
-        b_in = batch["id_b"].to_numpy(zero_copy_only=False)
-        if len(a_in) == 0:
-            return empty
         eq_a = quantize_embeddings(_vectors_of(batch["vec_a"], dim))
         eq_b = quantize_embeddings(_vectors_of(batch["vec_b"], dim))
         sims = int_cosine(eq_a, eq_b)
-        hit = sims >= threshold
+        hit = np.flatnonzero(sims >= threshold)
         return pa.table(
             {
-                "id_a": pa.array(a_in[hit].astype(np.int64)),
-                "id_b": pa.array(b_in[hit].astype(np.int64)),
-                "cosine": pa.array(sims[hit]),
+                "id_a": batch["id_a"].take(hit),
+                "id_b": batch["id_b"].take(hit),
+                "cosine": pa.array(sims[hit], pa.float64()),
             }
         )
 
@@ -1275,8 +1279,8 @@ def embedding_near_dup_pairs(
         cand, ds, id_col=id_col, payload_col=col,
         payload_names=("vec_a", "vec_b"), verify_fn=verify,
     )
-    if out is None or out.num_rows == 0:
-        return empty
+    if out is None:
+        return _no_pairs(cand, "cosine")
     order = np.lexsort(
         (out["id_b"].to_numpy(zero_copy_only=False),
          out["id_a"].to_numpy(zero_copy_only=False))

@@ -225,6 +225,29 @@ def test_bucket_reduce_rejects_differing_key_types(ray_session):
         shuffle.bucket_reduce([a, b], "k", lambda t0, t1: t0)
 
 
+def test_bucket_reduce_all_null_key_type_matches_any(ray_session, monkeypatch):
+    """An input typed from an all-null first block (key type
+    ``pa.null()``) co-partitions with an int64 input: no ``TypeError``,
+    each key's rows from both inputs reach one call, and every null key
+    lands in one call. 64 buckets, so keys 1, 2 and 3 reach different
+    calls."""
+    import ray.data as rd
+
+    monkeypatch.setattr(shuffle, "scaled_buckets", lambda: 64)
+    a = rd.from_arrow([pa.table({"k": pa.nulls(2), "v": [1, 2]}),
+                       pa.table({"k": pa.array([1, 2], pa.int64()), "v": [3, 4]})])
+    b = rd.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64()), "w": [5, 6, 7]}))
+
+    def fn(t0: pa.Table, t1: pa.Table) -> pa.Table:
+        keys = sorted({k for k in t0["k"].to_pylist() + t1["k"].to_pylist() if k is not None})
+        return pa.table({"keys": [str(keys)], "n0": [t0.num_rows], "n1": [t1.num_rows],
+                         "nulls": [t0["k"].null_count]})
+
+    out = shuffle.bucket_reduce([a, b], "k", fn).to_pandas()
+    calls = {(k, n0, n1, nulls) for k, n0, n1, nulls in zip(*map(out.get, out.columns))}
+    assert calls == {("[1]", 1, 1, 0), ("[2]", 1, 1, 0), ("[3]", 0, 1, 0), ("[]", 2, 0, 2)}
+
+
 def test_bucket_reduce_takes_pandas_block_inputs(ray_session, monkeypatch):
     """An input held as pandas blocks reaches ``fn`` as Arrow, typed.
     64 buckets, so that key 1 shares no bucket with keys 2 and 3."""
@@ -870,11 +893,6 @@ def helper(ds):
     assert sites == ["engine/shuffle.py:collect_refs"]
 
 
-# The per-key exchanges that are not aggregates: each hands every row of
-# one key to a Python body (n-gram Jaccard verify, per-shard kNN rings).
-_MAP_GROUPS_SITES = {"text/dedup.py:ngram_jaccard_near_dup_pairs",
-                     "geo/knn.py:sharded_knn"}
-
 # ``.union(`` sites: no Dataset union of differently-typed inputs (the
 # co-partitioned exchange takes several inputs instead). Each site below
 # unions inputs of one schema, so nothing is null-padded:
@@ -919,8 +937,17 @@ def _is_ray_aggregate(call) -> bool:
     )
 
 
-def _is_map_groups(call) -> bool:
-    return call.func.attr == "map_groups"
+# Ray Data's own all-to-alls: every exchange is bucket_reduce instead.
+_RAY_EXCHANGES = {"map_groups", "repartition", "random_shuffle", "sort"}
+
+
+def _is_ray_exchange(call) -> bool:
+    """``.map_groups(``, ``.repartition(``, ``.random_shuffle(``, or
+    ``.sort(`` on anything but ``np``."""
+    attr, recv = call.func.attr, call.func.value
+    if attr == "sort" and isinstance(recv, ast.Name) and recv.id == "np":
+        return False
+    return attr in _RAY_EXCHANGES
 
 
 def _is_union(call) -> bool:
@@ -938,8 +965,10 @@ def _side_column_sites(tree) -> list:
 
 
 def test_aggregate_scan_sees_ray_data_aggregates():
-    """The aggregate scan below is not vacuous: every Ray Data spelling
-    is found, the shuffle executors and pandas group sizes are not."""
+    """The aggregate and exchange scans below are not vacuous: every
+    Ray Data aggregate and all-to-all spelling is found; the shuffle
+    executors, pandas group sizes, ``np.sort`` and ``sort_values`` are
+    not."""
     src = """
 def grouped_count(ds):
     return ds.groupby("k").count()
@@ -957,11 +986,24 @@ def engine(ds, df):
 
 def per_key(ds):
     return ds.groupby("u").map_groups(f)
+
+def coalesced(ds):
+    return ds.repartition(1).map_batches(f, batch_size=None)
+
+def shuffled(ds):
+    return ds.random_shuffle(seed=0)
+
+def ordered(ds):
+    return ds.sort(["n", "k"], descending=[True, True]).limit(20)
+
+def local(df, a):
+    return np.sort(a), df.sort_values("k"), a.argsort()
 """
     tree = ast.parse(src)
     assert _call_sites(tree, _is_ray_aggregate) == [
         "grouped_count", "grouped_sum", "global_agg"]
-    assert _call_sites(tree, _is_map_groups) == ["per_key"]
+    assert _call_sites(tree, _is_ray_exchange) == [
+        "per_key", "coalesced", "shuffled", "ordered"]
 
 
 def test_co_location_scan_sees_hand_rolled_tagged_unions():
@@ -995,8 +1037,9 @@ def test_exchange_is_written_once():
     to_pandas → groupby → sum/min/max driver folds stay gone too: they
     go through shuffle.fold, except the named non-sum/min/max folds.
     Every group-by aggregate is shuffle.fold or shuffle.aggregate: no
-    Ray Data aggregate, no ``salted_aggregate``, and ``map_groups`` only
-    in the named per-key exchanges. Co-location
+    Ray Data aggregate and no ``salted_aggregate``. Every exchange is
+    bucket_reduce: no ``.map_groups(``, ``.repartition(``,
+    ``.random_shuffle(`` or non-``np`` ``.sort(`` anywhere. Co-location
     of several inputs is ``bucket_reduce``'s alone: no ``_side`` column
     anywhere, ``.union(`` only at the named same-schema sites."""
     fold_sites = []
@@ -1027,14 +1070,14 @@ def test_exchange_is_written_once():
         if word in text
     ]
     assert text_sites == []
-    agg_sites, group_sites, union_sites, side_sites = [], set(), set(), set()
+    agg_sites, exchange_sites, union_sites, side_sites = [], [], set(), set()
     for rel, text in _sources():
         tree = ast.parse(text)
         agg_sites += [f"{rel}:{n}" for n in _call_sites(tree, _is_ray_aggregate)]
         side_sites |= {f"{rel}:{n}" for n in _side_column_sites(tree)}
-        group_sites |= {f"{rel}:{n}" for n in _call_sites(tree, _is_map_groups)}
+        exchange_sites += [f"{rel}:{n}" for n in _call_sites(tree, _is_ray_exchange)]
         union_sites |= {f"{rel}:{n}" for n in _call_sites(tree, _is_union)}
     assert agg_sites == []
-    assert group_sites == _MAP_GROUPS_SITES
+    assert exchange_sites == []
     assert union_sites == _UNION_SITES
     assert side_sites == set()

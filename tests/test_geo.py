@@ -277,6 +277,43 @@ def test_sharded_knn_matches_brute_force(ray_session):
         assert list(have) == list(want), qid
 
 
+def test_sharded_knn_breaks_ties_across_blocks_by_seed(ray_session):
+    """Equal-distance points (dyadic offsets, so the distances are
+    bit-equal) with different seeds sit in different blocks, and k cuts
+    through each tie group: the merged per-block top-k must keep the
+    lowest seeds, as brute force over seed-ordered points does. Query 0
+    closes out in one probe round (ties 0.56° away); query 1's nearest
+    points are 30° and 35.8° away, past the first round's 22.5° bound,
+    so it takes several rounds."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    queries = ((0, 100.25, 10.25), (1, -100.0, 0.0))
+    ring8 = [(sx * a, sy * b) for a, b in ((0.5, 0.25), (0.25, 0.5))
+             for sx in (1, -1) for sy in (1, -1)]
+    lon, lat = [], []
+    for (_, qx, qy), scale, near in zip(queries, (1, 64), (0.125, 30.0)):
+        lon += [qx + near] + [qx + dx * scale for dx, _ in ring8]
+        lat += [qy] + [qy + dy * scale for _, dy in ring8]
+    rng = np.random.default_rng(3)
+    lon = np.array(lon + list(rng.uniform(-20, 20, 40)))
+    lat = np.array(lat + list(rng.uniform(-80, -60, 40)))
+    seeds = rng.permutation(lon.size).astype(np.int64) * 7 + 1
+    by_seed = np.argsort(seeds)
+    lon, lat, seeds = lon[by_seed], lat[by_seed], seeds[by_seed]
+    pos = rng.permutation(lon.size)  # the blocks interleave the tie groups
+    tab = pa.table({"seed": seeds[pos], "lon": lon[pos], "lat": lat[pos]})
+    pts = rd.from_arrow([tab.slice(i, 9) for i in range(0, tab.num_rows, 9)])
+    k = 4
+    got = knn.sharded_knn(pts, queries, k, parent_level=3).to_pandas()
+    for qid, qx, qy in queries:
+        # seed-ordered points: brute force's index tiebreak is the seed's
+        idx, d = knn.brute_force_knn(np.array([qx]), np.array([qy]), lon, lat, k)
+        assert d[0][-1] == d[0][-2]  # k cuts through the tie group
+        have = got[got["query_id"] == qid].sort_values("rank")["seed"].to_numpy()
+        assert list(have) == list(seeds[idx[0]]), qid
+
+
 # ---- cube-face projection backend ----
 
 def test_cube_encode_round_trip_and_faces():

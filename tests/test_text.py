@@ -837,6 +837,26 @@ def test_minhash_pairs_edge_corpora(ray_session, tmp_path, sink):
     assert rows == [("d0", "d1")]
 
 
+def test_minhash_pair_ids_are_typed_as_the_id_column(ray_session):
+    """int64 doc ids give int64 ``id_a``/``id_b`` whether no candidate
+    comes out (two unrelated docs), a candidate fails verify (a near-dup
+    at threshold 1.0) or a pair passes (two identical docs)."""
+    import ray.data as rd
+
+    def pairs(texts, threshold=0.6):
+        t = pa.table({"doc_id": pa.array([7, 9], pa.int64()), "text": texts})
+        return dd.minhash_near_dup_pairs(rd.from_arrow(t), threshold=threshold)
+
+    unrelated = pairs([TEXTS[0], TEXTS[2]])
+    failed = pairs([TEXTS[0], TEXTS[1]], threshold=1.0)
+    same = pairs([TEXTS[0], TEXTS[0]])
+    assert (unrelated.num_rows, failed.num_rows, same.num_rows) == (0, 0, 1)
+    for out in (unrelated, failed, same):
+        assert out.schema == same.schema
+    assert same.schema.field("id_a").type == pa.int64()
+    assert same["id_a"].to_pylist() == [7] and same["id_b"].to_pylist() == [9]
+
+
 @pytest.mark.parametrize("broadcast", [True, False], ids=["broadcast", "hash_join"])
 def test_repeated_id_payloads(ray_session, monkeypatch, broadcast):
     """A doc id repeated with DIFFERING texts raises (the attach would
