@@ -10,16 +10,20 @@ Ray-Data-first shapes (SURVEY.md §2.9 + training-data mandate):
   (n, bands) LSH key matrix — MinHash band hashes of the shingle set,
   pigeonhole chunks of a 64- or 128-bit simhash, sign-LSH table buckets
   of the quantized embedding — and ONE shared Phase A, ``_lsh_pairs``,
-  runs the one exchange: each (doc, band) row carries the doc's whole
-  key vector, so a pair leaves the exchange once, from its first
-  colliding band, with no pair-dedup exchange. SimHash verifies inside
-  that reducer (Hamming ≤ r over the carried fingerprint lanes; the
-  pigeonhole chunks give full recall for any radius); MinHash and
-  embedding hand the candidates to ``_verify_join_collect``: a
-  semi-join read fetches the candidate-touched payloads, and plain Ray
-  verify tasks, one per group of candidate blocks, attach each pair's
-  two payloads and score exact shingle Jaccard (one ``searchsorted``
-  over dense shingle ranks) or integer cosine.
+  reads the corpus in its one Ray Data execution into keyed doc blocks
+  (id, payload, key vector) and runs the one exchange over band rows
+  that plain tasks cut from those blocks: each (doc, band) row carries
+  the doc's whole key vector, so a pair leaves the exchange once, from
+  its first colliding band, with no pair-dedup exchange. SimHash
+  verifies inside that reducer (Hamming ≤ r over the carried
+  fingerprint lanes; the pigeonhole chunks give full recall for any
+  radius); MinHash and embedding hand the candidates and the doc blocks
+  to ``_verify_join_collect``: plain semi-join tasks fetch the
+  candidate-touched payloads from the doc blocks (the corpus is not
+  read again), and plain Ray verify tasks, one per group of candidate
+  blocks, attach each pair's two payloads and score exact shingle
+  Jaccard (one ``searchsorted`` over dense shingle ranks) or integer
+  cosine.
 - **exact n-gram Jaccard**: size-banded dense set-similarity join
   (recall 1.0, no LSH).
 
@@ -361,14 +365,6 @@ def _pair_jaccard(id_a, id_b, text_a, text_b, k: int = 5) -> np.ndarray:
 _PAIR_BLOCK = 1 << 14
 
 
-def _key_vectors(keys: np.ndarray) -> pa.FixedSizeListArray:
-    """(n, bands) int64 bucket keys → one FixedSizeList row per
-    (doc, band) exchange row, in the doc-major order the rows use."""
-    n, bands = keys.shape
-    flat = np.repeat(keys, bands, axis=0).reshape(-1)
-    return pa.FixedSizeListArray.from_arrays(pa.array(flat, pa.int64()), bands)
-
-
 def _vectors_of(col: pa.ChunkedArray, width: int | None = None) -> np.ndarray:
     """List column → (rows, width) matrix of its values, ``width``
     defaulting to a FixedSizeList's size. A null row or a row of
@@ -381,15 +377,37 @@ def _vectors_of(col: pa.ChunkedArray, width: int | None = None) -> np.ndarray:
     return arr.flatten().to_numpy().reshape(len(arr), width)
 
 
-def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
+def _band_rows(id_col: str, carry: tuple, docs: pa.Table) -> pa.Table:
+    """A band-row task over one keyed doc block (``_lsh_pairs``): each
+    doc's ``bands`` exchange rows, doc-major — ``(band int32, key int64,
+    id, keys)``, ``keys`` being the doc's whole key vector, then the
+    ``carry`` columns."""
+    keys = docs["_keys"].combine_chunks()
+    n, bands = len(keys), keys.type.list_size
+    doc = pa.array(np.repeat(np.arange(n), bands))
+    cols = {
+        "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
+        "key": keys.flatten(),
+        id_col: docs[id_col].take(doc),
+        "keys": keys.take(doc),
+    }
+    cols.update((c, docs[c].take(doc)) for c in carry)
+    return pa.table(cols)
+
+
+def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None, payload=None):
     """Phase A of every near-dup pipeline: LSH candidate pairs through
     ONE bucket exchange, each distinct pair emitted once.
 
     ``keys_of(batch)`` gives the (n, bands) int64 bucket-key matrix of a
     batch (MinHash band hashes, sign-LSH table buckets, SimHash
-    pigeonhole chunks). Each doc becomes ``bands`` exchange rows
-    ``(band int32, key int64, id, keys)``, ``keys`` being its whole key
-    vector, plus the ``carry`` columns; the exchange co-locates every
+    pigeonhole chunks). ``ds`` runs through ONE Ray Data execution, the
+    read and ``keys_of`` fused in one operator, materialized as keyed
+    doc blocks: the id, the ``carry`` columns, the ``payload`` column
+    (if given) and ``_keys``, the doc's key vector as a FixedSizeList.
+    Every later step is a plain Ray task: one ``_band_rows`` task per
+    doc block makes each doc ``bands`` exchange rows
+    ``(band, key, id, keys, *carry)``, and the exchange co-locates every
     (band, key) bucket. Each coarse group is reduced in one vectorized
     pass: its rows sorted by (band, key, id), every real bucket's
     distinct-id pairs (id_a < id_b) enumerated in ``_PAIR_BLOCK``
@@ -400,21 +418,32 @@ def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
     (the two key vectors differ in every band before it), so no
     pair-dedup exchange follows. A repeated id counts once when its
     copies carry the same key vector and raises ``ValueError`` when
-    copies meeting in one bucket differ. Returns the Dataset of
-    ``(id_a, id_b)`` typed as ``id_col``, plus ``within``'s columns."""
+    copies meeting in one bucket differ.
 
-    def rows_of(batch: pa.Table) -> pa.Table:
+    Returns ``(cand, docs)``: the Dataset of ``(id_a, id_b)`` typed as
+    ``id_col``, plus ``within``'s columns, and the refs of the doc
+    blocks that hold rows, which Phase B's semi-join reads instead of
+    running ``ds`` again. The doc blocks stay in the object store as
+    long as the caller holds ``docs``: about 0.4 KB a doc on the
+    benchmark's 2k-doc MinHash corpus (id, text and 128 B of keys),
+    against ≈2.6 KB a doc of band rows that are materialized for the
+    exchange anyway."""
+    import ray.data as rd
+
+    keep = (id_col, *carry) + ((payload,) if payload else ())
+
+    def doc_keys(batch: pa.Table) -> pa.Table:
         keys = keys_of(batch)
-        n, bands = keys.shape
-        doc = pa.array(np.repeat(np.arange(n), bands))
-        cols = {
-            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-            "key": pa.array(keys.reshape(-1), pa.int64()),
-            id_col: batch[id_col].take(doc),
-            "keys": _key_vectors(keys),
-        }
-        cols.update((c, batch[c].take(doc)) for c in carry)
+        cols = {c: batch[c] for c in keep}
+        cols["_keys"] = pa.FixedSizeListArray.from_arrays(
+            pa.array(keys.reshape(-1), pa.int64()), keys.shape[1]
+        )
         return pa.table(cols)
+
+    docs = materialized(ds.map_batches(doc_keys, batch_format="pyarrow"))[0]
+    docs = [ref for ref, _ in row_blocks(docs)]
+    task = _remote(_band_rows)
+    rows = rd.from_arrow_refs([task.remote(id_col, carry, ref) for ref in docs])
 
     block = _PAIR_BLOCK  # resolved on the driver, like the exchange width
     # within's columns, typed, for a group with no pairs
@@ -424,13 +453,13 @@ def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
     def pairs_of(group: pa.Table) -> pa.Table:
         out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         extra = {c: [v] for c, v in empty.items()}
-        ids = group[id_col].to_numpy(zero_copy_only=False)
         band = group["band"].to_numpy()
         key = group["key"].to_numpy()
         vecs = _vectors_of(group["keys"])
         car = np.stack([group[c].to_numpy() for c in carry], axis=1) if carry else None
-        # rows by bucket, then id (ranked once, so id order is exact)
-        rank = np.unique(ids, return_inverse=True)[1]
+        # rows by bucket, then id (ranked once by Arrow, so id order is
+        # exact: bytewise for strings, numeric for integers)
+        rank = pc.rank(group[id_col], tiebreaker="dense").to_numpy()
         order = np.lexsort((rank, key, band))
         b, k, r = band[order], key[order], rank[order]
         same = np.zeros(order.size, dtype=bool)  # row is in the previous row's bucket
@@ -441,8 +470,9 @@ def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
             at = np.flatnonzero(copy)
             differ = (vecs[order[at]] != vecs[order[at - 1]]).any(axis=1)
             if differ.any():
+                dup = group[id_col][int(order[at[differ][0]])].as_py()
                 raise ValueError(
-                    f"{id_col} {ids[order[at[differ][0]]]!r} repeats with differing "
+                    f"{id_col} {dup!r} repeats with differing "
                     "payloads; near-dup pairs need one payload per id"
                 )
             order, same = order[~copy], same[~copy]
@@ -478,9 +508,7 @@ def _lsh_pairs(ds, id_col: str, keys_of, carry=(), within=None):
         out.update((c, pa.array(np.concatenate(v))) for c, v in extra.items())
         return pa.table(out)
 
-    return bucket_reduce(
-        ds.map_batches(rows_of, batch_format="pyarrow"), ["band", "key"], pairs_of
-    )
+    return bucket_reduce(rows, ["band", "key"], pairs_of), docs
 
 
 def minhash_near_dup_pairs(
@@ -498,15 +526,17 @@ def minhash_near_dup_pairs(
 
     **Phase A — candidates** (``_lsh_pairs``). Task-stage signatures
     (the MinHasher's permutation table is memoized per worker) give
-    each doc its (bands,) band-hash vector, the LSH key matrix; THE one
-    exchange therefore moves ``bands`` rows of ``bands + 2`` small ints
-    per document instead of ``bands`` copies of the corpus, and each
-    distinct candidate id pair comes out exactly once, from the bucket
-    of its first colliding band.
+    each doc its (bands,) band-hash vector, the LSH key matrix, in the
+    one Ray Data execution that reads the corpus into keyed doc blocks
+    (id, text, band hashes); THE one exchange moves ``bands`` rows of
+    ``bands + 2`` small ints per document instead of ``bands`` copies
+    of the corpus, and each distinct candidate id pair comes out
+    exactly once, from the bucket of its first colliding band.
 
     **Phase B — verify, fully distributed.** The DISTINCT candidate ids
-    (16 B each — bounded by LSH design) broadcast as a semi-join
-    prefilter over the corpus, and each pair meets its two texts —
+    (16 B each — bounded by LSH design) filter the doc blocks in plain
+    semi-join tasks (the corpus is read once), and each pair meets its
+    two texts —
     broadcast block refs when the candidate-touched texts are small,
     else TWO co-partitioned ``hash_join`` exchanges (engine/joins.py),
     pair ⋈ text(id_a) ⋈ text(id_b) — verified in plain Ray tasks with
@@ -521,7 +551,7 @@ def minhash_near_dup_pairs(
         sig = _minhasher(n_perm).batch_signatures(batch[col].to_pylist(), k)
         return lsh_bands(sig, bands).view(np.int64)
 
-    cand = _lsh_pairs(ds, id_col, band_keys)
+    cand, docs = _lsh_pairs(ds, id_col, band_keys, payload=col)
 
     def verify(batch: pa.Table) -> pa.Table:
         jac = _pair_jaccard(batch["id_a"], batch["id_b"], batch["text_a"], batch["text_b"], k)
@@ -535,7 +565,7 @@ def minhash_near_dup_pairs(
         )
 
     out = _verify_join_collect(
-        cand, ds, id_col=id_col, payload_col=col,
+        cand, docs, id_col=id_col, payload_col=col,
         payload_names=("text_a", "text_b"), verify_fn=verify,
         sink_dir=sink_dir,
     )
@@ -545,13 +575,13 @@ def minhash_near_dup_pairs(
         return out
     if out is None:
         return _no_pairs(cand, "jaccard")
-    order = np.lexsort(
-        (
-            np.asarray(out["id_b"].to_pylist(), object),
-            np.asarray(out["id_a"].to_pylist(), object),
-        )
-    )
-    return out.take(pa.array(order))
+    return _sorted_pairs(out)
+
+
+def _sorted_pairs(pairs: pa.Table) -> pa.Table:
+    """A pair table sorted by (id_a, id_b): numeric for integer ids,
+    bytewise (Unicode code point) for strings."""
+    return pairs.sort_by([("id_a", "ascending"), ("id_b", "ascending")])
 
 
 def _no_pairs(cand, score: str) -> pa.Table:
@@ -644,16 +674,14 @@ def _verify_group(verify_fn, block, attach, path, n_payload, *blocks):
 
 
 def _union_id_blocks(*tabs):
-    """Worker-side union of candidate-pair blocks → one sorted array of
-    DISTINCT endpoint ids and its length (runs as a Ray task so the id
-    set never lands on the driver)."""
-    arrs = [
-        t[c].to_numpy(zero_copy_only=False)
-        for t in block_tables(tabs, "id_a")
-        for c in ("id_a", "id_b")
-    ]
-    ids = np.unique(np.concatenate(arrs)) if arrs else np.empty(0, object)
-    return ids, len(ids)
+    """Worker-side union of candidate-pair blocks (at least one with
+    rows) → one sorted Arrow array of the DISTINCT endpoint ids and its
+    length (runs as a Ray task so the id set never lands on the
+    driver)."""
+    ids = pc.unique(pa.chunked_array(
+        [t[c] for t in block_tables(tabs, "id_a") for c in ("id_a", "id_b")]
+    ))
+    return ids.take(pc.array_sort_indices(ids)), len(ids)
 
 
 def _one_payload_per_id(t: pa.Table, id_col: str, payload_col: str) -> pa.Table:
@@ -678,57 +706,42 @@ def _one_payload_per_id(t: pa.Table, id_col: str, payload_col: str) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
-class _SemiJoinFetch:
-    """Broadcast-task stage: semi-join prefilter of the corpus on the
-    DISTINCT candidate ids. The sorted-unique id array is produced by
-    ONE Ray task (``_union_id_blocks``) and read once per worker as a
-    single zero-copy plasma object — the driver never collects the id
-    set."""
-
-    def __init__(self, wanted_ref, id_col, payload_col):
-        import ray
-
-        self.wanted = ray.get(wanted_ref)
-        self.id_col = id_col
-        self.payload_col = payload_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids_np = batch[self.id_col].to_numpy(zero_copy_only=False)
-        keep = np.isin(ids_np, self.wanted)
-        t = pa.table(
-            {
-                self.id_col: batch[self.id_col],
-                self.payload_col: batch[self.payload_col],
-            }
-        )
-        return t.filter(pa.array(keep))
+def _semi_join(wanted: pa.Array, id_col: str, payload_col: str, docs: pa.Table):
+    """A semi-join task: the ``(id, payload)`` rows of one doc block
+    whose id is in ``wanted`` (``_union_id_blocks``' array), and that
+    table's ``(rows, bytes)``."""
+    t = docs.select([id_col, payload_col]).filter(pc.is_in(docs[id_col], value_set=wanted))
+    return t, (t.num_rows, t.nbytes)
 
 
 def _verify_join_collect(
-    cand_ds, corpus_ds, *, id_col, payload_col, payload_names, verify_fn,
+    cand_ds, docs, *, id_col, payload_col, payload_names, verify_fn,
     sink_dir=None,
 ):
-    """Shared distributed Phase-B skeleton for the near-dup verifiers:
+    """Shared distributed Phase-B skeleton for the near-dup verifiers,
+    every step a plain Ray task:
 
     1. bounded materialize of ``cand_ds``, which must hold each
        distinct (id_a, id_b) pair once (Phase A's first-collision
        emission guarantees it; nothing here deduplicates pairs) — the
        candidate set is output-sized by LSH design;
-    2. DISTINCT candidate ids broadcast as a semi-join prefilter over
-       the corpus — as materialized block REFS unioned worker-side
-       (no driver collection of the id set). When an id repeats in the
-       corpus, copies with identical payloads collapse to one and
-       differing payloads raise ``ValueError`` (one bucket exchange,
-       run only then);
+    2. DISTINCT candidate ids, unioned worker-side from the candidate
+       block REFS (no driver collection of the id set), filter the doc
+       blocks ``docs`` (``_lsh_pairs``' keyed blocks, which hold the
+       ``payload_col`` — the corpus is not read again): one
+       ``_semi_join`` task per block returns the candidate-touched
+       ``(id, payload)`` rows with their row count and bytes. When an
+       id repeats in the corpus, copies with identical payloads
+       collapse to one and differing payloads raise ``ValueError`` (one
+       bucket exchange, run only then);
     3. plain Ray verify tasks, one per group of consecutive candidate
        blocks holding at least max(``_VERIFY_TASK_PAIRS``, n_cand /
        ``_VERIFY_TASKS``) pairs. Candidate-touched payloads under
        ``_VERIFY_BROADCAST_BYTES`` stay in the object store and their
        block refs go to every task, which indexes them once and
        attaches + verifies its pairs in slices of ``_PAIR_BLOCK``
-       (``_verify_group``); no Ray Data operator runs after the
-       semi-join. A larger payload set takes the scale path first, two
-       co-partitioned ``hash_join`` exchanges
+       (``_verify_group``). A larger payload set takes the scale path
+       first, two co-partitioned ``hash_join`` exchanges
        (pair ⋈ payload(id_a) ⋈ payload(id_b)), and the tasks verify the
        joined blocks;
     4. only the verified pairs are collected, with one ``ray.get``.
@@ -741,9 +754,9 @@ def _verify_join_collect(
     summary comes back, ``n_files`` counting the tasks that wrote rows.
     """
     import ray
+    import ray.data as rd
 
     from raycells.engine.joins import hash_join
-    from raycells.engine.stages import broadcast_task
 
     cand = cand_ds.materialize()
     if sink_dir is not None:
@@ -759,33 +772,36 @@ def _verify_join_collect(
 
     # DISTINCT candidate ids stay in the object store: ONE Ray task
     # unions cand's materialized pair blocks into a single sorted plasma
-    # array that broadcasts to the fetch workers — no extra Dataset
-    # execution, and the id set never lands on the driver.
-    wanted_ref, n_wanted = _remote(_union_id_blocks).options(num_returns=2).remote(
+    # array that every semi-join task reads — the id set never lands on
+    # the driver.
+    wanted_ref, n_ref = _remote(_union_id_blocks).options(num_returns=2).remote(
         *(ref for ref, _ in pairs)
     )
-
-    name_a, name_b = payload_names
-    touched = corpus_ds.map_batches(
-        broadcast_task(_SemiJoinFetch, wanted_ref, id_col, payload_col),
-        batch_format="pyarrow",
-    ).materialize()  # bounded: candidate-touched rows only
-    if touched.count() > ray.get(n_wanted):
+    fetch = _remote(_semi_join).options(num_returns=2)
+    outs = [fetch.remote(wanted_ref, id_col, payload_col, ref) for ref in docs]
+    n_wanted, *sizes = ray.get([n_ref, *(size for _, size in outs)])
+    touched = [t for (t, _), (n, _) in zip(outs, sizes) if n]
+    size = sum(b for _, b in sizes)
+    if sum(n for n, _ in sizes) > n_wanted:
         # a candidate id repeats in the corpus: one payload per id, or
         # the attach would score whichever copy it met first
-        touched = bucket_reduce(
-            touched, id_col, lambda g: _one_payload_per_id(g, id_col, payload_col)
-        )
+        blocks = row_blocks(bucket_reduce(
+            rd.from_arrow_refs(touched), id_col,
+            lambda g: _one_payload_per_id(g, id_col, payload_col),
+        ))
+        touched = [ref for ref, _ in blocks]
+        size = sum(meta.size_bytes or 0 for _, meta in blocks)
 
-    if touched.size_bytes() <= _VERIFY_BROADCAST_BYTES:
-        payloads = [ref for ref, _ in row_blocks(touched)]
-        attach = (id_col, payload_col, payload_names)
+    name_a, name_b = payload_names
+    if size <= _VERIFY_BROADCAST_BYTES:
+        payloads, attach = touched, (id_col, payload_col, payload_names)
     else:
-        side_a = touched.map_batches(
+        side = rd.from_arrow_refs(touched)
+        side_a = side.map_batches(
             lambda b: pa.table({"_pid": b[id_col], name_a: b[payload_col]}),
             batch_format="pyarrow",
         )
-        side_b = touched.map_batches(
+        side_b = side.map_batches(
             lambda b: pa.table({"_pid": b[id_col], name_b: b[payload_col]}),
             batch_format="pyarrow",
         )
@@ -1017,14 +1033,7 @@ def ngram_jaccard_near_dup_pairs(
     tabs = [t for t in tabs if t.num_rows > 0]
     if not tabs:
         return empty
-    out = pa.concat_tables(tabs)
-    order = np.lexsort(
-        (
-            np.asarray(out["id_b"].to_pylist(), object),
-            np.asarray(out["id_a"].to_pylist(), object),
-        )
-    )
-    return out.take(pa.array(order))
+    return _sorted_pairs(pa.concat_tables(tabs))
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1179,7 @@ def simhash_near_dup_pairs(
     return _lsh_pairs(
         ds.map_batches(fingerprints, batch_format="pyarrow"),
         id_col, chunk_keys, carry=lanes, within=within,
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1240,11 +1249,13 @@ def embedding_near_dup_pairs(
     every bucket bit is exact integer arithmetic, reproducible under
     retries AND by the DuckDB oracle. The (n, n_tables) bucket matrix
     is the ``_lsh_pairs`` key matrix, so each distinct candidate pair
-    comes out once, from its first colliding table.
+    comes out once, from its first colliding table; the one Ray Data
+    execution that reads the vectors keeps them in keyed doc blocks.
 
     **Phase B — verify, fully distributed** (the shared
     ``_verify_join_collect`` skeleton):
-    DISTINCT-candidate-id broadcast prefilter → payloads meet pairs
+    DISTINCT-candidate-id semi-join tasks over the doc blocks (the
+    vectors are read once) → payloads meet pairs
     adaptively (broadcast block refs / co-partitioned hash joins) →
     integer-cosine ≥ threshold per slice of pairs, the vectors read
     straight from the list values (``_vectors_of``). Only the verified pairs reach
@@ -1260,7 +1271,7 @@ def embedding_near_dup_pairs(
             bucket = (bucket << 1) | sig[:, :, p]
         return bucket
 
-    cand = _lsh_pairs(ds, id_col, table_keys)
+    cand, docs = _lsh_pairs(ds, id_col, table_keys, payload=col)
 
     def verify(batch: pa.Table) -> pa.Table:
         eq_a = quantize_embeddings(_vectors_of(batch["vec_a"], dim))
@@ -1276,16 +1287,12 @@ def embedding_near_dup_pairs(
         )
 
     out = _verify_join_collect(
-        cand, ds, id_col=id_col, payload_col=col,
+        cand, docs, id_col=id_col, payload_col=col,
         payload_names=("vec_a", "vec_b"), verify_fn=verify,
     )
     if out is None:
         return _no_pairs(cand, "cosine")
-    order = np.lexsort(
-        (out["id_b"].to_numpy(zero_copy_only=False),
-         out["id_a"].to_numpy(zero_copy_only=False))
-    )
-    return out.take(pa.array(order))
+    return _sorted_pairs(out)
 
 
 # ---------------------------------------------------------------------------

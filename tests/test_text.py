@@ -982,10 +982,11 @@ def test_minhash_verify_any_pair_block(ray_session, monkeypatch, block):
 
 
 def test_broadcast_verify_runs_no_dataset_operator():
-    """After the semi-join read, the broadcast verify path of
-    ``_verify_join_collect`` runs plain Ray tasks only: no
-    ``.map_batches(`` outside the ``hash_join`` scale branch, and no
-    ``.repartition(`` anywhere in dedup.py."""
+    """Outside its ``hash_join`` scale branch, ``_verify_join_collect``
+    runs plain Ray tasks only: no ``.map_batches(`` and no
+    ``broadcast_task`` anywhere else in it (the semi-join filters the
+    doc blocks in tasks), the ``_SemiJoinFetch`` stage is gone, and
+    dedup.py calls no ``.repartition(``."""
     import ast
     import inspect
 
@@ -995,18 +996,121 @@ def test_broadcast_verify_runs_no_dataset_operator():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
     ]
     assert "repartition" not in calls(tree)
+    assert not hasattr(dd, "_SemiJoinFetch")
     (fn,) = [n for n in tree.body
              if isinstance(n, ast.FunctionDef) and n.name == "_verify_join_collect"]
-    semi = next(i for i, st in enumerate(fn.body)
-                if any(isinstance(n, ast.Name) and n.id == "_SemiJoinFetch" for n in ast.walk(st)))
-    rest = fn.body[semi + 1:]
-    split = [st for st in rest if isinstance(st, ast.If)
-             and "_VERIFY_BROADCAST_BYTES" in ast.unparse(st.test)]
-    assert len(split) == 1
-    for st in rest:
-        parts = [*split[0].body] if st is split[0] else [st]
-        for part in parts:
-            assert "map_batches" not in calls(part), ast.unparse(part)
+    (split,) = [st for st in ast.walk(fn) if isinstance(st, ast.If)
+                and "_VERIFY_BROADCAST_BYTES" in ast.unparse(st.test)]
+    assert "hash_join" in ast.unparse(split.orelse)
+    split.orelse = []  # the scale branch is the only one allowed an operator
+    assert "map_batches" not in calls(fn), ast.unparse(fn)
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert "broadcast_task" not in names
+
+
+def _marked(t: pa.Table, n_blocks: int, marks):
+    """``t`` as an ``n_blocks``-block Dataset behind a map UDF that
+    leaves one marker file in ``marks`` per call (one call per block)."""
+    import os
+    import tempfile
+
+    import ray.data as rd
+
+    def mark(b):
+        os.close(tempfile.mkstemp(dir=marks)[0])
+        return b
+
+    cut = np.array_split(np.arange(t.num_rows), n_blocks)
+    return rd.from_arrow([t.take(c) for c in cut]).map_batches(
+        mark, batch_format="pyarrow", batch_size=None
+    )
+
+
+@pytest.mark.parametrize(
+    "path", ["minhash", "minhash_sink", "minhash_hash_join", "embedding", "simhash"]
+)
+def test_near_dup_runs_the_corpus_once(ray_session, monkeypatch, tmp_path, path):
+    """One near-dup call runs its input Dataset once: the input's map
+    UDF is called once per input block, through Phase A and Phase B
+    (collect, sink and ``hash_join`` verify paths) alike."""
+    import os
+
+    n_blocks, marks = 4, tmp_path / "marks"
+    marks.mkdir()
+    if path == "embedding":
+        rng = np.random.default_rng(9)
+        base = rng.standard_normal(64)
+        emb = [base + 0.05 * rng.standard_normal(64) for _ in range(12)]
+        emb += [rng.standard_normal(64) for _ in range(8)]
+        t = pa.table({"vec_id": pa.array(np.arange(len(emb))),
+                      "embedding": pa.array([list(map(float, r)) for r in emb])})
+    else:
+        ids, texts = _near_copies(12)
+        t = pa.table({"doc_id": ids, "text": texts})
+    ds = _marked(t, n_blocks, str(marks))
+    ds.materialize()  # the fixture: one marker per block and execution
+    assert len(os.listdir(marks)) == n_blocks
+    for f in os.listdir(marks):
+        os.remove(marks / f)
+    if path == "minhash_hash_join":
+        monkeypatch.setattr(dd, "_VERIFY_BROADCAST_BYTES", 0)
+    if path == "minhash_sink":
+        n_pairs = dd.minhash_near_dup_pairs(
+            ds, threshold=0.5, sink_dir=str(tmp_path / "sink"))["n_pairs"]
+    elif path == "embedding":
+        n_pairs = dd.embedding_near_dup_pairs(ds, threshold=0.9).num_rows
+    elif path == "simhash":
+        n_pairs = dd.simhash_near_dup_pairs(ds, max_hamming=8).count()
+    else:
+        n_pairs = dd.minhash_near_dup_pairs(ds, threshold=0.5).num_rows
+    assert n_pairs > 10
+    assert len(os.listdir(marks)) == n_blocks
+
+
+@pytest.mark.parametrize("kind", ["unicode", "int64"])
+def test_near_dup_pair_ids_keep_their_order(ray_session, kind):
+    """Non-ASCII string ids order by code point (bytewise in UTF-8) and
+    int64 ids numerically, negative and past 2^53 (where float64 would
+    merge neighbours): with threshold 0, MinHash returns every LSH
+    candidate once as (id_a < id_b) in Python's order, sorted by
+    (id_a, id_b), with the reference Jaccard; SimHash gives the
+    brute-force pairs in the same orientation."""
+    import ray.data as rd
+
+    _, texts = _near_copies(12)
+    n = len(texts)
+    if kind == "unicode":
+        # UTF-16 order would put the astral "𝔘" before "ｚ" (U+FF5A)
+        pool = ["é", "z", "ｚ", "𝔘", "日本", "ü", "a", "Z", "ß", "中"]
+        ids = [f"{pool[i % len(pool)]}{pool[i * 7 % len(pool)]}{i}" for i in range(n)]
+    else:
+        ids = [2**53 + i for i in range(n // 2)] + [-(2**62) + i for i in range(n - n // 2)]
+        ids[:2] = [2**63 - 1, -(2**63)]
+    ids = [ids[i] for i in np.random.default_rng(5).permutation(n)]
+    assert len(set(ids)) == n
+    col = pa.array(ids, pa.string() if kind == "unicode" else pa.int64())
+    t = pa.table({"doc_id": col, "text": texts})
+    ds = rd.from_arrow([t.slice(0, 11), t.slice(11, 9), t.slice(20)])
+
+    bands = dd.lsh_bands(dd.MinHasher(64).batch_signatures(texts, 5), 16)
+    want = sorted(_bucket_pairs(ids, bands))
+    assert len(want) > 60
+    out = dd.minhash_near_dup_pairs(ds, threshold=0.0)
+    assert out.schema.field("id_a").type == col.type
+    assert list(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist())) == want
+    text_of = dict(zip(ids, texts))
+    assert out["jaccard"].to_pylist() == [
+        dd.jaccard(dd.char_shingles(text_of[a]), dd.char_shingles(text_of[b])) for a, b in want
+    ]
+
+    sh = dd.simhash64(texts)
+    ham = {(min(ids[i], ids[j]), max(ids[i], ids[j])): (int(sh[i]) ^ int(sh[j])).bit_count()
+           for i in range(n) for j in range(i + 1, n)}
+    want = {(a, b, h) for (a, b), h in ham.items() if h <= 8}
+    assert len(want) > 20
+    got = dd.simhash_near_dup_pairs(ds, max_hamming=8).to_pandas()
+    assert set(zip(got["id_a"], got["id_b"], got["hamming"])) == want
 
 
 def test_vectors_of_reads_lists_without_python_rows():
