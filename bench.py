@@ -2,12 +2,15 @@
 
 Default mode: run the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32)`` and print ONE JSON line::
+num_cpus=$RAY_GRAFT_CPUS or 32)``, write the full result (every
+query's timing under ``queries``) to ``.bench_detail.json`` next to
+this file (git-ignored) and end stdout with ONE short JSON headline
+line (under 1 KB)::
 
     {"metric": "flagship e2e sec", "value": N, "unit": "sec",
-     "queries": {...per-pipeline sec...}, "sf": 0.1, "num_cpus": N,
-     "tiles": T, "tiles_per_sec": R,
-     "scaling": {"efficiency": E, ...8-vs-32-CPU fresh-process runs...}}
+     "tiles_per_sec": R, "num_cpus": N, "sf": 0.1, "tiles": T,
+     "scaling": {"efficiency": E, ...8-vs-32-CPU fresh-process runs...},
+     "detail": "<path of the detail file>"}
 
 The embedded ``scaling`` block (skipped when num_cpus < 32 or
 ``GRAFT_BENCH_SCALING=0``) is a compact repeats-2 version of
@@ -38,6 +41,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+DETAIL_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), ".bench_detail.json")
+HEADLINE_KEYS = ("metric", "value", "unit", "tiles_per_sec", "num_cpus", "sf",
+                 "tiles", "scaling")
 
 
 def _init_ray(num_cpus: int):
@@ -217,6 +223,18 @@ def run_all(sf_dir: str, num_cpus: int) -> dict:
     return out
 
 
+def headline(out: dict, detail_path: str) -> dict:
+    """Write the full bench result to ``detail_path`` and return the
+    short headline: ``HEADLINE_KEYS`` present in ``out`` plus the
+    detail file's path. A reader that keeps only the tail of stdout
+    parses it; the per-query timings stay in the file."""
+    with open(detail_path, "w") as f:
+        json.dump(out, f, indent=1, sort_keys=True)
+    short = {k: out[k] for k in HEADLINE_KEYS if k in out}
+    short["detail"] = detail_path
+    return short
+
+
 def run_one(sf_dir: str, num_cpus: int, docs_dir: str = None, repeats: int = 1) -> dict:
     """One fresh-session measurement; with repeats > 1, report the best
     run (this platform's wall-clock is noisy — best-of-N reflects the
@@ -300,7 +318,7 @@ def main():
     elif args.scaling:
         print(json.dumps(run_scaling(args.sf_dir)))
     else:
-        print(json.dumps(run_all(args.sf_dir, args.cpus)))
+        print(json.dumps(headline(run_all(args.sf_dir, args.cpus), DETAIL_PATH)))
         ray.shutdown()
 
 

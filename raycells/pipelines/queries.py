@@ -637,59 +637,47 @@ def q_focal_cell_stats(sf_dir: str):
     is the cell_agg_band aggregate (map-side salted partials → bucketed
     merge). Stage 2 is the scale-safe stencil: each nonempty cell EMITS
     its aggregate row to its 9 (gx±1, gy±1) neighbor keys — a 9× fan of
-    CELL-sized rows, never tile-sized — and one more bucketed merge sums
-    each neighborhood; cells absent from the base grid are dropped via
-    a self-contribution flag (no gather of the whole grid anywhere, so
-    the pattern holds at any grid level). All-integer columns → exact
-    DuckDB oracle (self-join on the ±1 box)."""
+    CELL-sized rows, never tile-sized — and one ``shuffle.aggregate`` on
+    (gx, gy) sums each neighborhood; cells absent from the base grid are
+    dropped via a self-contribution flag (no gather of the whole grid
+    anywhere, so the pattern holds at any grid level). All-integer
+    columns → exact DuckDB oracle (self-join on the ±1 box)."""
     from raycells.geo import cellid
 
     base = _cell_base_agg(sf_dir)
     NX = cellid.GRID_NX
     stat_cols = ("n_tiles", "sum_valid_count", "sum_sum_val",
                  "min_min_val", "max_max_val")
+    names = ("n_cells_3x3", "n_tiles_3x3", "valid_3x3", "sum_3x3",
+             "min_3x3", "max_3x3")
 
     def fan(b: pa.Table) -> pa.Table:
         gc = b["grid_cell"].to_numpy(zero_copy_only=False)
         gx, gy = gc % NX, gc // NX
         n = gc.size
-        vals = {c: b[c].to_numpy(zero_copy_only=False) for c in stat_cols}
-        out = {k: [] for k in ("gx", "gy", "self_n", *stat_cols)}
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                out["gx"].append(gx + dx)
-                out["gy"].append(gy + dy)
-                out["self_n"].append(
-                    np.full(n, 1 if dx == 0 and dy == 0 else 0, np.int64)
-                )
-                for c in stat_cols:
-                    out[c].append(vals[c])
-        t = {k: pa.array(np.concatenate(v)) for k, v in out.items()}
-        # composite shuffle key (gx+1 keeps the −1 fringe nonnegative)
-        nkey = (np.concatenate(out["gy"]) + 1) * np.int64(2 * NX) + (
-            np.concatenate(out["gx"]) + 1
+        offs = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+        cols = {
+            "gx": np.concatenate([gx + dx for dx, _ in offs]),
+            "gy": np.concatenate([gy + dy for _, dy in offs]),
+            "n_cells_3x3": np.ones(9 * n, np.int64),
+        }
+        for c, name in zip(stat_cols, names[1:]):
+            cols[name] = np.tile(b[c].to_numpy(zero_copy_only=False), 9)
+        cols["self_n"] = np.repeat(
+            np.array([dx == 0 and dy == 0 for dx, dy in offs], np.int64), n
         )
-        t["nkey"] = pa.array(nkey)
-        return pa.table(t)
+        return pa.table(cols)
 
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        agg = df.groupby(["gx", "gy"], sort=False).agg(
-            n_cells_3x3=("self_n", "size"),
-            n_tiles_3x3=("n_tiles", "sum"),
-            valid_3x3=("sum_valid_count", "sum"),
-            sum_3x3=("sum_sum_val", "sum"),
-            min_3x3=("min_min_val", "min"),
-            max_3x3=("max_max_val", "max"),
-            self_n=("self_n", "sum"),
-        ).reset_index()
-        agg = agg[agg["self_n"] >= 1].drop(columns=["self_n", ])
-        agg["n_cells_3x3"] = agg["n_cells_3x3"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(agg)
+    def present(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater_equal(b["self_n"], 1)).drop_columns(["self_n"])
 
-    return shuffle_mod.bucket_reduce(
-        base.map_batches(fan, batch_format="pyarrow"), "nkey", combine
-    )
+    return shuffle_mod.aggregate(
+        base.map_batches(fan, batch_format="pyarrow"),
+        ["gx", "gy"],
+        pa.schema(_i64("gx", "gy", *names, "self_n")),
+        {"min_3x3": "min", "max_3x3": "max"},
+        salt=1,
+    ).map_batches(present, batch_format="pyarrow")
 
 
 def q_cell_pyramid(sf_dir: str):
@@ -697,11 +685,11 @@ def q_cell_pyramid(sf_dir: str):
     shape map renderers and multi-resolution analytics need: the
     per-cell aggregate re-keyed to 3 zoom levels (level 0 = the 0.25°
     base grid, each level up halves both axes via gx>>L, gy>>L) in one
-    cell-sized 3-row fan + one bucketed merge. Rolling up level-by-level
-    would move fewer rows (Σ 4^-L) at the cost of an exchange per level;
-    the single fan is one exchange total and the fan rows are aggregate
-    rows, never tiles. All-integer columns → exact oracle (UNION ALL of
-    grouped rollups)."""
+    cell-sized 3-row fan + one ``shuffle.aggregate`` on (level, gx, gy).
+    Rolling up level-by-level would move fewer rows (Σ 4^-L) at the cost
+    of an exchange per level; the single fan is one exchange total and
+    the fan rows are aggregate rows, never tiles. All-integer columns →
+    exact oracle (UNION ALL of grouped rollups)."""
     from raycells.geo import cellid
 
     base = _cell_base_agg(sf_dir)
@@ -709,43 +697,28 @@ def q_cell_pyramid(sf_dir: str):
     LEVELS = 3
     stat_cols = ("n_tiles", "sum_valid_count", "sum_sum_val",
                  "min_min_val", "max_max_val")
+    names = ("n_cells", "n_tiles", "valid", "sum_val", "min_val", "max_val")
 
     def fan(b: pa.Table) -> pa.Table:
         gc = b["grid_cell"].to_numpy(zero_copy_only=False)
         gx, gy = gc % NX, gc // NX
         n = gc.size
-        vals = {c: b[c].to_numpy(zero_copy_only=False) for c in stat_cols}
-        out = {k: [] for k in ("level", "gx", "gy", *stat_cols)}
-        for lv in range(LEVELS):
-            out["level"].append(np.full(n, lv, np.int64))
-            out["gx"].append(gx >> lv)
-            out["gy"].append(gy >> lv)
-            for c in stat_cols:
-                out[c].append(vals[c])
-        t = {k: pa.array(np.concatenate(v)) for k, v in out.items()}
-        nkey = (
-            np.concatenate(out["level"]) * np.int64(NX * NX)
-            + np.concatenate(out["gy"]) * np.int64(NX)
-            + np.concatenate(out["gx"])
-        )
-        t["nkey"] = pa.array(nkey)
-        return pa.table(t)
+        cols = {
+            "level": np.repeat(np.arange(LEVELS, dtype=np.int64), n),
+            "gx": np.concatenate([gx >> lv for lv in range(LEVELS)]),
+            "gy": np.concatenate([gy >> lv for lv in range(LEVELS)]),
+            "n_cells": np.ones(LEVELS * n, np.int64),
+        }
+        for c, name in zip(stat_cols, names[1:]):
+            cols[name] = np.tile(b[c].to_numpy(zero_copy_only=False), LEVELS)
+        return pa.table(cols)
 
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        agg = df.groupby(["level", "gx", "gy"], sort=False).agg(
-            n_cells=("n_tiles", "size"),
-            n_tiles=("n_tiles", "sum"),
-            valid=("sum_valid_count", "sum"),
-            sum_val=("sum_sum_val", "sum"),
-            min_val=("min_min_val", "min"),
-            max_val=("max_max_val", "max"),
-        ).reset_index()
-        agg["n_cells"] = agg["n_cells"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(agg)
-
-    return shuffle_mod.bucket_reduce(
-        base.map_batches(fan, batch_format="pyarrow"), "nkey", combine
+    return shuffle_mod.aggregate(
+        base.map_batches(fan, batch_format="pyarrow"),
+        ["level", "gx", "gy"],
+        pa.schema(_i64("level", "gx", "gy", *names)),
+        {"min_val": "min", "max_val": "max"},
+        salt=1,
     )
 
 
@@ -3370,11 +3343,11 @@ def q_curation_funnel(sf_dir: str):
     Shape at scale: ONE text scan computes every per-doc signal
     (detector scores, repetition counts, rolling-hash fingerprint) and
     materializes only the narrow (doc, fp, n_tokens, s1, s2) stream
-    (~40 B/doc); stages 0-2 are map-side partial sums + a driver fold,
-    and stage 3 is one coarse-bucket exchange of the surviving narrow
-    rows whose bucket reducers emit COUNTS (never winner rows) — the
-    funnel's driver traffic is O(blocks + buckets) regardless of corpus
-    size."""
+    (~40 B/doc); every stage is a ``shuffle.fold`` on the stage of one
+    (stage, 1, n_tokens) row per doc that passes it. Stage 3's rows are
+    the dedup winners of one coarse-bucket exchange of the surviving
+    narrow rows. Each fold combines per block before the driver, so the
+    funnel's driver traffic is O(blocks) regardless of corpus size."""
     ds = _read(
         sf_dir, "documents", SMALL_TABLE_BLOCKS,
         columns=["doc_id", "lang", "text"],
@@ -3415,62 +3388,52 @@ def q_curation_funnel(sf_dir: str):
         )
 
     narrow = ds.map_batches(perdoc, batch_format="pyarrow").materialize()
+    schema = pa.schema(_i64("stage", "n_docs", "sum_tokens"))
 
-    def stage_parts(b: pa.Table) -> pa.Table:
-        s1 = b["s1"].to_numpy(zero_copy_only=False).astype(bool)
-        s2 = b["s2"].to_numpy(zero_copy_only=False).astype(bool)
+    def stage_rows(b: pa.Table) -> pa.Table:
+        s1 = pc.equal(b["s1"], 1).to_numpy(zero_copy_only=False)
+        s2 = pc.equal(b["s2"], 1).to_numpy(zero_copy_only=False)
         nt = b["n_tokens"].to_numpy(zero_copy_only=False)
         masks = [np.ones(len(nt), bool), s1, s1 & s2]
+        stage = np.concatenate([np.full(m.sum(), i, np.int64) for i, m in enumerate(masks)])
         return pa.table(
-            {
-                "stage": pa.array(np.arange(3, dtype=np.int64)),
-                "n_docs": pa.array(
-                    np.array([int(m.sum()) for m in masks], np.int64)
-                ),
-                "sum_tokens": pa.array(
-                    np.array([int(nt[m].sum()) for m in masks], np.int64)
-                ),
-            }
+            [stage, np.ones(len(stage), np.int64), np.concatenate([nt[m] for m in masks])],
+            schema=schema,
         )
 
-    parts = narrow.map_batches(stage_parts, batch_format="pyarrow").to_pandas()
-    folded = parts.groupby("stage", sort=True).sum().reset_index()
-
-    def dedup_counts(g: pa.Table) -> pa.Table:
+    def dedup_winners(g: pa.Table) -> pa.Table:
         df = g.to_pandas().sort_values(["fp", "doc_id"], kind="stable")
         first = df.drop_duplicates("fp", keep="first")
         return pa.table(
-            {
-                "n_docs": pa.array([np.int64(len(first))]),
-                "sum_tokens": pa.array(
-                    [np.int64(first["n_tokens"].to_numpy().sum())]
-                ),
-            }
+            [np.full(len(first), 3, np.int64), np.ones(len(first), np.int64),
+             first["n_tokens"].to_numpy(np.int64)],
+            schema=schema,
         )
 
-    surv = (
-        shuffle_mod.bucket_reduce(
-            narrow.map_batches(
-                lambda b: b.filter(
-                    pc.and_(pc.equal(b["s1"], 1), pc.equal(b["s2"], 1))
-                ).select(["fp", "doc_id", "n_tokens"]),
-                batch_format="pyarrow",
-            ),
-            "fp",
-            dedup_counts,
-        )
-        .to_pandas()
-        .sum()
+    winners = shuffle_mod.bucket_reduce(
+        narrow.map_batches(
+            lambda b: b.filter(
+                pc.and_(pc.equal(b["s1"], 1), pc.equal(b["s2"], 1))
+            ).select(["fp", "doc_id", "n_tokens"]),
+            batch_format="pyarrow",
+        ),
+        "fp",
+        dedup_winners,
     )
-    labels = ["all", "lang_ok", "quality_ok", "deduped"]
-    n_docs = [*folded["n_docs"].tolist(), int(surv["n_docs"])]
-    sum_tokens = [*folded["sum_tokens"].tolist(), int(surv["sum_tokens"])]
+    folded = pa.concat_tables([
+        shuffle_mod.fold(narrow.map_batches(stage_rows, batch_format="pyarrow"),
+                         "stage", schema),
+        shuffle_mod.fold(winners, "stage", schema),
+    ]).to_pydict()
+    # a stage no doc reaches has no row: COUNT 0 and SUM NULL, as in SQL
+    n_docs = dict(zip(folded["stage"], folded["n_docs"]))
+    sum_tokens = dict(zip(folded["stage"], folded["sum_tokens"]))
     return pa.table(
         {
             "stage": pa.array(np.arange(4, dtype=np.int64)),
-            "label": pa.array(labels, pa.string()),
-            "n_docs": pa.array(np.array(n_docs, np.int64)),
-            "sum_tokens": pa.array(np.array(sum_tokens, np.int64)),
+            "label": pa.array(["all", "lang_ok", "quality_ok", "deduped"], pa.string()),
+            "n_docs": pa.array([n_docs.get(i, 0) for i in range(4)], pa.int64()),
+            "sum_tokens": pa.array([sum_tokens.get(i) for i in range(4)], pa.int64()),
         }
     )
 
@@ -5726,12 +5689,11 @@ def q_mosaic_blend(sf_dir: str):
     the 0 sentinel, so any valid observation wins — the standard
     mosaic nodata rule), then per-cell stats of the blended raster.
 
-    Shape at scale: MAX is associative, so each batch PRE-BLENDS its
-    tiles per cell (one vectorized pandas groupby-max over the 64 pixel
-    columns + a tile count) — the exchange then moves one 520-B partial
-    row per (batch, cell), never one row per tile; a ``bucket_reduce``
-    on the cell finishes the blend (bucket count scales with the
-    cluster, not with cell cardinality)."""
+    Shape at scale: MAX is associative, so the blend is one
+    ``shuffle.aggregate`` on the cell (max over the 64 pixel columns, a
+    tile count): each batch pre-blends its tiles per cell map-side, the
+    exchange moves one 520-B partial row per (batch, cell), never one
+    row per tile, and the blended raster's stats are a row-wise map."""
     from raycells.geo import cellid
     from raycells.io import tilestore
 
@@ -5744,35 +5706,33 @@ def q_mosaic_blend(sf_dir: str):
             np.int64
         )
         lon, lat = tilestore.centroids(seeds)
-        df = pd.DataFrame(v, columns=vcols)
-        df["grid_cell"] = cellid.grid_cell(lon, lat)
-        g = df.groupby("grid_cell", sort=False)
-        part = g.max()
-        part["n_tiles"] = g.size()
-        return shuffle_mod.from_pandas_clean(part.reset_index())
+        return pa.table(
+            [cellid.grid_cell(lon, lat), *np.ascontiguousarray(v.T),
+             np.ones(len(v), np.int64)],
+            names=["grid_cell", *vcols, "n_tiles"],
+        )
 
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        gb = df.groupby("grid_cell", sort=False)
-        out = gb[vcols].max()
-        out["n_tiles"] = gb["n_tiles"].sum()
-        blended = out[vcols].to_numpy(np.int64)
-        res = pd.DataFrame(
+    def blend_stats(b: pa.Table) -> pa.Table:
+        blended = np.stack(
+            [b[c].to_numpy(zero_copy_only=False) for c in vcols], axis=1
+        )
+        return pa.table(
             {
-                "grid_cell": out.index.to_numpy(np.int64),
-                "n_tiles": out["n_tiles"].to_numpy(np.int64),
+                "grid_cell": b["grid_cell"],
+                "n_tiles": b["n_tiles"],
                 "blend_sum": blended.sum(axis=1),
                 "blend_min": blended.min(axis=1),
                 "blend_max": blended.max(axis=1),
             }
         )
-        return shuffle_mod.from_pandas_clean(res)
 
-    return shuffle_mod.bucket_reduce(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(tile_windows, batch_format="pyarrow"),
         "grid_cell",
-        combine,
-    )
+        pa.schema(_i64("grid_cell", *vcols, "n_tiles")),
+        dict.fromkeys(vcols, "max"),
+        salt=1,
+    ).map_batches(blend_stats, batch_format="pyarrow")
 
 
 def q_ordered_funnel(sf_dir: str):
@@ -6430,8 +6390,9 @@ def q_event_transitions(sf_dir: str):
     Shape at scale: the user_gaps window shape — ONE coarse-bucket
     exchange on hash(user_id) co-locates each user's events; per bucket
     one vectorized lexsort + shifted comparison yields every
-    transition, collapsed to ≤ types² partial rows per bucket; the
-    driver folds the types²-bounded matrix (never row-scale)."""
+    transition as a row; ``shuffle.fold`` collapses each reducer's rows
+    to ≤ types² partials and folds the types²-bounded matrix on the
+    driver (never row-scale)."""
     ds = _read(
         sf_dir, "events", SMALL_TABLE_BLOCKS,
         columns=["event_id", "user_id", "event_type", "ts"],
@@ -6460,36 +6421,25 @@ def q_event_transitions(sf_dir: str):
         order = np.lexsort((e, t, u))
         u, et = u[order], et[order]
         same = u[1:] == u[:-1]
-        df = pd.DataFrame(
-            {"prev_type": et[:-1][same], "next_type": et[1:][same]}
+        return pa.table(
+            {
+                "prev_type": pa.array(et[:-1][same], pa.string()),
+                "next_type": pa.array(et[1:][same], pa.string()),
+                "n": np.ones(int(same.sum()), np.int64),
+            }
         )
-        part = (
-            df.groupby(["prev_type", "next_type"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        part["n"] = part["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(part)
 
-    parts = shuffle_mod.bucket_reduce(
-        ds.map_batches(project, batch_format="pyarrow"), "user_id", transitions
-    ).to_pandas()
-    out = (
-        parts.groupby(["prev_type", "next_type"], sort=False, as_index=False)["n"]
-        .sum()
+    out = shuffle_mod.fold(
+        shuffle_mod.bucket_reduce(
+            ds.map_batches(project, batch_format="pyarrow"), "user_id", transitions
+        ),
+        ["prev_type", "next_type"],
+        pa.schema([("prev_type", pa.string()), ("next_type", pa.string()), *_i64("n")]),
     )
-    out_tot = out.groupby("prev_type")["n"].transform("sum")
-    out["share_ppm"] = (
-        out["n"].to_numpy(np.int64) * np.int64(1_000_000)
-    ) // out_tot.to_numpy(np.int64)
-    return pa.table(
-        {
-            "prev_type": pa.array(out["prev_type"], pa.string()),
-            "next_type": pa.array(out["next_type"], pa.string()),
-            "n": pa.array(out["n"].to_numpy(np.int64)),
-            "share_ppm": pa.array(out["share_ppm"].to_numpy(np.int64)),
-        }
-    )
+    df = out.to_pandas()
+    out_tot = df.groupby("prev_type")["n"].transform("sum").to_numpy(np.int64)
+    share = df["n"].to_numpy(np.int64) * np.int64(1_000_000) // out_tot
+    return out.append_column("share_ppm", pa.array(share, pa.int64()))
 
 
 def q_join_size_estimate(sf_dir: str):
@@ -6606,10 +6556,10 @@ def q_cell_value_hist(sf_dir: str):
     identical floor both engines.
 
     Shape at scale: per batch one vectorized bincount collapses each
-    tile's 64 pixels into 9 int64 columns, pre-aggregated per cell
-    (histogram addition is associative — the mosaic_blend pattern), so
-    the exchange moves one 80-B partial row per (batch, cell); a
-    ``bucket_reduce`` on the cell finishes the sums."""
+    tile's 64 pixels into 9 int64 columns, and one ``shuffle.aggregate``
+    on the cell sums them (histogram addition is associative — the
+    mosaic_blend pattern), so the exchange moves one 80-B partial row
+    per (batch, cell)."""
     from raycells.geo import cellid
     from raycells.io import tilestore
 
@@ -6621,35 +6571,21 @@ def q_cell_value_hist(sf_dir: str):
         v = tilestore.synth_band_window(seeds, 4, WINDOW, WSIZE, WSIZE).astype(
             np.int64
         )
-        nod = (v == 0).sum(axis=1).astype(np.int64)
         bins = np.clip((v - 1) * 8 // 65520, 0, 7)
         bins[v == 0] = 8  # park nodata in a 9th slot, dropped below
-        counts = np.stack(
-            [(bins == j).sum(axis=1).astype(np.int64) for j in range(8)],
-            axis=1,
-        )
         lon, lat = tilestore.centroids(seeds)
-        df = pd.DataFrame(counts, columns=hcols)
-        df["n_nodata"] = nod
-        df["grid_cell"] = cellid.grid_cell(lon, lat)
-        g = df.groupby("grid_cell", sort=False)
-        part = g.sum()
-        part["n_tiles"] = g.size()
-        return shuffle_mod.from_pandas_clean(part.reset_index())
-
-    def combine(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        out = (
-            df.groupby("grid_cell", sort=False)[hcols + ["n_nodata", "n_tiles"]]
-            .sum()
-            .reset_index()
+        return pa.table(
+            [cellid.grid_cell(lon, lat),
+             *((bins == j).sum(axis=1).astype(np.int64) for j in range(8)),
+             (v == 0).sum(axis=1).astype(np.int64), np.ones(len(v), np.int64)],
+            names=["grid_cell", *hcols, "n_nodata", "n_tiles"],
         )
-        return shuffle_mod.from_pandas_clean(out)
 
-    return shuffle_mod.bucket_reduce(
+    return shuffle_mod.aggregate(
         _exploded(sf_dir).map_batches(tile_hists, batch_format="pyarrow"),
         "grid_cell",
-        combine,
+        pa.schema(_i64("grid_cell", *hcols, "n_nodata", "n_tiles")),
+        salt=1,
     )
 
 
@@ -9628,50 +9564,39 @@ def q_ttr_by_source(sf_dir: str):
     tokens, DISTINCT token types, and hapax legomena (once-only
     tokens). All exact integers; TTR/hapax-rate derive trivially.
 
-    Shape at scale: per-batch (source, token) pre-dedup partials ride
-    ONE coarse token-bucket exchange (same (source, token) → same
-    bucket, so per-bucket distinct/count partials are globally
-    correct); the driver folds O(buckets × sources) rows. Total tokens
-    fold map-side separately (no exchange)."""
+    Shape at scale: one ``shuffle.aggregate`` on (source, token) counts
+    each token type (map-side partials per batch, one exchange), a
+    row-wise map turns each type into its (tokens, types, hapax)
+    contribution, and ``shuffle.fold`` combines those per block and
+    folds O(blocks × sources) partials on the driver."""
     ds = _read(
         sf_dir, "documents", SMALL_TABLE_BLOCKS, columns=["source", "text"]
     )
 
     def tok(b: pa.Table) -> pa.Table:
-        src = b["source"].to_numpy(zero_copy_only=False)
         _, flat, parent = ta._split(b["text"])
-        toks = flat.to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"source": src[parent], "token": toks})
-        df = df[df["token"] != ""]
-        out = (
-            df.groupby(["source", "token"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        out["n"] = out["n"].astype(np.int64)
-        return shuffle_mod.from_pandas_clean(out)
+        t = pa.table({"source": b["source"].take(parent), "token": flat})
+        t = t.filter(pc.not_equal(t["token"], ""))
+        return t.append_column("n", pa.array(np.ones(t.num_rows, np.int64)))
 
-    def per_type(g: pa.Table) -> pa.Table:
-        df = (
-            g.select(["source", "token", "n"]).to_pandas()
-            .groupby(["source", "token"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-        n = df["n"].to_numpy(np.int64)
+    def per_type(b: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "source": pa.array(df["source"], pa.string()),
-                "n_tokens": n,
-                "n_types": np.ones(len(n), np.int64),
-                "n_hapax": (n == 1).astype(np.int64),
+                "source": b["source"],
+                "n_tokens": b["n"],
+                "n_types": np.ones(b.num_rows, np.int64),
+                "n_hapax": pc.cast(pc.equal(b["n"], 1), pa.int64()),
             }
         )
 
+    types = shuffle_mod.aggregate(
+        ds.map_batches(tok, batch_format="pyarrow"),
+        ["source", "token"],
+        pa.schema([("source", pa.string()), ("token", pa.string()), *_i64("n")]),
+        salt=1,
+    )
     return shuffle_mod.fold(
-        shuffle_mod.bucket_reduce(
-            ds.map_batches(tok, batch_format="pyarrow"), "token", per_type
-        ),
+        types.map_batches(per_type, batch_format="pyarrow"),
         "source",
         pa.schema(
             [("source", pa.string()), *_i64("n_tokens", "n_types", "n_hapax")]

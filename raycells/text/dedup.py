@@ -45,8 +45,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raycells.engine.shuffle import (
-    _remote, block_tables, bucket_reduce, collect_refs, from_pandas_clean, materialized,
-    row_blocks,
+    _remote, aggregate, block_tables, bucket_reduce, collect_refs, from_pandas_clean,
+    materialized, row_blocks,
 )
 
 __all__ = [
@@ -1369,7 +1369,7 @@ def _island_spans(ids: np.ndarray, ps: np.ndarray, id_col: str, w: int, s: int) 
 
 
 def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
-                    sink_dir=None, combine=False):
+                    sink_dir=None):
     """Duplicated-substring spans over any (id, text) Dataset: windows
     whose fingerprint repeats anywhere merge per doc into maximal
     stride-contiguous spans of (id, span_start, span_end, n_windows).
@@ -1379,30 +1379,13 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
     duplication-proportional, corpus-scale on a boilerplate-heavy
     crawl, so the 100-TB path never concats it on one driver heap.
 
-    ``combine=True`` is the map-side-combined plan, exploiting two
-    batch-local facts (measured on the 600k-doc scaling corpus,
-    10.7 M windows):
-
-    1. A window whose hash repeats WITHIN its batch is already proven
-       duplicated — only the batch-singletons (5.4%) plus one
-       representative row per batch-locally-duplicated hash need the
-       global hash exchange (5.9× fewer rows through it).
-    2. Every window of a doc lives in ONE batch (docs don't straddle
-       batches), so a doc with NO singleton windows (78.8% of docs —
-       every window locally proven) island-merges ENTIRELY map-side and
-       bypasses the doc exchange (only 31% of window rows route).
-
-    Outputs are bit-identical either way (A/B-pinned in tests and
-    equality-asserted on the 553k-span scaling corpus). The direct plan
-    is the DEFAULT because on this single-node box it MEASURED FASTER —
-    interleaved best-of-3: direct 29.3 s vs combined 36.4 s at 32 CPUs —
-    Ray's sort exchange here is per-block-fixed-cost-bound, not
-    bytes-bound, so the 3-6× row diet buys nothing while the combined
-    plan pays a materialize barrier + a per-batch np.unique sort
-    (the CLAUDE.md "exchange-heavy pipelines" lesson, re-confirmed).
-    On a multi-node cluster whose exchange is NETWORK-bound the
-    combined plan's row diet is the right trade — hence kept, tested,
-    and switchable."""
+    Two exchanges: ``dup_window_rows`` keeps every window whose hash
+    repeats, then each doc's kept positions meet in one reducer that
+    island-merges them. A map-side-combined plan (batch-local dup proof,
+    docs with no singleton window merged map-side) moves 3-6× fewer rows
+    through the exchanges but measured slower on one node (interleaved
+    best-of-3 on the 600k-doc scaling corpus: 29.3 s direct vs 36.4 s
+    combined at 32 CPUs)."""
     from raycells.text import analysis as ta
 
     w = ta.SPAN_W if w is None else w
@@ -1412,135 +1395,9 @@ def dup_span_report(ds, id_col="doc_id", col="text", w=None, s=None,
         df = g.to_pandas().sort_values([id_col, "p"], kind="stable")
         return _island_spans(df[id_col].to_numpy(), df["p"].to_numpy(), id_col, w, s)
 
-    if not combine:
-        kept = dup_window_rows(ds, id_col, col, w, s, drop_canonical=False)
-        # back half: each doc's kept positions meet in one group
-        spans = bucket_reduce(kept, id_col, merge_spans)
-        return _spans_out(spans, id_col, sink_dir)
-
-    def windows_split(b: pa.Table) -> pa.Table:
-        dids = b[id_col].to_numpy(zero_copy_only=False)
-        ri, pos, h = ta.strided_window_fps(b[col].to_pylist(), w, s)
-        if len(ri) == 0:
-            return pa.table(
-                {
-                    "k": pa.array([], pa.int64()),
-                    "wh": pa.array([], pa.int64()),
-                    id_col: b[id_col].slice(0, 0),
-                    "p": pa.array([], pa.int64()),
-                    "pe": pa.array([], pa.int64()),
-                    "nw": pa.array([], pa.int64()),
-                }
-            )
-        vals, inv, cnt = np.unique(h, return_inverse=True, return_counts=True)
-        localdup = cnt[inv] > 1
-        # docs with >=1 singleton window must route through the exchanges
-        routed_docs = np.zeros(len(dids), bool)
-        routed_docs[np.unique(ri[~localdup])] = True
-        routed = routed_docs[ri]
-        hi = h.view(np.int64)
-        ids_w = dids[ri]
-        parts = []
-        # k=0: singleton occurrences (all belong to routed docs)
-        m0 = ~localdup
-        # k=1: confirmed occurrences of routed docs
-        m1 = localdup & routed
-        for k, m, whv in ((0, m0, hi[m0]), (1, m1, np.zeros(int(m1.sum()), np.int64))):
-            if m.any():
-                n = int(m.sum())
-                parts.append(
-                    pa.table(
-                        {
-                            "k": pa.array(np.full(n, k, np.int64)),
-                            "wh": pa.array(whv, pa.int64()),
-                            id_col: pa.array(ids_w[m]),
-                            "p": pa.array(pos[m], pa.int64()),
-                            "pe": pa.array(np.full(n, -1, np.int64)),
-                            "nw": pa.array(np.full(n, -1, np.int64)),
-                        }
-                    )
-                )
-        # k=2: one representative per distinct locally-dup hash (so other
-        # batches' singletons can match it) — never an occurrence (p=-1)
-        rep_wh = vals[cnt > 1].view(np.int64)
-        if len(rep_wh):
-            parts.append(
-                pa.table(
-                    {
-                        "k": pa.array(np.full(len(rep_wh), 2, np.int64)),
-                        "wh": pa.array(rep_wh, pa.int64()),
-                        id_col: pa.array(np.repeat(ids_w[:1], len(rep_wh))),
-                        "p": pa.array(np.full(len(rep_wh), -1, np.int64)),
-                        "pe": pa.array(np.full(len(rep_wh), -1, np.int64)),
-                        "nw": pa.array(np.full(len(rep_wh), -1, np.int64)),
-                    }
-                )
-            )
-        # k=3: non-routed docs island-merge map-side (bypass both exchanges)
-        m3 = localdup & ~routed
-        if m3.any():
-            sp = _island_spans(ids_w[m3], pos[m3], id_col, w, s)
-            parts.append(
-                pa.table(
-                    {
-                        "k": pa.array(np.full(sp.num_rows, 3, np.int64)),
-                        "wh": pa.array(np.zeros(sp.num_rows, np.int64)),
-                        id_col: sp[id_col],
-                        "p": sp["span_start"],
-                        "pe": sp["span_end"],
-                        "nw": sp["n_windows"],
-                    }
-                )
-            )
-        return pa.concat_tables(parts, promote_options="none")
-
-    wtab = ds.map_batches(windows_split, batch_format="pyarrow").materialize()
-
-    def _empty_wtab(b: pa.Table) -> pa.Table:
-        # typed empty in the wtab schema; an EMPTY block passes through
-        # map_batches with the UPSTREAM (id, text) schema (the
-        # block_tables lesson) — id_col is present there, so the id type
-        # is preserved from the block itself
-        e = pa.array([], pa.int64())
-        return pa.table(
-            {
-                "k": e, "wh": e,
-                id_col: b[id_col].slice(0, 0),
-                "p": e, "pe": e, "nw": e,
-            }
-        )
-
-    def pick(ks):
-        def fn(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "k" not in b.column_names:
-                return _empty_wtab(b)
-            keep = pc.is_in(b["k"], value_set=pa.array(ks, pa.int64()))
-            return b.filter(keep)
-        return fn
-
-    def singleton_dups(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        sizes = df.groupby("wh", sort=False)["wh"].transform("size")
-        out = df.loc[(sizes.to_numpy() > 1) & (df["k"].to_numpy() == 0),
-                     [id_col, "p"]]
-        if len(out) == 0:
-            return g.select([id_col, "p"]).slice(0, 0)
-        return from_pandas_clean(out)
-
-    ex1 = bucket_reduce(
-        wtab.map_batches(pick([0, 2]), batch_format="pyarrow"), "wh", singleton_dups
-    )
-    confirmed = wtab.map_batches(
-        lambda b: pick([1])(b).select([id_col, "p"]), batch_format="pyarrow"
-    )
-    spans_ex = bucket_reduce(confirmed.union(ex1), id_col, merge_spans)
-    spans_direct = wtab.map_batches(
-        lambda b: pick([3])(b)
-        .select([id_col, "p", "pe", "nw"])
-        .rename_columns([id_col, "span_start", "span_end", "n_windows"]),
-        batch_format="pyarrow",
-    )
-    return _spans_out(spans_direct.union(spans_ex), id_col, sink_dir)
+    kept = dup_window_rows(ds, id_col, col, w, s, drop_canonical=False)
+    spans = bucket_reduce(kept, id_col, merge_spans)
+    return _spans_out(spans, id_col, sink_dir)
 
 
 def _spans_out(spans, id_col: str, sink_dir):
@@ -1580,9 +1437,10 @@ def paragraph_dedup_manifest(
     Shape at scale: segmentation is map-side; exchange 1 hash-buckets
     (segment, id, idx) rows on a coarse bucket of the segment STRING
     (equal strings co-locate by construction) and each bucket reduces
-    with ONE vectorized first-occurrence pass that immediately collapses
-    to per-doc PARTIALS, so exchange 2 moves only O(buckets × docs)
-    partial rows. Carrying segment text through exchange 1 costs
+    with ONE vectorized first-occurrence pass; exchange 2 is a
+    ``shuffle.aggregate`` on the id, whose map side collapses each
+    bucket's marks to per-doc partials, so it moves only O(buckets ×
+    docs) partial rows. Carrying segment text through exchange 1 costs
     ≈ corpus bytes ONCE and buys exact string identity (the
     fingerprint-keyed sibling is shuffle.exact_dedup_winners). The
     manifest itself is corpus-sized (one row per doc): ``sink_dir``
@@ -1590,7 +1448,6 @@ def paragraph_dedup_manifest(
     ``checkpoint.sink_to_parquet`` summary — the 100-TB path; without
     it the manifest Dataset is returned (still streaming — callers
     collect only at gate scales)."""
-    import pandas as pd
 
     def segment(b: pa.Table) -> pa.Table:
         segs: list = []
@@ -1617,30 +1474,21 @@ def paragraph_dedup_manifest(
         df = g.to_pandas().sort_values(["seg", id_col, "seg_idx"], kind="stable")
         dup = (df.groupby("seg", sort=False).cumcount() > 0).to_numpy()
         nch = df["seg"].str.len().to_numpy().astype(np.int64)
-        part = (
-            pd.DataFrame(
-                {
-                    id_col: df[id_col].to_numpy(),
-                    "n_segs": np.ones(len(df), np.int64),
-                    "n_removed": dup.astype(np.int64),
-                    "chars_removed": np.where(dup, nch, 0),
-                }
-            )
-            .groupby(id_col, sort=False)
-            .sum()
-            .reset_index()
-        )
-        return from_pandas_clean(part)
-
-    def fold(g: pa.Table) -> pa.Table:
-        out = g.to_pandas().groupby(id_col, sort=False).sum().reset_index()
-        out["n_kept"] = out["n_segs"] - out["n_removed"]
-        return from_pandas_clean(
-            out[[id_col, "n_segs", "n_kept", "n_removed", "chars_removed"]]
+        return pa.table(
+            {
+                id_col: pa.array(df[id_col].to_numpy(), g.schema.field(id_col).type),
+                "n_segs": np.ones(len(df), np.int64),
+                "n_kept": (~dup).astype(np.int64),
+                "n_removed": dup.astype(np.int64),
+                "chars_removed": np.where(dup, nch, 0),
+            }
         )
 
-    parts = bucket_reduce(ds.map_batches(segment, batch_format="pyarrow"), "seg", mark)
-    manifest = bucket_reduce(parts, id_col, fold)
+    manifest, schema = materialized(
+        bucket_reduce(ds.map_batches(segment, batch_format="pyarrow"), "seg", mark)
+    )
+    if schema is not None:  # None: no document, so no row to fold
+        manifest = aggregate(manifest, id_col, schema, salt=1)
     if sink_dir is not None:
         from raycells.engine.checkpoint import sink_to_parquet
 

@@ -394,25 +394,6 @@ def test_span_dedup_sink_job_matches_collect(docs_dir, tmp_path, ray_session):
         assert res3["manifest"]["n_rows"] == man["n_rows"]
 
 
-def test_dup_span_combined_plan_matches_direct(docs_dir, ray_session):
-    """The map-side-combined span plan (batch-local dup proof + doc
-    bypass) is bit-identical to the direct two-exchange plan on the
-    interleaved corpus (string doc keys)."""
-    import pandas as pd
-
-    from raycells.text.dedup import dup_span_report
-
-    ds = driver._docs_text(docs_dir)
-    direct = dup_span_report(ds, id_col="doc_key", combine=False)
-    combined = dup_span_report(ds, id_col="doc_key", combine=True)
-    assert (direct is None) == (combined is None)
-    if direct is not None:
-        pd.testing.assert_frame_equal(
-            direct.to_pandas().reset_index(drop=True),
-            combined.to_pandas().reset_index(drop=True),
-        )
-
-
 def test_paragraph_dedup_sink_job_matches_collect(docs_dir, tmp_path, ray_session):
     """--mode paragraph-dedup: streamed per-doc cleaning manifest ==
     the collect-mode manifest over the same span-concat corpus; every

@@ -752,13 +752,12 @@ def _sources():
 
 
 # Driver folds that are not a sum/min/max, so shuffle.fold cannot express
-# them: first/last by time (q_event_ohlc, q_curation_funnel,
-# q_shuffle_shards) and a transition count (q_event_transitions); the
-# XOR, HLL-register and CC-forest folds live in whole files.
+# them: first/last by time (q_event_ohlc) and an XOR with a first-by-hash
+# (q_shuffle_shards); the XOR, HLL-register and CC-forest folds live in
+# whole files.
 _FOLD_FILES = {"engine/shuffle.py", "engine/driver.py", "sim/sketch.py",
                "sim/hll.py", "engine/cc.py"}
-_FOLD_FUNCS = {"q_curation_funnel", "q_event_ohlc", "q_event_transitions",
-               "q_shuffle_shards"}
+_FOLD_FUNCS = {"q_event_ohlc", "q_shuffle_shards"}
 _FOLD_ATTRS = {"sum", "agg", "aggregate", "min", "max"}
 _NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -793,8 +792,10 @@ def _is_dataset_to_pandas(node) -> bool:
 
 def _function_level(fn):
     """Nodes of ``fn``'s own body; nested functions (map-side UDFs and
-    per-bucket reducers, whose ``to_pandas`` is on a block) are skipped."""
-    stack = [n for n in fn.body if not isinstance(n, _NESTED)]
+    per-bucket reducers, whose ``to_pandas`` is on a block) are skipped.
+    A lambda's body is its one expression."""
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    stack = [n for n in body if not isinstance(n, _NESTED)]
     while stack:
         n = stack.pop()
         yield n
@@ -858,6 +859,137 @@ def table_read(path):
     assert _driver_fold_sites(ast.parse(src)) == ["direct", "named"]
 
 
+# Map UDFs and reducers whose pandas group-by aggregate is not the
+# aggregate spec's, each with the reason it stays hand-rolled.
+_REDUCER_AGG_SITES = {
+    # per-order pre-combine ahead of hash_join: the join needs the rows
+    "pipelines/queries.py:q_priority_revenue.combine_items",
+    # per-(doc, token) term frequency ahead of document frequency and
+    # scoring; both read the same materialized pairs
+    "pipelines/queries.py:q_tfidf_terms.doc_term_counts",
+    # per-order last shipdate, finished inside the co-partitioned join
+    # with orders (one exchange for the max and the join)
+    "pipelines/queries.py:q_fulfillment_lag.li_part",
+    "pipelines/queries.py:q_fulfillment_lag.lag_hist",
+    # per-type (n, Σx, Σx²) that the driver sums in Python ints: Σx² of
+    # cent values passes int64, which an int64 fold sum would wrap
+    "pipelines/queries.py:q_value_outliers.moments",
+    # (hash, shard) counts ahead of a reducer that takes each hash's min
+    # shard: one exchange finishes the counts and the min
+    "pipelines/queries.py:q_ngram_novelty.partials",
+    # (part, month) sums ahead of the per-part lag reducer, which
+    # finishes the sums in the same exchange
+    "pipelines/queries.py:q_demand_features.monthly",
+    # (part, supplier) counts ahead of the per-part top-supplier reducer
+    "pipelines/queries.py:q_sourcing_concentration.counts",
+    # per-user reducer that joins purchases to the user's first click
+    "pipelines/queries.py:q_ordered_funnel.funnel",
+}
+_REDUCER_AGG_ATTRS = _FOLD_ATTRS | {"size"}
+# a function that also sorts, windows, dedups or ranks is more than an
+# aggregate
+_ORDER_ATTRS = {"sort_values", "sort_index", "sort_by", "sort", "argsort", "lexsort",
+                "searchsorted", "drop_duplicates", "duplicated", "unique", "cumcount",
+                "cumsum", "rank", "shift", "diff", "rolling", "transform", "nlargest",
+                "nsmallest"}
+
+
+def _is_groupby(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "groupby")
+
+
+def _reducer_aggregate_sites(tree) -> list:
+    """``outer.inner`` for every function or lambda nested in a
+    module-level function or class (map UDFs, reducers) whose own body
+    runs a pandas ``groupby(...)`` → sum/min/max/size/agg and no sort,
+    window, dedup or rank."""
+    sites = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for fn in ast.walk(top):
+            if fn is top or not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            nodes = list(_function_level(fn))
+            calls = [n for n in nodes
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
+            # names bound to a groupby: ``g = df.groupby(k)``, then ``g.max()``
+            names = {t.id for n in nodes if isinstance(n, ast.Assign)
+                     and any(map(_is_groupby, _receiver_chain(n.value)))
+                     for t in n.targets if isinstance(t, ast.Name)}
+            grouped = any(
+                n.func.attr in _REDUCER_AGG_ATTRS and any(
+                    _is_groupby(c) or (isinstance(c, ast.Name) and c.id in names)
+                    for c in _receiver_chain(n.func.value))
+                for n in calls
+            )
+            if grouped and not any(n.func.attr in _ORDER_ATTRS for n in calls):
+                sites.append(f"{top.name}.{getattr(fn, 'name', '<lambda>')}")
+    return sites
+
+
+def test_reducer_scan_sees_hand_rolled_aggregates():
+    """The reducer scan below is not vacuous: a map-side pandas
+    pre-combine, a reducer that re-combines it, a lambda UDF and a
+    group-by bound to a name are found; reducers that also sort, dedup or rank, and module-level
+    functions, are not."""
+    src = """
+def hist(ds):
+    def tile_hists(b):
+        df = pd.DataFrame({"cell": cells(b), "n": ones(b)})
+        return from_pandas_clean(df.groupby("cell", sort=False).sum().reset_index())
+
+    def combine(g):
+        return g.to_pandas().groupby("cell", sort=False).agg({"n": "sum"})
+
+    return bucket_reduce(ds.map_batches(tile_hists), "cell", combine)
+
+def counts(ds):
+    return ds.map_batches(lambda b: b.to_pandas().groupby("k").size())
+
+def named(ds):
+    def blend(b):
+        g = b.to_pandas().groupby("cell", sort=False)
+        part = g.max()
+        part["n"] = g.size()
+        return part
+    return ds.map_batches(blend)
+
+def windowed(ds):
+    def latest(g):
+        df = g.to_pandas().sort_values(["u", "t"])
+        return df.groupby("u").max()
+
+    def dedup(g):
+        return g.to_pandas().drop_duplicates("k").groupby("k").sum()
+
+    def ranked(g):
+        df = g.to_pandas()
+        df["r"] = df.groupby("k").cumcount()
+        return df.groupby("k").min()
+
+    return bucket_reduce(ds, "u", latest)
+
+def driver_level(df):
+    return df.groupby("k").sum()
+"""
+    assert _reducer_aggregate_sites(ast.parse(src)) == [
+        "hist.tile_hists", "hist.combine", "counts.<lambda>", "named.blend"]
+
+
+def test_reducer_aggregates_use_the_spec():
+    """Every map UDF or reducer whose only group-by work is a pandas
+    sum/min/max/size/agg is ``shuffle.fold`` / ``shuffle.aggregate``
+    instead, except the named sites."""
+    sites = {
+        f"{rel}:{name}"
+        for rel, text in _sources()
+        for name in _reducer_aggregate_sites(ast.parse(text))
+    }
+    assert sites == _REDUCER_AGG_SITES
+
+
 def _arrow_ref_sites(tree) -> list:
     """Functions (outermost name) that call ``.to_arrow_refs()``."""
     sites = []
@@ -896,16 +1028,13 @@ def helper(ds):
 # ``.union(`` sites: no Dataset union of differently-typed inputs (the
 # co-partitioned exchange takes several inputs instead). Each site below
 # unions inputs of one schema, so nothing is null-padded:
-# - dup_span_report: confirmed and singleton dup spans, and the direct
-#   and exchanged span tables (same columns);
 # - run_diff_job and q_snapshot_diff: the two fingerprinted snapshots
 #   with a ``side`` label column, which ``diff_classify`` reads as data;
 # - q_fuzzy_token_match: the vocabulary fanned out twice, label-tagged
 #   probe and word variants of one schema.
 # The other two are not Datasets: a Python set union (lsh_topk) and a
 # cell-type union (CellValue).
-_UNION_SITES = {"text/dedup.py:dup_span_report",
-                "engine/driver.py:run_diff_job",
+_UNION_SITES = {"engine/driver.py:run_diff_job",
                 "pipelines/queries.py:q_snapshot_diff",
                 "pipelines/queries.py:q_fuzzy_token_match",
                 "sim/knn.py:lsh_topk",

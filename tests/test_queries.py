@@ -400,7 +400,10 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     global_stats and sample_lineitem are aggregates without GROUP BY:
     one row with count 0 and NULL sums/min/max. ab_test_zscore answers
     one row with zero arm sizes and NULL conversions and z, and
-    key_skew_report one row per key with zero keys and NULL counts."""
+    key_skew_report one row per key with zero keys and NULL counts.
+    event_transitions answers 0 rows, and curation_funnel its four
+    stage rows with n_docs 0 and sum_tokens NULL (a COUNT and a SUM per
+    UNION ALL branch)."""
     import pyarrow.parquet as pq
 
     queries, sqls = contract
@@ -417,12 +420,38 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
                          ("quantiles_price", 1), ("value_ntiles", 0),
                          ("quantiles_qty", 1), ("gap_fill", 0),
                          ("global_stats", 1), ("sample_lineitem", 1),
-                         ("ab_test_zscore", 1), ("key_skew_report", 3)):
+                         ("ab_test_zscore", 1), ("key_skew_report", 3),
+                         ("event_transitions", 0), ("curation_funnel", 4)):
         got = _norm(_to_df(queries[name](str(tmp_path))))
         want = _norm(con2.sql(sqls[name]).df())
         assert list(got.columns) == list(want.columns), name
         assert len(got) == len(want) == n_rows, name
         pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+def test_curation_funnel_stage_no_doc_reaches(ray_session, tmp_path, contract):
+    """A funnel stage that no document reaches answers n_docs 0 and
+    sum_tokens NULL, as the oracle's COUNT and SUM do: neither text
+    holds a language marker, so both documents fail the language check
+    and stages 1-3 are empty while stage 0 is not."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    queries, sqls = contract
+    docs = pa.table({"doc_id": pa.array([0, 1], pa.int64()),
+                     "lang": ["en", "en"], "text": ["zzz qqq", "www"]})
+    pq.write_table(docs, str(tmp_path / "documents.parquet"))
+    con2 = duckdb.connect()
+    con2.sql(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet')"
+    )
+    res = queries["curation_funnel"](str(tmp_path))
+    assert res.column("n_docs").to_pylist() == [2, 0, 0, 0]
+    assert res.column("sum_tokens").to_pylist() == [3, None, None, None]
+    got = _norm(_to_df(res))
+    want = _norm(con2.sql(sqls["curation_funnel"]).df())
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
 
 def test_bpe_merges_boundary_anchor(ray_session, tmp_path, contract):

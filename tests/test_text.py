@@ -468,18 +468,33 @@ class TestDupSpanSemantics:
         assert (out["span_end"] == 16 + 40).all()
         assert (out["n_windows"] == 3).all()
 
-    def test_combined_plan_identical_on_crafted_docs(self, ray_session):
-        import pandas as pd
+    def test_spans_match_brute_force_on_crafted_docs(self, ray_session):
+        """The span report equals a per-doc reference that compares
+        window TEXT (no fingerprint, no exchange): a window is
+        duplicated when its text occurs at two or more (doc, position)
+        windows anywhere, and each doc's duplicated windows merge into
+        stride-contiguous spans."""
+        from collections import Counter
 
+        from raycells.text import analysis as ta
         from raycells.text.dedup import dup_span_report
 
         texts = ["xy" * 40, "xy" * 40, "unique-" * 12, "xy" * 25 + "zz" * 12]
-        direct = dup_span_report(self._ds(texts), combine=False)
-        combined = dup_span_report(self._ds(texts), combine=True)
-        pd.testing.assert_frame_equal(
-            direct.to_pandas().reset_index(drop=True),
-            combined.to_pandas().reset_index(drop=True),
-        )
+        w, s = ta.SPAN_W, ta.SPAN_S
+        wins = [[(p, t[p:p + w]) for p in range(0, len(t) - w + 1, s)] for t in texts]
+        seen = Counter(x for ws in wins for _, x in ws)
+        want = []
+        for d, ws in enumerate(wins):
+            for p in (p for p, x in ws if seen[x] > 1):
+                if want and want[-1][0] == d and want[-1][2] - w + s == p:
+                    want[-1] = (d, want[-1][1], p + w, want[-1][3] + 1)
+                else:
+                    want.append((d, p, p + w, 1))
+        assert {d for d, *_ in want} == {0, 1, 3}  # doc 2's windows are unique
+        got = dup_span_report(self._ds(texts)).to_pandas()
+        cols = ["doc_id", "span_start", "span_end", "n_windows"]
+        assert list(got.columns) == cols
+        assert [tuple(r) for r in got.itertuples(index=False)] == want
 
 
 def test_shuffle_shards_block_count_invariant(ray_session):
