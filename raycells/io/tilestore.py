@@ -637,14 +637,15 @@ def synth_tiles(seeds: np.ndarray) -> Dict[str, list]:
 # fused chunked stats (cache-resident decode→reduce; no payload materialized)
 # ---------------------------------------------------------------------------
 
-# Tiles per chunk: a (64, 4096) float64 scratch is 2 MB, so the copied
-# value windows stay cache-resident while the three masked reductions read
-# them, instead of streaming full-batch matrices through DRAM.
-_CHUNK = 64
+# Cells per chunk: a chunk's float64 scratch is 64 rows of a 4,096-cell tile
+# (8 of a 186×169 one), ≈2 MB, so the copied value windows stay
+# cache-resident while the masked reductions read them, instead of streaming
+# full-batch matrices through DRAM.
+_CHUNK_CELLS = 64 * TILE_N
 # Per-worker reusable chunk buffers AND the lookup tables below (value
-# windows, mask tables, masked positions), keyed by kind and size. Module-level
-# so they persist in Ray's reused worker processes; actors and task workers
-# are single-threaded, so sharing them needs no lock.
+# windows, block tables, mask tables, masked positions), keyed by kind and
+# size. Module-level so they persist in Ray's reused worker processes; actors
+# and task workers are single-threaded, so sharing them needs no lock.
 _SCRATCH: dict = {}
 
 _I64_MAX = 2**63 - 1
@@ -654,6 +655,16 @@ _WRAP_RAW = 2**64 % RAW_MOD
 _WRAP_MASK = 2**64 % MASK_MOD
 # 65521 is prime, so MUL_I has an inverse mod 65521 (the value windows).
 _INV_MUL_I = pow(MUL_I, -1, RAW_MOD)
+# 33 is coprime to MASK_MUL: a tile's masked cells are one residue mod 33.
+_INV_MASK_MUL = pow(MASK_MUL, -1, MASK_MOD)
+# Block tables: aligned blocks of _BLOCK cells of a window table (a multiple
+# of 33, so a block's cells of residue q mod 33 sit at offsets q and q + 33),
+# looked up _SPAN blocks (2,112 cells) at a time. _SPAN is a power of two.
+_BLOCK = 2 * MASK_MOD
+_SPAN = 32
+# Cells per table-path chunk: its gathered masked cells (n/33 a tile) and
+# heads and tails are ≈1 MB each.
+_TABLE_CELLS = 1 << 22
 
 
 def _cached(key, build):
@@ -663,9 +674,16 @@ def _cached(key, build):
     return v
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of an n-cell tile per chunk: ``_CHUNK_CELLS`` cells at most."""
+    return max(1, _CHUNK_CELLS // n)
+
+
 def _scratch(kind: str, n: int, dtype) -> np.ndarray:
+    """Reused ``(_chunk_rows(n), n)`` chunk buffer."""
     return _cached(
-        (kind, n, np.dtype(dtype).name), lambda: np.empty((_CHUNK, n), dtype=dtype)
+        ("scratch", kind, n, np.dtype(dtype).name),
+        lambda: np.empty((_chunk_rows(n), n), dtype=dtype),
     )
 
 
@@ -675,13 +693,29 @@ def _imul_cache(n: int, offset: int) -> np.ndarray:
     )
 
 
+def _wraps(x: np.ndarray, n: int, step: int) -> np.ndarray:
+    """Whether each tile's int64 ``x + i·step`` overflows inside the tile
+    (``i < n``). Only seeds within ``step·n`` of the int64 edge do."""
+    return x > _I64_MAX - step * (n - 1)
+
+
 def _wrap_points(x: np.ndarray, n: int, step: int):
     """``(row, t)`` for every tile whose int64 ``x + i·step`` overflows
-    inside the tile (``i < n``); ``t`` is its first wrapped cell. Only
-    seeds within ``step·n`` of the int64 edge qualify, so this is almost
-    always empty."""
-    rows = np.flatnonzero(x > _I64_MAX - step * (n - 1))
+    inside the tile; ``t`` is its first wrapped cell. Almost always
+    empty."""
+    rows = np.flatnonzero(_wraps(x, n, step))
     return [(k, (_I64_MAX - int(x[k])) // step + 1) for k in rows]
+
+
+def _first_masked(s: np.ndarray) -> np.ndarray:
+    """First masked cell r of the tiles seeded ``s`` (no in-tile wrap):
+    ``(s + i·7) mod 33 = 0`` iff ``i ≡ r = −(s mod 33)·7⁻¹ (mod 33)``."""
+    return -(s % MASK_MOD) * _INV_MASK_MUL % MASK_MOD
+
+
+def _valid_counts(r: np.ndarray, n: int) -> np.ndarray:
+    """Valid cells of n-cell tiles whose masked cells are the i ≡ r (mod 33)."""
+    return n - (n // MASK_MOD + (r < n % MASK_MOD))
 
 
 def _mask_table(n: int):
@@ -690,8 +724,9 @@ def _mask_table(n: int):
     ≡ m (mod 33)."""
 
     def build():
-        i7 = np.arange(n, dtype=np.int64) * MASK_MUL
-        rows = (np.arange(MASK_MOD, dtype=np.int64)[:, None] + i7) % MASK_MOD != 0
+        rows = np.ones((MASK_MOD, n), dtype=bool)
+        for m, r in enumerate(_first_masked(np.arange(MASK_MOD)).tolist()):
+            rows[m, r::MASK_MOD] = False
         return rows, rows.sum(axis=1)
 
     return _cached(("mask", n), build)
@@ -715,17 +750,51 @@ def _tile_masks(s: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _window_table(ct: CellType) -> np.ndarray:
-    """float64 typed value of residue ``(k·MUL_I) mod 65521``, laid out
-    twice: ``U[k] = _typed_values((k mod 65521)·MUL_I mod 65521)`` for
-    ``k < 2·65521``, so any tile's values are one window ``U[d : d+n]``
-    (see ``synth_tile_stats``) with no modulo."""
+    """Typed value, in ``ct``'s own dtype, of residue ``(k·MUL_I) mod
+    65521``, laid out twice: ``U[k] = _typed_values((k mod 65521)·MUL_I mod
+    65521)`` for ``k < 2·65521``, so any tile's values are one window
+    ``U[d : d+n]`` (see ``synth_tile_stats``) with no modulo."""
 
     def build():
         k = np.arange(RAW_MOD, dtype=np.int64)
-        u = _typed_values(k * MUL_I % RAW_MOD, ct).astype(np.float64)
+        u = _typed_values(k * MUL_I % RAW_MOD, ct)
         return np.concatenate([u, u])
 
     return _cached(("window", ct.name), build)
+
+
+def _block_tables(ct: CellType):
+    """``(lo, hi, csum)`` over the aligned ``_BLOCK``-cell blocks of
+    ``U = _window_table(ct)``. ``lo[q, b]`` / ``hi[q, b]`` are the min /
+    max, in ``ct``'s dtype, of ``U[b·_BLOCK : (b + _SPAN)·_BLOCK]`` with
+    every cell ≡ q (mod 33) left out; ``csum[b]`` is the int64 sum of
+    ``U[: b·_BLOCK]`` (integer types only, else None)."""
+
+    def build():
+        u = _window_table(ct)
+        nb = u.size // _BLOCK
+        pairs = u[: nb * _BLOCK].reshape(nb, 2, MASK_MOD)
+        tables = []
+        for op in (np.minimum, np.maximum):
+            per_res = op(pairs[:, 0], pairs[:, 1])  # (nb, 33): block b, residue c
+            pre = op.accumulate(per_res, axis=1)
+            suf = op.accumulate(per_res[:, ::-1], axis=1)[:, ::-1]
+            t = np.empty((MASK_MOD, nb), dtype=u.dtype)
+            t[0] = suf[:, 1]
+            t[-1] = pre[:, -2]
+            t[1:-1] = op(pre[:, :-2], suf[:, 2:]).T
+            w = 1
+            while w < _SPAN:  # slide over _SPAN blocks by doubling
+                t = op(t[:, :-w], t[:, w:])
+                w *= 2
+            tables.append(t)
+        csum = None
+        if ct.is_integral:
+            per_block = u[: nb * _BLOCK].reshape(nb, _BLOCK).sum(axis=1, dtype=np.int64)
+            csum = np.concatenate([[0], np.cumsum(per_block)])
+        return tables[0], tables[1], csum
+
+    return _cached(("blocks", ct.name), build)
 
 
 def _window_starts(c: np.ndarray) -> np.ndarray:
@@ -751,14 +820,11 @@ def _masked_positions(n: int):
     repeating a row's last position, plus the rows' valid counts."""
 
     def build():
-        rows, counts = _mask_table(n)
-        hits = [np.flatnonzero(~r) for r in rows]
-        width = max(h.size for h in hits)
-        pos = np.empty((MASK_MOD, width), dtype=np.int64)
-        for m, h in enumerate(hits):
-            pos[m, : h.size] = h
-            pos[m, h.size :] = h[-1]
-        return pos, counts
+        r = _first_masked(np.arange(MASK_MOD, dtype=np.int64))
+        counts = _valid_counts(r, n)
+        held = n - counts
+        j = np.minimum(np.arange(held.max()), (held - 1)[:, None])
+        return r[:, None] + MASK_MOD * j, counts
 
     return _cached(("masked", n), build)
 
@@ -785,36 +851,53 @@ def _tile_masked_cells(s: np.ndarray, n: int):
 
 
 def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
-    """Decode erased tiles AND reduce them to per-tile masked stats in one
-    cache-resident pass — the payload never exists outside a 2 MB chunk.
+    """Decode erased tiles AND reduce them to per-tile masked stats,
+    mostly from small per-cell-type tables: the payload is never built,
+    and most of its cells are never read.
 
     Equivalent to ``synth_tiles`` → ``stages.tile_stats`` (same masked
     min/max fold semantics, inverted sentinels when fully masked; values
     here are exactly representable in float64 so the reduction is exact),
     and bit-identical to evaluating ``synth_tiles``' per-cell formulas.
 
-    The decode copies and scatters instead of doing per-cell arithmetic,
-    from two identities of those formulas:
+    Two identities of those formulas carry it:
 
     - values: 65521 is prime, so MUL_I is invertible mod 65521 and
       ``(s·MUL_A + i·MUL_I) mod 65521 = ((d + i)·MUL_I) mod 65521`` with
       ``d = ((s·MUL_A) mod 65521)·MUL_I⁻¹ mod 65521`` per tile. A tile's
       values are therefore the contiguous window ``U[d : d+n]`` of a
       per-cell-type table ``U[k]`` = typed value of ``k·MUL_I mod 65521``
-      (stored twice), copied row by row into the chunk scratch;
-    - mask: ``(s + i·7) mod 33`` depends on the seed only through
-      ``s mod 33``, so a tile's masked cells are one of 33 cached
-      position lists (≈124 of 4096 cells) and its valid count a lookup.
-      Scattering +inf, −inf and 0.0 there before ``min``, ``max`` and
-      ``sum`` gives exactly the arrays ``np.where(valid, v, fill)`` would,
-      so the pairwise sum, and ``mean_val`` with it, is unchanged.
+      (stored twice, in the cell type's dtype);
+    - mask: cell i is masked iff ``(s + i·7) mod 33 = 0``, i.e. iff
+      ``i ≡ r = −(s mod 33)·7⁻¹ (mod 33)``. In ``U`` the masked cells of
+      the window are exactly the positions ``≡ q = (d + r) mod 33``, and
+      the valid count is ``n`` minus the ``i < n`` with ``i ≡ r``.
+
+    So the stats of a window are range queries over ``U`` that skip one
+    residue class. ``U`` is cut into aligned 66-cell blocks (two cells of
+    each residue per block). Per cell type, two ``(33, blocks)`` tables
+    hold the min and max of every run of 32 blocks with residue q left
+    out, and one int64 prefix sum runs over the blocks:
+
+    - min/max: ⌈blocks/32⌉ overlapping lookups cover a tile's full blocks
+      (2 for 64×64, 15 for 186×169); the head and the tail (each under
+      one block) are gathered from ``U`` and masked by residue;
+    - integer sums: the block-prefix difference, minus the masked cells
+      of the full blocks (gathered, n/33 of them), plus head and tail, in
+      int64. Values are under 2^32 in magnitude and tiles under 2^15
+      cells, so every partial sum is an exact double and this equals the
+      float64 pairwise sum bit for bit, ``mean_val`` with it;
+    - float sums: a pairwise float sum's bits depend on its order, so
+      Float32/Float64 tiles copy their window into a ≈2 MB chunk scratch,
+      write 0.0 over the masked cells (one of 33 cached position lists)
+      and sum the rows, as ``np.where(valid, v, 0.0).sum`` would.
 
     Wrap rule: the per-cell formulas are int64 arithmetic, and for seeds
     near the int64 edge ``s·MUL_A + i·MUL_I`` or ``s + i·7`` overflows
     partway through a tile. From that cell on the residue drops by 2^64
-    mod 65521 (resp. 2^64 mod 33), and the affected tiles switch window
-    (resp. mask row) there — so every int64 seed decodes exactly as the
-    formula does.
+    mod 65521 (resp. 2^64 mod 33). Such tiles take the copy path whole,
+    which switches window (resp. mask row) at that cell — so every int64
+    seed decodes exactly as the formula does.
 
     Each distinct seed is decoded once per batch (interleaved corpora
     repeat media refs); results are expanded back to input order."""
@@ -822,6 +905,84 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
     u, inv = np.unique(s, return_inverse=True)
     st = _distinct_tile_stats(u)
     return {k: v[inv] for k, v in st.items()}
+
+
+def _copy_stats(x: np.ndarray, s: np.ndarray, n: int, u: np.ndarray, minmax: bool = True):
+    """``(min, max, sum, valid count)`` float64/int64 arrays of the tiles
+    with ``x = s·MUL_A`` from chunked window copies: masked cells set to
+    +inf, −inf and 0.0 before ``min``, ``max`` and ``sum``. ``min`` and
+    ``max`` are left unset when ``minmax`` is False."""
+    N = len(x)
+    step = _chunk_rows(n)
+    f64 = _scratch("f64", n, np.float64)
+    mn = np.empty(N, dtype=np.float64)
+    mx = np.empty(N, dtype=np.float64)
+    sums = np.empty(N, dtype=np.float64)
+    nv = np.empty(N, dtype=np.int64)
+    for lo in range(0, N, step):
+        part = slice(lo, lo + step)
+        vf = f64[: min(step, N - lo)]
+        _copy_tile_windows(x[part], n, u, vf)
+        masked, nv[part] = _tile_masked_cells(s[part], n)
+        if minmax:
+            vf.put(masked, np.inf)
+            mn[part] = vf.min(axis=1)
+            vf.put(masked, -np.inf)
+            mx[part] = vf.max(axis=1)
+        vf.put(masked, 0.0)
+        sums[part] = vf.sum(axis=1)
+    return mn, mx, sums, nv
+
+
+def _table_stats(x: np.ndarray, s: np.ndarray, n: int, ct: CellType):
+    """``(min, max, int sum, valid count)`` of n-cell tiles of type ``ct``
+    whose formulas do not wrap inside the tile, from ``_block_tables``
+    (see ``synth_tile_stats``); the sum is None for float types. Needs
+    ``n ≥ (_SPAN + 1)·_BLOCK`` so every tile spans ``_SPAN`` full blocks."""
+    u = _window_table(ct)
+    lo_t, hi_t, csum = _block_tables(ct)
+    info = np.iinfo(u.dtype) if ct.is_integral else np.finfo(u.dtype)
+    top, bottom = u.dtype.type(info.max), u.dtype.type(info.min)
+
+    d = _window_starts(x % RAW_MOD)
+    r = _first_masked(s)
+    q = (d + r) % MASK_MOD  # the masked cells' residue in U
+    b0 = -(-d // _BLOCK)  # the tile's full blocks are b0 … b1 − 1
+    b1 = (d + n) // _BLOCK
+    # Lookups at b0, b0 + _SPAN, …, the last pulled back to b1 − _SPAN:
+    # they overlap, which min and max do not mind.
+    spans = np.arange(-(-(n // _BLOCK) // _SPAN)) * _SPAN
+    # Head U[d : b0·B] and tail U[b1·B : d+n], each under one block: their
+    # masked cells are the offsets ≡ r and ≡ q (block starts are ≡ 0 mod 33).
+    start = np.stack([d, b1 * _BLOCK], axis=1)[:, :, None]
+    size = np.stack([b0 * _BLOCK - d, d + n - b1 * _BLOCK], axis=1)[:, :, None]
+    skip = np.stack([r, q], axis=1)[:, :, None]
+    j = np.arange(_BLOCK)
+    # The masked cells of the full blocks: 2 per block, 33 apart.
+    held_at = np.arange(2 * (n // _BLOCK)) * MASK_MOD
+
+    N = len(x)
+    mn = np.empty(N, dtype=np.float64)
+    mx = np.empty(N, dtype=np.float64)
+    sums = None if csum is None else np.empty(N, dtype=np.int64)
+    step = _TABLE_CELLS // n
+    for lo in range(0, N, step):
+        part = slice(lo, lo + step)
+        at = np.minimum(b0[part, None] + spans, b1[part, None] - _SPAN)
+        at += q[part, None] * lo_t.shape[1]
+        ends = u.take((start[part] + j).reshape(-1, 2 * _BLOCK))
+        ok = ((j < size[part]) & (j % MASK_MOD != skip[part])).reshape(-1, 2 * _BLOCK)
+        mn[part] = np.minimum(lo_t.take(at).min(axis=1), np.where(ok, ends, top).min(axis=1))
+        mx[part] = np.maximum(hi_t.take(at).max(axis=1), np.where(ok, ends, bottom).max(axis=1))
+        if sums is not None:
+            held = u.take((b0[part] * _BLOCK + q[part])[:, None] + held_at)
+            held_n = 2 * (b1[part] - b0[part])
+            sums[part] = (
+                csum[b1[part]] - csum[b0[part]]
+                - np.where(held_at < MASK_MOD * held_n[:, None], held, 0).sum(axis=1, dtype=np.int64)
+                + np.where(ok, ends, 0).sum(axis=1, dtype=np.int64)
+            )
+    return mn, mx, sums, _valid_counts(r, n)
 
 
 def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
@@ -832,8 +993,8 @@ def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
 
     min_v = np.empty(N, dtype=np.float64)
     max_v = np.empty(N, dtype=np.float64)
-    mean_v = np.full(N, np.nan, dtype=np.float64)
-    valid_c = np.zeros(N, dtype=np.int64)
+    sum_v = np.empty(N, dtype=np.float64)
+    valid_c = np.empty(N, dtype=np.int64)
     cts = np.empty(N, dtype=object)
 
     x = s * MUL_A  # int64, wraps exactly as the per-cell formula does
@@ -841,36 +1002,29 @@ def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
     for ci in np.unique(ct_idx):
         ct = CELL_TYPES[ci]
         u = _window_table(ct)
-        sentinel_lo = float(ct.max_value().to_f64())
-        sentinel_hi = float(ct.min_value().to_f64())
         for is_big in (False, True):
             sel = np.nonzero((ct_idx == ci) & (big == is_big))[0]
             if sel.size == 0:
                 continue
             n = (BIG_SHAPE[0] * BIG_SHAPE[1]) if is_big else TILE_N
-            f64 = _scratch("f64", n, np.float64)
-            for lo in range(0, sel.size, _CHUNK):
-                rows = sel[lo : lo + _CHUNK]
-                vf = f64[: rows.size]
-                _copy_tile_windows(x[rows], n, u, vf)
-                masked, nv = _tile_masked_cells(s[rows], n)
-                vf.put(masked, np.inf)
-                mn = vf.min(axis=1)
-                vf.put(masked, -np.inf)
-                mx = vf.max(axis=1)
-                none = nv == 0
-                if none.any():  # reference fold: inverted sentinels
-                    mn[none] = sentinel_lo
-                    mx[none] = sentinel_hi
-                vf.put(masked, 0.0)
-                sums = vf.sum(axis=1)
-                min_v[rows] = mn
-                max_v[rows] = mx
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    mean_v[rows] = np.where(nv > 0, sums / np.maximum(nv, 1), np.nan)
-                valid_c[rows] = nv
-            cts[sel] = ct.name
+            wraps = _wraps(x[sel], n, MUL_I) | _wraps(s[sel], n, MASK_MUL)
+            whole = sel[wraps]
+            if whole.size:
+                st = _copy_stats(x[whole], s[whole], n, u)
+                min_v[whole], max_v[whole], sum_v[whole], valid_c[whole] = st
+            rows = sel[~wraps]
+            mn, mx, isum, nv = _table_stats(x[rows], s[rows], n, ct)
+            if isum is None:
+                isum = _copy_stats(x[rows], s[rows], n, u, minmax=False)[2]
+            min_v[rows], max_v[rows], sum_v[rows], valid_c[rows] = mn, mx, isum, nv
+        sel = np.nonzero(ct_idx == ci)[0]
+        none = sel[valid_c[sel] == 0]  # reference fold: inverted sentinels
+        min_v[none] = float(ct.max_value().to_f64())
+        max_v[none] = float(ct.min_value().to_f64())
+        cts[sel] = ct.name
 
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_v = np.where(valid_c > 0, sum_v / np.maximum(valid_c, 1), np.nan)
     n_cells = shapes[:, 0].astype(np.int64) * shapes[:, 1]
     return {
         "cell_type": cts,
@@ -899,8 +1053,9 @@ def synth_band_stats(seeds: np.ndarray, band: int) -> Dict[str, np.ndarray]:
     sum_v = np.empty(N, dtype=np.int64)
     min_v = np.empty(N, dtype=np.int64)
     max_v = np.empty(N, dtype=np.int64)
-    for lo in range(0, N, _CHUNK):
-        g = min(_CHUNK, N - lo)
+    step = _chunk_rows(n)
+    for lo in range(0, N, step):
+        g = min(step, N - lo)
         ss = s[lo : lo + g]
         np.add(ss[:, None] * MUL_A, imul, out=i64[:g])
         np.mod(i64[:g], VAL_MOD, out=i64[:g])
@@ -946,8 +1101,9 @@ def synth_band_content_hash(seeds: np.ndarray, band: int = 4) -> np.ndarray:
     p31 = _p31_cache(n)
     out = np.empty(N, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for lo in range(0, N, _CHUNK):
-            g = min(_CHUNK, N - lo)
+        step = _chunk_rows(n)
+        for lo in range(0, N, step):
+            g = min(step, N - lo)
             ss = s[lo : lo + g]
             np.add(ss[:, None] * MUL_A, imul, out=i64[:g])
             np.mod(i64[:g], VAL_MOD, out=i64[:g])
@@ -980,8 +1136,9 @@ def synth_ndvi_stats(seeds: np.ndarray, red_band: int = 4, nir_band: int = 5) ->
     n_valid = np.empty(N, dtype=np.int64)
     ndvi_min = np.empty(N, dtype=np.float64)
     ndvi_max = np.empty(N, dtype=np.float64)
-    for lo in range(0, N, _CHUNK):
-        g = min(_CHUNK, N - lo)
+    step = _chunk_rows(n)
+    for lo in range(0, N, step):
+        g = min(step, N - lo)
         ss = s[lo : lo + g]
         np.add(ss[:, None] * MUL_A, imul_r, out=red[:g])
         np.mod(red[:g], VAL_MOD, out=red[:g])
@@ -1028,8 +1185,9 @@ def synth_band_delta_stats(
     sum_d = np.empty(N, dtype=np.int64)
     min_d = np.empty(N, dtype=np.int64)
     max_d = np.empty(N, dtype=np.int64)
-    for lo in range(0, N, _CHUNK):
-        g = min(_CHUNK, N - lo)
+    step = _chunk_rows(n)
+    for lo in range(0, N, step):
+        g = min(step, N - lo)
         ss = s[lo : lo + g]
         np.add(ss[:, None] * MUL_A, imul_a, out=va[:g])
         np.mod(va[:g], VAL_MOD, out=va[:g])

@@ -565,7 +565,7 @@ tl AS MATERIALIZED (
 tpos AS MATERIALIZED (
     SELECT dk, did, r.range AS pos,
            list_extract(toks, CAST(r.range + 1 AS INT)) AS tok
-    FROM tl, range(512) r WHERE r.range < len(toks)
+    FROM tl, LATERAL (SELECT unnest(range(len(toks))) AS range) r
 ),
 tok_list AS (
     SELECT tok, CAST(length(tok) AS BIGINT) AS n
@@ -4927,7 +4927,7 @@ def build() -> dict:
             tpos AS MATERIALIZED (
                 SELECT dk, r.range AS pos,
                        list_extract(toks, CAST(r.range + 1 AS INT)) AS tok
-                FROM tl, range(512) r WHERE r.range < len(toks)
+                FROM tl, LATERAL (SELECT unnest(range(len(toks))) AS range) r
             ),
             uni AS MATERIALIZED (
                 SELECT tok, CAST(COUNT(*) AS BIGINT) AS n
@@ -5996,7 +5996,7 @@ FROM per p LEFT JOIN newh n USING (shard)
             tpos AS MATERIALIZED (
                 SELECT dk, r.range AS pos,
                        list_extract(toks, CAST(r.range + 1 AS INT)) AS tok
-                FROM tl, range(512) r WHERE r.range < len(toks)
+                FROM tl, LATERAL (SELECT unnest(range(len(toks))) AS range) r
             ),
             big AS (
                 SELECT a.tok || ' ' || b.tok AS bigram,

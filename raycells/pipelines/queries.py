@@ -3837,15 +3837,6 @@ def _decontaminate_impl(sf_dir: str, overlap: bool):
         did = (
             pc.cast(b["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         )
-        # guard the oracle's bounds (range(512) token positions): a doc
-        # beyond them would silently lose windows on the SQL side only
-        from raycells.text.analysis import token_counts
-
-        ntok = token_counts(b["text"])
-        if ntok.size and int(ntok.max()) > 512:
-            raise ValueError(
-                f"decontaminate oracle caps docs at 512 tokens; saw {int(ntok.max())}"
-            )
         return b.append_column("is_bench", pa.array(did % DECON_MOD == 0))
 
     tagged = ds.map_batches(is_bench, batch_format="pyarrow")
@@ -3981,11 +3972,6 @@ def q_ngram_novelty(sf_dir: str):
 
     def partials(b: pa.Table) -> pa.Table:
         did = pc.cast(b["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        ntok = ta.token_counts(b["text"])
-        if ntok.size and int(ntok.max()) > 512:
-            raise ValueError(
-                f"ngram_novelty oracle caps docs at 512 tokens; saw {int(ntok.max())}"
-            )
         wh, rows = window_hashes_batch(b["text"].to_pylist(), DECON_W)
         df = (
             pd.DataFrame(

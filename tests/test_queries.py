@@ -386,6 +386,43 @@ def test_pmi_collocations_no_candidates(ray_session, tmp_path, contract):
     assert len(got) == len(want) == 0
 
 
+def test_token_queries_read_past_512_tokens(ray_session, tmp_path, contract):
+    """decontaminate, ngram_novelty, pmi_collocations and top_bigrams on
+    600-token documents whose only shared windows and repeated bigrams
+    sit past token 512: each matches its DuckDB oracle, and the oracles
+    answer differently when their token positions are capped at 512 (so
+    the documents do reach past the cap)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    queries, sqls = contract
+    phrase = "x y z w " * 20  # 80 tokens at positions 520..599
+    bench = " ".join(f"f{i}" for i in range(520)) + " " + phrase.strip()
+    train = " ".join(f"g{i}" for i in range(520)) + " " + phrase.strip()
+    assert len(bench.split(" ")) == len(train.split(" ")) == 600
+    # doc 0 is in the benchmark subset (doc_id % 101 == 0) and novelty
+    # shard 0; doc 17 is a training doc in shard 1
+    docs = pa.table({"doc_id": pa.array([0, 17, 18], pa.int64()),
+                     "text": [bench, train, "a b c"]})
+    pq.write_table(docs, str(tmp_path / "documents.parquet"))
+    con2 = duckdb.connect()
+    con2.sql(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet')"
+    )
+    uncapped = "FROM tl, LATERAL (SELECT unnest(range(len(toks))) AS range) r"
+    capped = "FROM tl, range(512) r WHERE r.range < len(toks)"
+    for name in ("decontaminate", "ngram_novelty", "pmi_collocations", "top_bigrams"):
+        assert uncapped in sqls[name], name
+        got = _norm(_to_df(queries[name](str(tmp_path))))
+        want = _norm(con2.sql(sqls[name]).df())
+        assert list(got.columns) == list(want.columns), name
+        assert len(got) == len(want) and len(got) > 0, name
+        pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+        old = _norm(con2.sql(sqls[name].replace(uncapped, capped)).df())
+        assert not old.equals(want), name
+
+
 def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     """Driver-fold queries over 0-row inputs return a TYPED empty table,
     as DuckDB does: a Dataset with no rows used to reach the driver as a

@@ -445,3 +445,134 @@ def test_synth_tile_stats_peak_memory_is_chunk_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the block-table path: window starts at block and table edges, a random
+# sweep, and the memory its tables and chunk buffers hold
+# ---------------------------------------------------------------------------
+
+BLOCK = tilestore._BLOCK
+
+
+def _seeds_with_window_start(d, big):
+    """One seed per (cell type, masked residue q of the window in the value
+    table) whose window starts at ``d`` and whose shape is big or not.
+    ``d`` fixes s mod 65521; s = s0 + 65521·j then runs through every
+    (s mod 16, s mod 101, s mod 33) by the CRT. Negative j keeps some s
+    with no int64 wrap of s·MUL_A for every combination."""
+    s0 = d * tilestore.MUL_I * pow(tilestore.MUL_A, -1, 65521) % 65521
+    s = s0 + 65521 * np.arange(-16 * 101 * 33, 16 * 101 * 33, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        x = s * tilestore.MUL_A
+    s = s[(tilestore._window_starts(x % 65521) == d) & ((s % 101 == 0) == big)]
+    r = -(s % 33) * pow(7, -1, 33) % 33
+    key = tilestore.tile_cell_types(s) * 33 + (d + r) % 33
+    keys, first = np.unique(key, return_index=True)
+    assert keys.size == len(CELL_TYPES) * 33, (d, big)
+    return s[first]
+
+
+def test_table_path_bit_identical_at_block_and_table_edges():
+    """Window starts at the table's start, one block in, with an empty and
+    a full-but-one head and tail, and reaching into the table's second
+    copy, for every cell type, masked residue and both shapes."""
+    seeds = []
+    for big in (False, True):
+        n = BIG_N if big else tilestore.TILE_N
+        starts = {
+            0, 1, BLOCK - 1, BLOCK, 65520,  # table edges; head B−1 and 0
+            -n % BLOCK, (BLOCK - 1 - n) % BLOCK,  # tail 0 and B−1
+            65521 - 65521 % BLOCK,  # head 0, ends in the second copy
+        }
+        assert 65520 + n > 65521
+        for d in sorted(starts):
+            seeds.append(_seeds_with_window_start(d, big))
+    seeds = np.concatenate(seeds)
+    with np.errstate(over="ignore"):
+        x = seeds * tilestore.MUL_A
+    assert (x < I64_MAX - tilestore.MUL_I * BIG_N).all()  # no in-tile wrap
+    _assert_bit_identical(seeds)
+
+
+def test_table_path_bit_identical_random_sweep():
+    """50,000 seeds: small and full-range int64 seeds and blake2b-hashed
+    refs (seeds near 2^62, whose s·MUL_A wraps before the tile starts)."""
+    rng = np.random.default_rng(1901)
+    refs = pa.array([f"gs://chips/{k:05d}/band.tif" for k in range(10000)])
+    seeds = np.concatenate([
+        rng.integers(0, 1 << 31, 20000),
+        rng.integers(-(2**63), I64_MAX, 20000, endpoint=True),
+        tilestore.seed_of_refs(refs),
+    ])
+    assert (seeds % 101 == 0).sum() > 400  # big tiles too
+    _assert_bit_identical(seeds)
+
+
+def test_block_tables_match_brute_force():
+    """``_block_tables`` entry by entry, every cell type and residue: the
+    min / max of each run of ``_SPAN`` blocks with residue q left out, and
+    the block prefix sums. Some entries no tile stat can expose (the
+    value table never puts a tile's strict extreme on them), so they are
+    pinned here."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    p = np.arange(2 * 65521) % 33
+    for ct in CELL_TYPES:
+        u = tilestore._window_table(ct)
+        lo, hi, csum = tilestore._block_tables(ct)
+        nb = u.size // BLOCK
+        wide = u[: nb * BLOCK].astype(np.float64)
+        for q in range(33):
+            out = p[: nb * BLOCK] == q
+            for table, fill, op in ((lo, np.inf, np.min), (hi, -np.inf, np.max)):
+                blocks = np.where(out, fill, wide).reshape(nb, BLOCK)
+                want = op(sliding_window_view(op(blocks, axis=1), tilestore._SPAN), axis=1)
+                assert table.dtype == u.dtype
+                assert np.array_equal(table[q].astype(np.float64), want), (ct.name, q)
+        if ct.is_integral:
+            sums = u[: nb * BLOCK].astype(np.int64).reshape(nb, BLOCK).sum(axis=1)
+            assert np.array_equal(csum, np.concatenate([[0], np.cumsum(sums)])), ct.name
+        else:
+            assert csum is None
+
+
+def _cached_bytes(v):
+    if isinstance(v, np.ndarray):
+        return v.nbytes
+    if isinstance(v, tuple):
+        return sum(_cached_bytes(a) for a in v)
+    return 0
+
+
+def test_scratch_buffers_are_chunk_sized():
+    """Every reused chunk buffer holds at most ≈2 MB, the 186×169 ones
+    included (8 rows), so a chunk stays cache-resident."""
+    seeds = _residue_sweep_seeds()
+    tilestore.synth_tile_stats(seeds)
+    tilestore.synth_band_stats(seeds, 4)
+    tilestore.synth_ndvi_stats(seeds)
+    tilestore.synth_band_content_hash(seeds)
+    tilestore.synth_band_delta_stats(seeds, 4, 5)
+    scratch = {k: v for k, v in tilestore._SCRATCH.items() if k[0] == "scratch"}
+    assert ("scratch", "f64", BIG_N, "float64") in scratch
+    for key, buf in scratch.items():
+        assert buf.nbytes <= 2 * 2**20, key
+
+
+def test_tile_stats_tables_stay_within_budget():
+    """Decoding every cell type and both shapes caches its tables and
+    chunk buffers in ``_SCRATCH``: 14.7 MB today (own-dtype value windows
+    5.3 MB, block tables 5.3 MB, two chunk buffers 3.9 MB, masked
+    positions 0.3 MB). Each worker process holds its own copy, so a
+    larger table would raise the flagship's peak RSS; it has to fail
+    here first."""
+    saved = dict(tilestore._SCRATCH)
+    tilestore._SCRATCH.clear()
+    try:
+        tilestore.synth_tile_stats(_residue_sweep_seeds())
+        held = sum(_cached_bytes(v) for v in tilestore._SCRATCH.values())
+    finally:
+        tilestore._SCRATCH.clear()
+        tilestore._SCRATCH.update(saved)
+    assert held <= 16 * 2**20, held
