@@ -4,19 +4,25 @@
       → span digest snapshot                      [stateless map_batches]
       → explode media spans                       [stateless map_batches]
       → tile decode + erased-cell stats           [ONE fused stateless
-        (masked min/max/mean) + Hilbert cell ids   map_batches task stage]
+        (masked min/max/mean) + Hilbert cell ids   map_batches task stage;
+                                                   one row per tile]
       → PIP join vs broadcast footprints          [task stage, memoized
-                                                   broadcast state]
-      → salted two-stage per-cell aggregation     [map-side partials,
-                                                   then shuffle.fold]
+                                                   broadcast state; with_join
+                                                   only]
+      → per-cell aggregation                      [shuffle.fold: one
+                                                   combine per batch, then
+                                                   the driver fold]
       → partitioned parquet sink + manifest
 
 Nothing materializes the full dataset: every step up to the per-cell
 partials is a streaming ``Dataset`` transform. ``shuffle.fold``
-merges the narrow partials on the driver as they stream out, at most
+combines each batch's tile rows on their cell id map-side, then merges
+those partials on the driver as they stream out, at most
 ``shuffle.FOLD_DRIVER_ROWS`` rows at a time (the flagship's ≈8k rows
 are one chunk), with no exchange; the per-cell aggregate (≈ thousands
-of rows) comes back as a driver-built table.
+of rows) comes back as a driver-built table. The ``with_join`` path
+keeps the per-tile stats stream for its join and aggregates it with
+``shuffle.salted_cell_aggregate``.
 """
 
 from __future__ import annotations
@@ -139,9 +145,10 @@ def flagship(
         agg = shuffle_mod.salted_cell_aggregate(stats, key="cell_id")
         joined.write_parquet(os.path.join(out_dir, "join"))
     else:
-        # fully fused fast path: decode→stats→cellid→partials in ONE task
-        # operator (stateless synthetic decode; scratch persists in reused
-        # workers), then the per-cell merge (a driver fold)
+        # fully fused fast path: decode→stats→cell id, one row per tile,
+        # in ONE task operator (stateless synthetic decode; scratch
+        # persists in reused workers), then the per-cell fold (one
+        # combine per batch, then the driver)
         partials = ex.map_batches(
             lambda b: stages.decode_stats(b, emit="partials", level=level),
             batch_format="pyarrow",

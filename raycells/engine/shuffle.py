@@ -606,7 +606,8 @@ def exact_dedup_winners(
 def merge_cell_agg(
     ds, key: str = "key", key_out: str = "cell_id", num_buckets: int | None = None
 ):
-    """Final merge of ``partial_cell_agg`` partials into one row per
+    """Final merge of per-tile rows (``stages.decode_stats(emit=
+    "partials")``) or ``partial_cell_agg`` partials into one row per
     cell: ``n_tiles``/``valid_count``/``nodata_count`` sum, ``min_val``
     min, ``max_val`` max, and ``avg_tile_mean = Σ sum_mean / n_tiles``.
     The merge is a ``fold`` (``salt`` is not folded), so it runs no

@@ -120,8 +120,15 @@ def tile_stats(batch: pa.Table) -> pa.Table:
     return pa.table(out)
 
 
-def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8, salt: int = 8) -> pa.Table:
-    """Stateless fused decode→stats(→partials) for TASK stages.
+def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8) -> pa.Table:
+    """Stateless fused decode→stats for TASK stages.
+
+    ``emit="stats"`` returns the per-tile stats table with cell ids,
+    ``"stats_hash"`` adds the band content hash, and ``"partials"``
+    returns one row per tile in ``shuffle.merge_cell_agg``'s input
+    columns (``key`` = the level-``level`` cell id, ``n_tiles`` = 1,
+    ``sum_mean`` = the tile mean); the merge's ``fold`` combines them
+    inside each batch.
 
     The synthetic LCG decode needs no per-worker state (scratch buffers
     are module-level and persist in Ray's reused worker processes), so
@@ -129,6 +136,18 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8, salt: int
     per-execution actor-pool startup."""
     seeds = tilestore.seed_of_refs(batch["media_ref"])
     st = tilestore.synth_tile_stats(seeds)
+    if emit == "partials":
+        return pa.table(
+            {
+                "key": pa.array(cellid.encode(st["lon"], st["lat"], level), pa.uint64()),
+                "n_tiles": pa.array(np.ones(len(seeds), np.int64)),
+                "sum_mean": pa.array(st["mean_val"]),
+                "valid_count": pa.array(st["valid_count"]),
+                "nodata_count": pa.array(st["nodata_count"]),
+                "min_val": pa.array(st["min_val"]),
+                "max_val": pa.array(st["max_val"]),
+            }
+        )
     out = pa.table(
         {
             "doc_id": batch["doc_id"],
@@ -164,9 +183,7 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8, salt: int
         )
     if emit == "stats":
         return out
-    from raycells.engine.shuffle import partial_cell_agg
-
-    return partial_cell_agg(out, key="cell_id", salt=salt)
+    raise ValueError(f"decode_stats: unknown emit {emit!r}")
 
 
 def band_content_hash(batch: pa.Table, band: int = 4) -> pa.Table:

@@ -665,6 +665,10 @@ _SPAN = 32
 # Cells per table-path chunk: its gathered masked cells (n/33 a tile) and
 # heads and tails are ≈1 MB each.
 _TABLE_CELLS = 1 << 22
+# Float32 values float32((raw + 1)/65521) lie in [2^-16, 1], where float32's
+# spacing is at least 2^-39: times 2^_F32_EXP each is an exact integer of at
+# most 2^39, so a Float32 window sums exactly in int64.
+_F32_EXP = 39
 
 
 def _cached(key, build):
@@ -763,12 +767,23 @@ def _window_table(ct: CellType) -> np.ndarray:
     return _cached(("window", ct.name), build)
 
 
+def _row_sums(v: np.ndarray, ct: CellType) -> np.ndarray:
+    """Exact int64 sum of each row of table values of type ``ct``, for
+    Float32 in units of 2^-_F32_EXP. A Float32 row of at most a thousand
+    values sums exactly in float64 (every partial sum is a multiple of
+    2^-39 under 2^14), so only the row sums are scaled."""
+    if ct is CellType.Float32:
+        return np.ldexp(v.sum(axis=1, dtype=np.float64), _F32_EXP).astype(np.int64)
+    return v.sum(axis=1, dtype=np.int64)
+
+
 def _block_tables(ct: CellType):
     """``(lo, hi, csum)`` over the aligned ``_BLOCK``-cell blocks of
     ``U = _window_table(ct)``. ``lo[q, b]`` / ``hi[q, b]`` are the min /
     max, in ``ct``'s dtype, of ``U[b·_BLOCK : (b + _SPAN)·_BLOCK]`` with
     every cell ≡ q (mod 33) left out; ``csum[b]`` is the int64 sum of
-    ``U[: b·_BLOCK]`` (integer types only, else None)."""
+    ``U[: b·_BLOCK]`` (integer and Float32 types, the latter in units of
+    2^-_F32_EXP; None for Float64)."""
 
     def build():
         u = _window_table(ct)
@@ -789,8 +804,8 @@ def _block_tables(ct: CellType):
                 w *= 2
             tables.append(t)
         csum = None
-        if ct.is_integral:
-            per_block = u[: nb * _BLOCK].reshape(nb, _BLOCK).sum(axis=1, dtype=np.int64)
+        if ct is not CellType.Float64:
+            per_block = _row_sums(u[: nb * _BLOCK].reshape(nb, _BLOCK), ct)
             csum = np.concatenate([[0], np.cumsum(per_block)])
         return tables[0], tables[1], csum
 
@@ -877,7 +892,8 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
     residue class. ``U`` is cut into aligned 66-cell blocks (two cells of
     each residue per block). Per cell type, two ``(33, blocks)`` tables
     hold the min and max of every run of 32 blocks with residue q left
-    out, and one int64 prefix sum runs over the blocks:
+    out, and one int64 prefix sum runs over the blocks (all types but
+    Float64):
 
     - min/max: ⌈blocks/32⌉ overlapping lookups cover a tile's full blocks
       (2 for 64×64, 15 for 186×169); the head and the tail (each under
@@ -887,17 +903,23 @@ def synth_tile_stats(seeds: np.ndarray) -> Dict[str, np.ndarray]:
       int64. Values are under 2^32 in magnitude and tiles under 2^15
       cells, so every partial sum is an exact double and this equals the
       float64 pairwise sum bit for bit, ``mean_val`` with it;
-    - float sums: a pairwise float sum's bits depend on its order, so
-      Float32/Float64 tiles copy their window into a ≈2 MB chunk scratch,
-      write 0.0 over the masked cells (one of 33 cached position lists)
-      and sum the rows, as ``np.where(valid, v, 0.0).sum`` would.
+    - Float32 sums: the same integer sum in units of 2^-39. Every Float32
+      value lies in [2^-16, 1], so it is an exact multiple of 2^-39, and
+      every window sum of either shape stays under 2^53 units: each
+      partial sum of any order is an exact double, and the float64 sum
+      is the integer sum times 2^-39 bit for bit. Only the row sums of
+      the gathered cells (masked cells, head and tail) are scaled;
+    - Float64 sums (1 tile in 16): a pairwise float sum's bits depend on
+      its order, so these tiles copy their window into a ≈2 MB chunk
+      scratch, write 0.0 over the masked cells (one of 33 cached position
+      lists) and sum the rows, as ``np.where(valid, v, 0.0).sum`` would.
 
     Wrap rule: the per-cell formulas are int64 arithmetic, and for seeds
     near the int64 edge ``s·MUL_A + i·MUL_I`` or ``s + i·7`` overflows
     partway through a tile. From that cell on the residue drops by 2^64
-    mod 65521 (resp. 2^64 mod 33). Such tiles take the copy path whole,
-    which switches window (resp. mask row) at that cell — so every int64
-    seed decodes exactly as the formula does.
+    mod 65521 (resp. 2^64 mod 33). Such tiles, of any type, take the copy
+    path whole, which switches window (resp. mask row) at that cell — so
+    every int64 seed decodes exactly as the formula does.
 
     Each distinct seed is decoded once per batch (interleaved corpora
     repeat media refs); results are expanded back to input order."""
@@ -935,9 +957,10 @@ def _copy_stats(x: np.ndarray, s: np.ndarray, n: int, u: np.ndarray, minmax: boo
 
 
 def _table_stats(x: np.ndarray, s: np.ndarray, n: int, ct: CellType):
-    """``(min, max, int sum, valid count)`` of n-cell tiles of type ``ct``
+    """``(min, max, sum, valid count)`` of n-cell tiles of type ``ct``
     whose formulas do not wrap inside the tile, from ``_block_tables``
-    (see ``synth_tile_stats``); the sum is None for float types. Needs
+    (see ``synth_tile_stats``); the sum is exact, int64 for integer
+    types, float64 for Float32 and None for Float64. Needs
     ``n ≥ (_SPAN + 1)·_BLOCK`` so every tile spans ``_SPAN`` full blocks."""
     u = _window_table(ct)
     lo_t, hi_t, csum = _block_tables(ct)
@@ -979,9 +1002,11 @@ def _table_stats(x: np.ndarray, s: np.ndarray, n: int, ct: CellType):
             held_n = 2 * (b1[part] - b0[part])
             sums[part] = (
                 csum[b1[part]] - csum[b0[part]]
-                - np.where(held_at < MASK_MOD * held_n[:, None], held, 0).sum(axis=1, dtype=np.int64)
-                + np.where(ok, ends, 0).sum(axis=1, dtype=np.int64)
+                - _row_sums(np.where(held_at < MASK_MOD * held_n[:, None], held, 0), ct)
+                + _row_sums(np.where(ok, ends, 0), ct)
             )
+    if ct is CellType.Float32:
+        sums = np.ldexp(sums, -_F32_EXP)
     return mn, mx, sums, _valid_counts(r, n)
 
 
@@ -1013,10 +1038,10 @@ def _distinct_tile_stats(s: np.ndarray) -> Dict[str, np.ndarray]:
                 st = _copy_stats(x[whole], s[whole], n, u)
                 min_v[whole], max_v[whole], sum_v[whole], valid_c[whole] = st
             rows = sel[~wraps]
-            mn, mx, isum, nv = _table_stats(x[rows], s[rows], n, ct)
-            if isum is None:
-                isum = _copy_stats(x[rows], s[rows], n, u, minmax=False)[2]
-            min_v[rows], max_v[rows], sum_v[rows], valid_c[rows] = mn, mx, isum, nv
+            mn, mx, sums, nv = _table_stats(x[rows], s[rows], n, ct)
+            if sums is None:
+                sums = _copy_stats(x[rows], s[rows], n, u, minmax=False)[2]
+            min_v[rows], max_v[rows], sum_v[rows], valid_c[rows] = mn, mx, sums, nv
         sel = np.nonzero(ct_idx == ci)[0]
         none = sel[valid_c[sel] == 0]  # reference fold: inverted sentinels
         min_v[none] = float(ct.max_value().to_f64())

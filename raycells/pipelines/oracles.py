@@ -585,7 +585,7 @@ tterms AS (
     FROM (
         SELECT tok, n, r.range AS i,
                CAST(ord(substr(tok, CAST(r.range + 1 AS INT), 1)) AS HUGEINT) AS b
-        FROM tok_list, range(64) r WHERE r.range < n
+        FROM tok_list, LATERAL (SELECT unnest(range(n)) AS range) r
     ) tb
     JOIN tpows p ON p.k = tb.n - 1 - tb.i
     GROUP BY tb.tok
@@ -1411,7 +1411,7 @@ tterms AS (
     FROM (
         SELECT tok, n, r.range AS i,
                CAST(ord(substr(tok, CAST(r.range + 1 AS INT), 1)) AS HUGEINT) AS b
-        FROM tok_list, range(64) r WHERE r.range < n
+        FROM tok_list, LATERAL (SELECT unnest(range(n)) AS range) r
     ) tb
     JOIN tpows p ON p.k = tb.n - 1 - tb.i
     GROUP BY tb.tok
@@ -2008,7 +2008,7 @@ tterms AS (
     FROM (
         SELECT tok, n, r.range AS i,
                CAST(ord(substr(tok, CAST(r.range + 1 AS INT), 1)) AS HUGEINT) AS b
-        FROM tok_list, range(64) r WHERE r.range < n
+        FROM tok_list, LATERAL (SELECT unnest(range(n)) AS range) r
     ) tb
     JOIN tpows p ON p.kk = tb.n - 1 - tb.i
     GROUP BY tb.tok

@@ -328,6 +328,33 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
         np.testing.assert_allclose(s1[c].values, s2[c].values, rtol=1e-12)
 
 
+def test_decode_partials_fold_like_salted_aggregate(docs_dir, ray_session):
+    """``decode_stats(emit="partials")`` emits one row per tile in
+    ``merge_cell_agg``'s input columns; folding them gives the integer
+    and min/max columns of ``salted_cell_aggregate`` over the per-tile
+    stats exactly, and ``avg_tile_mean`` to summation-order noise."""
+    ex = pipeline.explode_stage(pipeline.read_docs(docs_dir))
+    partials = ex.map_batches(
+        lambda b: stages.decode_stats(b, emit="partials", level=8),
+        batch_format="pyarrow",
+    ).materialize()
+    assert partials.columns() == ["key", "n_tiles", "sum_mean", "valid_count",
+                                  "nodata_count", "min_val", "max_val"]
+    assert partials.count() == len(_oracle_tiles(docs_dir))
+    got = (
+        shuffle.merge_cell_agg(partials, key="key", key_out="cell_id")
+        .to_pandas().sort_values("cell_id").reset_index(drop=True)
+    )
+    want = (
+        shuffle.salted_cell_aggregate(_decoded_stats(docs_dir), key="cell_id")
+        .to_pandas().sort_values("cell_id").reset_index(drop=True)
+    )
+    assert list(got.columns) == list(want.columns)
+    exact = ["cell_id", "n_tiles", "valid_count", "nodata_count", "min_val", "max_val"]
+    pd.testing.assert_frame_equal(got[exact], want[exact], check_exact=True)
+    np.testing.assert_allclose(got["avg_tile_mean"], want["avg_tile_mean"], rtol=1e-12)
+
+
 def test_merge_cell_agg_of_no_partials_is_typed(ray_session):
     """0 partial rows still give the 7-column cell schema, both as the
     Dataset schema and on its blocks (checked on Arrow: Ray's

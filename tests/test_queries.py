@@ -423,6 +423,42 @@ def test_token_queries_read_past_512_tokens(ray_session, tmp_path, contract):
         assert not old.equals(want), name
 
 
+def test_token_hashes_read_past_64_characters(ray_session, tmp_path, contract):
+    """Oracles hash every character of a token, as the engine's token
+    fingerprint does: the benchmark and training documents share twelve
+    short tokens, then differ only in 'a'*64 + 'x' against 'a'*64 + 'y'.
+    decontaminate, ngram_novelty, cms_heavy_hitters and simhash_pairs
+    each match their DuckDB oracle, and each oracle answers differently
+    when its token hash reads only the first 64 characters."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    queries, sqls = contract
+    shared = " ".join(f"w{i}" for i in range(12))
+    bench = shared + " " + " ".join(f"v{i} {'a' * 64}x" for i in range(12))
+    train = shared + " " + " ".join(f"v{i} {'a' * 64}y" for i in range(12))
+    docs = pa.table({"doc_id": pa.array([0, 17, 18], pa.int64()),
+                     "text": [bench, train, "a b c"]})
+    pq.write_table(docs, str(tmp_path / "documents.parquet"))
+    con2 = duckdb.connect()
+    con2.sql(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet')"
+    )
+    uncapped = "FROM tok_list, LATERAL (SELECT unnest(range(n)) AS range) r"
+    capped = "FROM tok_list, range(64) r WHERE r.range < n"
+    assert uncapped in sqls["simhash128_pairs"]
+    for name in ("decontaminate", "ngram_novelty", "cms_heavy_hitters", "simhash_pairs"):
+        assert uncapped in sqls[name] and capped not in sqls[name], name
+        got = _norm(_to_df(queries[name](str(tmp_path))))
+        want = _norm(con2.sql(sqls[name]).df())
+        assert list(got.columns) == list(want.columns), name
+        assert len(got) == len(want) and len(got) > 0, name
+        pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+        old = _norm(con2.sql(sqls[name].replace(uncapped, capped)).df())
+        assert not old.equals(want), name
+
+
 def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     """Driver-fold queries over 0-row inputs return a TYPED empty table,
     as DuckDB does: a Dataset with no rows used to reach the driver as a

@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 
 from raycells.cells import kernels
-from raycells.cells.ctype import CELL_TYPES
+from raycells.cells.ctype import CELL_TYPES, CellType
 from raycells.engine import stages
 from raycells.io import tilestore
 
@@ -512,9 +512,9 @@ def test_table_path_bit_identical_random_sweep():
 def test_block_tables_match_brute_force():
     """``_block_tables`` entry by entry, every cell type and residue: the
     min / max of each run of ``_SPAN`` blocks with residue q left out, and
-    the block prefix sums. Some entries no tile stat can expose (the
-    value table never puts a tile's strict extreme on them), so they are
-    pinned here."""
+    the block prefix sums (Float32's in units of 2^-39, none for
+    Float64). Some entries no tile stat can expose (the value table never
+    puts a tile's strict extreme on them), so they are pinned here."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     p = np.arange(2 * 65521) % 33
@@ -531,10 +531,42 @@ def test_block_tables_match_brute_force():
                 assert table.dtype == u.dtype
                 assert np.array_equal(table[q].astype(np.float64), want), (ct.name, q)
         if ct.is_integral:
-            sums = u[: nb * BLOCK].astype(np.int64).reshape(nb, BLOCK).sum(axis=1)
-            assert np.array_equal(csum, np.concatenate([[0], np.cumsum(sums)])), ct.name
+            units = [int(v) for v in u[: nb * BLOCK]]
+        elif ct is CellType.Float32:
+            units = []
+            for v in u[: nb * BLOCK].tolist():
+                num, den = v.as_integer_ratio()  # den is a power of two
+                units.append(num * (2**39 // den))
         else:
             assert csum is None
+            continue
+        want = [0]
+        for b in range(nb):
+            want.append(want[-1] + sum(units[b * BLOCK : (b + 1) * BLOCK]))
+        assert csum.dtype == np.int64 and csum.tolist() == want, ct.name
+
+
+def test_float32_sums_are_exact_in_int64():
+    """The preconditions of Float32's integer sums: every table value
+    times 2^39 is an integer of at most 2^39 that maps back to the
+    value, all values are positive, and every window sum of both tile
+    shapes stays under 2^53. A masked window sum leaves positive terms
+    out, so it is smaller still, and so is every partial sum of any
+    summation order: each is an exact double, and numpy's pairwise
+    float64 sum equals the integer sum times 2^-39 bit for bit."""
+    u = tilestore._window_table(CellType.Float32)
+    assert u.dtype == np.float32
+    wide = u.astype(np.float64)
+    scaled = np.ldexp(wide, 39)
+    assert (scaled == np.floor(scaled)).all()
+    assert wide.min() > 0 and scaled.max() <= 2**39
+    units = scaled.astype(np.int64)
+    assert np.array_equal(np.ldexp(units, -39).astype(np.float32), u)
+    prefix = np.concatenate([[0], np.cumsum(units)])
+    starts = np.arange(65521)
+    for n in (tilestore.TILE_N, BIG_N):
+        window = prefix[starts + n] - prefix[starts]
+        assert window.max() < 2**53, n
 
 
 def _cached_bytes(v):
