@@ -282,11 +282,12 @@ def run_stats_dedup_job(docs_dir: str, out_dir: str) -> dict:
     ``decode_stats(emit="stats_hash")`` stage emits the per-tile stats
     AND the dedup content hash from the same pass, the narrow
     (~130 B/tile) stream materializes once, and two consumers read it —
-    the salted per-cell aggregate (``out/cells/*.parquet``) and the
-    winner reduction (``out/media_sd/*.parquet``). At 100 TB the decode
-    dominates; running stats and dedup as separate jobs would double
-    it. The skip path re-verifies BOTH sinks' file counts (the ADVICE
-    r4 rule, extended: a lost cells dir alone must trigger a rebuild)."""
+    the per-cell ``merge_cell_agg`` fold of its ``stages.cell_partials``
+    projection (``out/cells/*.parquet``) and the winner reduction
+    (``out/media_sd/*.parquet``). At 100 TB the decode dominates;
+    running stats and dedup as separate jobs would double it. The skip
+    path re-verifies BOTH sinks' file counts (the ADVICE r4 rule,
+    extended: a lost cells dir alone must trigger a rebuild)."""
     from raycells.engine import shuffle as shuffle_mod, stages
     from raycells.engine.checkpoint import sink_to_parquet
     from raycells.io import docsource
@@ -298,7 +299,8 @@ def run_stats_dedup_job(docs_dir: str, out_dir: str) -> dict:
             batch_format="pyarrow",
         ).materialize()  # decode runs ONCE; both consumers read this
         cell_sum = sink_to_parquet(
-            shuffle_mod.salted_cell_aggregate(stats, key="cell_id"),
+            shuffle_mod.merge_cell_agg(
+                stats.map_batches(stages.cell_partials, batch_format="pyarrow")),
             os.path.join(out_dir, "cells"),
         )
         import pyarrow as pa

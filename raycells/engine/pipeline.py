@@ -21,8 +21,8 @@ those partials on the driver as they stream out, at most
 ``shuffle.FOLD_DRIVER_ROWS`` rows at a time (the flagship's ≈8k rows
 are one chunk), with no exchange; the per-cell aggregate (≈ thousands
 of rows) comes back as a driver-built table. The ``with_join`` path
-keeps the per-tile stats stream for its join and aggregates it with
-``shuffle.salted_cell_aggregate``.
+keeps the per-tile stats stream for its join and folds it through
+``stages.cell_partials`` into the same ``shuffle.merge_cell_agg``.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def flagship(
             batch_format="pyarrow",
         ).materialize()
         joined = join_stage(stats)
-        agg = shuffle_mod.salted_cell_aggregate(stats, key="cell_id")
+        agg = shuffle_mod.merge_cell_agg(
+            stats.map_batches(stages.cell_partials, batch_format="pyarrow"))
         joined.write_parquet(os.path.join(out_dir, "join"))
     else:
         # fully fused fast path: decode→stats→cell id, one row per tile,

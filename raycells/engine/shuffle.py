@@ -20,19 +20,21 @@
     then reduces the partials per key through ``bucket_reduce``. It
     returns a Dataset.
 
-Wide operations (groupby over ``cell_id``) are the engine's only
-all-to-all exchanges. Two defenses:
+Wide aggregates are the engine's only all-to-all exchanges. Two
+defenses:
 
 1. **Partial aggregation**: combine inside ``map_batches`` first — one
-   output row per (key, salt) per batch — so the shuffle moves partials,
-   not tiles. At 100 TB the pre-aggregated exchange is ~10^4× smaller
-   than shuffling raw tile rows.
-2. **Salting**: 60% of tiles land in 3 dense city boxes, so raw
-   ``cell_id`` keys are heavily skewed. Map-side partials are keyed by
-   ``(cell_id, hash(doc) % SALT)``; the merge re-folds them over
-   ``cell_id``. ``aggregate``'s ``bucket_reduce`` buckets on the key
-   alone, so the salt only splits a hot key's map-side partial rows:
-   every row of one key still reaches one reducer.
+   output row per key (per salt value) per batch — so the exchange
+   moves partials, not rows. At 100 TB the pre-aggregated exchange is
+   ~10^4× smaller than shuffling raw rows.
+2. **Salting** (``aggregate``): map-side partials are keyed by
+   ``(key, hash(salt_col) % salt)``; the reducers re-fold them over the
+   key. ``bucket_reduce`` buckets on the key alone, so the salt only
+   splits a hot key's map-side partial rows: every row of one key
+   still reaches one reducer.
+
+The per-cell aggregate (``merge_cell_agg``) is a ``fold``: its per-tile
+rows merge on the driver, with no exchange and no salt.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ __all__ = [
     "aggregate",
     "collect_refs",
     "row_blocks",
-    "partial_cell_agg",
     "merge_cell_agg",
     "exact_dedup_winners",
-    "salted_cell_aggregate",
     "estimate_salt",
 ]
 
@@ -122,26 +122,6 @@ def salt_of(batch: pa.Table, salt: int, salt_col: str = "doc_id") -> np.ndarray:
     if salt_col not in batch.column_names:
         return np.zeros(batch.num_rows, np.int64)
     return pd.util.hash_array(batch[salt_col].to_numpy(zero_copy_only=False)) % salt
-
-
-_CELL_OPS = {"n_tiles": "sum", "sum_mean": "sum", "valid_count": "sum",
-             "nodata_count": "sum", "min_val": "min", "max_val": "max"}
-
-
-def partial_cell_agg(batch: pa.Table, key: str = "cell_id", salt: int = DEFAULT_SALT) -> pa.Table:
-    """Per-batch combiner: one row per (key, salt-bucket) with partial
-    sums/counts/min/max. Runs inside map_batches BEFORE the shuffle."""
-    df = pd.DataFrame(
-        {
-            "key": batch[key].to_numpy(zero_copy_only=False),
-            "salt": salt_of(batch, salt),
-            "n_tiles": np.ones(batch.num_rows, np.int64),
-            "sum_mean": batch["mean_val"].to_numpy(zero_copy_only=False),
-            **{c: batch[c].to_numpy(zero_copy_only=False)
-               for c in ("valid_count", "nodata_count", "min_val", "max_val")},
-        }
-    )
-    return from_pandas_clean(combine(df, ["key", "salt"], _CELL_OPS))
 
 
 # the exchange width's floor (``scaled_buckets``)
@@ -606,14 +586,15 @@ def exact_dedup_winners(
 def merge_cell_agg(
     ds, key: str = "key", key_out: str = "cell_id", num_buckets: int | None = None
 ):
-    """Final merge of per-tile rows (``stages.decode_stats(emit=
-    "partials")``) or ``partial_cell_agg`` partials into one row per
-    cell: ``n_tiles``/``valid_count``/``nodata_count`` sum, ``min_val``
-    min, ``max_val`` max, and ``avg_tile_mean = Σ sum_mean / n_tiles``.
-    The merge is a ``fold`` (``salt`` is not folded), so it runs no
-    exchange and ``num_buckets`` has no effect; the parameter stays for
-    callers that pass it. Returns a one-block Dataset sorted by
-    ``key_out`` (uint64), typed even when empty."""
+    """Final merge of per-tile rows into one row per cell. Its input is
+    the one format ``stages`` builds: ``decode_stats(emit="partials")``
+    decodes straight to it, and ``stages.cell_partials`` projects a
+    per-tile stats table onto it. ``n_tiles``/``valid_count``/
+    ``nodata_count`` sum, ``min_val`` min, ``max_val`` max, and
+    ``avg_tile_mean = Σ sum_mean / n_tiles``. The merge is a ``fold``,
+    so it runs no exchange and ``num_buckets`` has no effect; the
+    parameter stays for callers that pass it. Returns a one-block
+    Dataset sorted by ``key_out`` (uint64), typed even when empty."""
     import pyarrow.compute as pc
     import ray.data as rd
 
@@ -626,12 +607,3 @@ def merge_cell_agg(
     avg = pc.divide(t["sum_mean"], pc.cast(t["n_tiles"], pa.float64()))
     t = t.drop_columns(["sum_mean"]).append_column("avg_tile_mean", avg)
     return rd.from_arrow(t.rename_columns([key_out, *t.column_names[1:]]))
-
-
-def salted_cell_aggregate(ds, key: str = "cell_id", salt: int = DEFAULT_SALT):
-    """The standard two-stage pattern: map-side partials on (key, salt) →
-    ``merge_cell_agg``'s driver fold of the partials per key."""
-    partials = ds.map_batches(
-        lambda b: partial_cell_agg(b, key=key, salt=salt), batch_format="pyarrow"
-    )
-    return merge_cell_agg(partials, key="key", key_out=key)

@@ -24,6 +24,7 @@ __all__ = [
     "band_stats",
     "band_content_hash",
     "decode_stats",
+    "cell_partials",
     "add_cell_ids",
     "PIPJoiner",
     "pip_join_task",
@@ -125,10 +126,8 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8) -> pa.Tab
 
     ``emit="stats"`` returns the per-tile stats table with cell ids,
     ``"stats_hash"`` adds the band content hash, and ``"partials"``
-    returns one row per tile in ``shuffle.merge_cell_agg``'s input
-    columns (``key`` = the level-``level`` cell id, ``n_tiles`` = 1,
-    ``sum_mean`` = the tile mean); the merge's ``fold`` combines them
-    inside each batch.
+    returns only ``cell_partials`` of those stats (``_cell_rows``
+    keyed by the level-``level`` cell id) without building them.
 
     The synthetic LCG decode needs no per-worker state (scratch buffers
     are module-level and persist in Ray's reused worker processes), so
@@ -137,17 +136,7 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8) -> pa.Tab
     seeds = tilestore.seed_of_refs(batch["media_ref"])
     st = tilestore.synth_tile_stats(seeds)
     if emit == "partials":
-        return pa.table(
-            {
-                "key": pa.array(cellid.encode(st["lon"], st["lat"], level), pa.uint64()),
-                "n_tiles": pa.array(np.ones(len(seeds), np.int64)),
-                "sum_mean": pa.array(st["mean_val"]),
-                "valid_count": pa.array(st["valid_count"]),
-                "nodata_count": pa.array(st["nodata_count"]),
-                "min_val": pa.array(st["min_val"]),
-                "max_val": pa.array(st["max_val"]),
-            }
-        )
+        return _cell_rows(cellid.encode(st["lon"], st["lat"], level), st)
     out = pa.table(
         {
             "doc_id": batch["doc_id"],
@@ -184,6 +173,30 @@ def decode_stats(batch: pa.Table, emit: str = "stats", level: int = 8) -> pa.Tab
     if emit == "stats":
         return out
     raise ValueError(f"decode_stats: unknown emit {emit!r}")
+
+
+def _cell_rows(key, st) -> pa.Table:
+    """``shuffle.merge_cell_agg``'s one input format, one row per tile:
+    ``key`` (the uint64 cell id), ``n_tiles`` 1, ``sum_mean`` (the tile's
+    ``mean_val``), ``valid_count``, ``nodata_count``, ``min_val`` and
+    ``max_val``. ``st`` maps those stat names to numpy or Arrow
+    columns; the merge's ``fold`` combines the rows inside each batch."""
+    return pa.table(
+        {
+            "key": pa.array(key, pa.uint64()),
+            "n_tiles": pa.array(np.ones(len(key), np.int64)),
+            "sum_mean": pa.array(st["mean_val"]),
+            **{c: pa.array(st[c])
+               for c in ("valid_count", "nodata_count", "min_val", "max_val")},
+        }
+    )
+
+
+def cell_partials(batch: pa.Table) -> pa.Table:
+    """Row-wise projection of a ``decode_stats(emit="stats")`` or
+    ``"stats_hash"`` table onto ``merge_cell_agg``'s input, keyed by its
+    ``cell_id``: the same rows ``emit="partials"`` decodes straight to."""
+    return _cell_rows(batch["cell_id"], batch)
 
 
 def band_content_hash(batch: pa.Table, band: int = 4) -> pa.Table:
@@ -382,16 +395,17 @@ def cell_cover_join(stats_ds, footprints_table: pa.Table, level: int = 6):
 
 
 class PIPJoiner:
-    """Actor-pool stage: broadcast point-in-polygon join.
+    """Broadcast point-in-polygon join, run as a task stage through
+    ``broadcast_task`` (``pip_join_task``).
 
     The polygon side (small: ~200 footprints, << 100 MB) is broadcast ONCE
-    via ``ray.put`` on the driver; each actor fetches it in ``__init__``
-    (one object-store read per actor, NOT per batch) and precomputes
-    bboxes. Per batch: bbox prefilter, then exact vectorized ray-cast of
-    tile centroids per surviving polygon; emits one row per (tile,
-    footprint) hit. The large-large fallback (both sides big) goes through
-    ``polygon_cell_cover`` + co-partitioned groupby instead
-    (engine/shuffle.py)."""
+    via ``ray.put`` on the driver; each worker builds the joiner from it
+    once (one object-store read per worker, NOT per batch) and
+    precomputes bboxes. Per batch: bbox prefilter, then exact vectorized
+    ray-cast of tile centroids per surviving polygon; emits one row per
+    (tile, footprint) hit. The large-large fallback (both sides big) is
+    ``cell_cover_join``: both sides co-partitioned by Hilbert cell through
+    ``shuffle.bucket_reduce``."""
 
     def __init__(self, footprints_ref):
         import ray

@@ -1167,9 +1167,10 @@ def q_tile_type_hist(sf_dir: str):
 
 def q_flagship_cells(sf_dir: str):
     """Full erased-cell flagship (all 10 cell types, masked stats,
-    level-8 Hilbert cell ids, salted aggregate) — ORACLE-CHECKED: the
-    LCG decode, the per-type value mapping, the masked min/max fold and
-    the Hilbert rotate-and-accumulate are all reproduced in DuckDB SQL
+    level-8 Hilbert cell ids, the per-cell ``merge_cell_agg`` fold) —
+    ORACLE-CHECKED: the LCG decode, the per-type value mapping, the
+    masked min/max fold and the Hilbert rotate-and-accumulate are all
+    reproduced in DuckDB SQL
     (oracles._erased_tile_stats / _hilbert_chain). ``avg_tile_mean`` is
     projected away on both sides: a float sum across tiles is
     summation-order-dependent, so it can never hash-match (its value
@@ -2691,6 +2692,8 @@ def q_events_rolling7(sf_dir: str):
     )
 
     def rolling(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t.append_column("n_events_7d", pa.array([], pa.int64()))
         df = t.to_pandas()
         df["_d"] = pd.to_datetime(df["day"])
         df = df.sort_values(["event_type", "_d"], kind="stable")
@@ -7561,7 +7564,8 @@ def q_type_corr_matrix(sf_dir: str):
     pairwise pass folds a (days × types) matrix bounded by the calendar
     on the driver — never by events."""
     bars = _type_day_counts(sf_dir)
-    days = np.arange(bars["day"].min(), bars["day"].max() + 1)
+    # no events: no days and no types, so no pairs (a typed 0-row table)
+    days = np.arange(bars["day"].min(), bars["day"].max() + 1) if len(bars) else []
     types = sorted(bars["event_type"].unique())
     mat = (
         bars.pivot(index="day", columns="event_type", values="y")
@@ -8513,6 +8517,9 @@ def q_survival_table(sf_dir: str):
         pa.schema(_i64("user_id", "t0", "tp", "t_last")),
         ops={"t0": "min", "tp": "min", "t_last": "max"},
     )
+    if not u.num_rows:
+        # no users, no days (the day loop below would still emit day 0)
+        return pa.schema(_i64("day", "n_at_risk", "n_events", "n_censored")).empty_table()
     t0 = u["t0"].to_numpy()
     tp = u["tp"].to_numpy()
     # global observation end: the latest event of any user

@@ -1,5 +1,5 @@
 """Engine tests (one shared Ray session): flagship pipeline end-to-end,
-spatial join vs brute-force oracle, salted aggregation vs plain pandas
+spatial join vs brute-force oracle, the per-cell fold vs a plain pandas
 oracle, checkpoint/resume equivalence."""
 
 import glob
@@ -55,6 +55,27 @@ def _decoded_stats(docs):
     )
 
 
+def _driver_stats(docs) -> pd.DataFrame:
+    """``decode_stats(emit="stats")`` of every tile, exploded and decoded
+    in the driver — no Ray."""
+    tiles = docsource.explode_media_spans(
+        pq.read_table(checkpoint.fragment_paths(docs), columns=["doc_id", "spans"])
+    )
+    return stages.decode_stats(tiles, emit="stats").to_pandas()
+
+
+def _reference_cells(docs) -> pd.DataFrame:
+    """The per-cell aggregate folded in the driver with pandas from
+    ``_driver_stats``, sorted by ``cell_id``."""
+    out = _driver_stats(docs).groupby("cell_id").agg(
+        n_tiles=("mean_val", "size"), valid_count=("valid_count", "sum"),
+        nodata_count=("nodata_count", "sum"), min_val=("min_val", "min"),
+        max_val=("max_val", "max"), sum_mean=("mean_val", "sum"),
+    ).reset_index()
+    out["avg_tile_mean"] = out.pop("sum_mean") / out["n_tiles"]
+    return out
+
+
 def test_flagship_agg_matches_oracle(docs_dir, ray_session):
     agg = pipeline.flagship(docs_dir, with_join=False).to_pandas()
     oracle = _oracle_tiles(docs_dir)
@@ -80,35 +101,6 @@ def test_spatial_join_matches_bruteforce(docs_dir, ray_session):
             expect.add((r["media_ref"], r["doc_id"], fid))
     assert got == expect
     assert len(expect) > 0  # fixture actually exercises the join
-
-
-def test_salted_agg_matches_unsalted(docs_dir, ray_session):
-    stats = _decoded_stats(docs_dir)
-    df = stats.to_pandas()
-    expect = (
-        df.groupby("cell_id")
-        .agg(
-            n_tiles=("mean_val", "size"),
-            valid_count=("valid_count", "sum"),
-            min_val=("min_val", "min"),
-            max_val=("max_val", "max"),
-            avg_tile_mean=("mean_val", "mean"),
-        )
-        .reset_index()
-    )
-    got = (
-        shuffle.salted_cell_aggregate(stats, key="cell_id")
-        .to_pandas()
-        .sort_values("cell_id")
-        .reset_index(drop=True)
-    )
-    expect = expect.sort_values("cell_id").reset_index(drop=True)
-    assert np.array_equal(got["cell_id"].values, expect["cell_id"].values)
-    assert np.array_equal(got["n_tiles"].values, expect["n_tiles"].values)
-    assert np.array_equal(got["valid_count"].values, expect["valid_count"].values)
-    assert np.allclose(got["avg_tile_mean"].values, expect["avg_tile_mean"].values)
-    assert np.array_equal(got["min_val"].values, expect["min_val"].values)
-    assert np.array_equal(got["max_val"].values, expect["max_val"].values)
 
 
 def test_checkpoint_resume_byte_identical(docs_dir, ray_session, tmp_path):
@@ -238,7 +230,7 @@ def test_decode_stats_hash_shares_one_scan(docs_dir, ray_session):
 
 
 def test_zonal_stats_matches_bruteforce(ray_session):
-    """q_zonal_stats (PIP join → salted aggregate) vs a single-process
+    """q_zonal_stats (PIP join → per-footprint fold) vs a single-process
     oracle: decode every tile, test every (tile, footprint) pair, and
     aggregate per footprint with pandas."""
     import numpy as np
@@ -282,10 +274,9 @@ def test_zonal_stats_matches_bruteforce(ray_session):
 
 def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
     """Distributed-correctness property: the per-cell aggregate must be
-    identical under different read block counts, salt factors and merge
-    chunkings (one driver fold, or one chunk per block under a 0-row
-    FOLD_DRIVER_ROWS) — no result may depend on how work was
-    partitioned."""
+    identical under different read block counts and merge chunkings (one
+    driver fold, or one chunk per block under a 0-row FOLD_DRIVER_ROWS)
+    — no result may depend on how work was partitioned."""
     def run(num_blocks):
         return (
             pipeline.flagship(docs_dir, with_join=False, num_blocks=num_blocks)
@@ -308,31 +299,12 @@ def test_flagship_partitioning_invariance(docs_dir, ray_session, monkeypatch):
         np.testing.assert_allclose(a["min_val"], other["min_val"], rtol=0)
         np.testing.assert_allclose(a["max_val"], other["max_val"], rtol=0)
 
-    stats = _decoded_stats(docs_dir)
-    s1 = (
-        shuffle.salted_cell_aggregate(stats, key="cell_id", salt=2)
-        .to_pandas().sort_values("cell_id").reset_index(drop=True)
-    )
-    s2 = (
-        shuffle.salted_cell_aggregate(stats, key="cell_id", salt=13)
-        .to_pandas().sort_values("cell_id").reset_index(drop=True)
-    )
-    # int columns exactly; float columns (min/max are elementwise-exact,
-    # avg is a ratio of exact sums) to tight tolerance — a wrong merge on
-    # ANY output column must fail salt invariance
-    int_cols = [c for c in s1.columns if s1[c].dtype.kind in "i"]
-    pd.testing.assert_frame_equal(s1[int_cols], s2[int_cols], check_exact=True)
-    flt_cols = [c for c in s1.columns if s1[c].dtype.kind == "f"]
-    assert flt_cols, "expected float output columns (min/max/avg)"
-    for c in flt_cols:
-        np.testing.assert_allclose(s1[c].values, s2[c].values, rtol=1e-12)
-
 
 def test_decode_partials_fold_like_salted_aggregate(docs_dir, ray_session):
     """``decode_stats(emit="partials")`` emits one row per tile in
     ``merge_cell_agg``'s input columns; folding them gives the integer
-    and min/max columns of ``salted_cell_aggregate`` over the per-tile
-    stats exactly, and ``avg_tile_mean`` to summation-order noise."""
+    and min/max columns of a plain pandas fold of the per-tile stats
+    exactly, and ``avg_tile_mean`` to summation-order noise."""
     ex = pipeline.explode_stage(pipeline.read_docs(docs_dir))
     partials = ex.map_batches(
         lambda b: stages.decode_stats(b, emit="partials", level=8),
@@ -345,14 +317,44 @@ def test_decode_partials_fold_like_salted_aggregate(docs_dir, ray_session):
         shuffle.merge_cell_agg(partials, key="key", key_out="cell_id")
         .to_pandas().sort_values("cell_id").reset_index(drop=True)
     )
-    want = (
-        shuffle.salted_cell_aggregate(_decoded_stats(docs_dir), key="cell_id")
-        .to_pandas().sort_values("cell_id").reset_index(drop=True)
-    )
+    want = _reference_cells(docs_dir)
     assert list(got.columns) == list(want.columns)
     exact = ["cell_id", "n_tiles", "valid_count", "nodata_count", "min_val", "max_val"]
     pd.testing.assert_frame_equal(got[exact], want[exact], check_exact=True)
     np.testing.assert_allclose(got["avg_tile_mean"], want["avg_tile_mean"], rtol=1e-12)
+
+
+def test_decode_partials_are_the_stats_projection():
+    """``merge_cell_agg``'s input has one format: ``decode_stats(emit=
+    "partials")`` equals ``stages.cell_partials`` of the ``emit="stats"``
+    and ``"stats_hash"`` tables of the same batch bit for bit, for every
+    cell type and both tile shapes. Columns compare by their raw bytes,
+    so an all-NoData tile's NaN mean would have to match too. The stats
+    table is two chunks, as a ``map_batches`` batch can be."""
+    import pyarrow as pa
+    from raycells.cells.ctype import CELL_TYPES
+
+    seeds = np.arange(2 * 16 * 101, dtype=np.int64)
+    big = tilestore.tile_shapes(seeds)[:, 0] != tilestore.TILE_H
+    combos = set(zip(tilestore.tile_cell_types(seeds).tolist(), big.tolist()))
+    assert len(combos) == 2 * len(CELL_TYPES)
+    batch = pa.table({
+        "doc_id": pa.array([f"d{i}" for i in range(seeds.size)]),
+        "span_idx": pa.array(np.zeros(seeds.size, np.int32)),
+        "media_ref": pa.array([f"tile://{s}" for s in seeds]),
+    })
+    got = stages.decode_stats(batch, emit="partials", level=8)
+    half = seeds.size // 2
+    for emit in ("stats", "stats_hash"):
+        stats = pa.concat_tables(
+            [stages.decode_stats(batch.slice(lo, n), emit=emit, level=8)
+             for lo, n in ((0, half), (half, seeds.size - half))]
+        )
+        want = stages.cell_partials(stats)
+        assert got.schema == want.schema, emit
+        for c in got.column_names:
+            assert got[c].null_count == want[c].null_count == 0, (emit, c)
+            assert got[c].to_numpy().tobytes() == want[c].to_numpy().tobytes(), (emit, c)
 
 
 def test_merge_cell_agg_of_no_partials_is_typed(ray_session):
@@ -365,7 +367,7 @@ def test_merge_cell_agg_of_no_partials_is_typed(ray_session):
 
     f64, i64 = pa.float64(), pa.int64()
     partials = pa.schema(
-        [("key", pa.uint64()), ("salt", i64), ("n_tiles", i64), ("sum_mean", f64),
+        [("key", pa.uint64()), ("n_tiles", i64), ("sum_mean", f64),
          ("valid_count", i64), ("nodata_count", i64), ("min_val", f64),
          ("max_val", f64)]
     ).empty_table()
@@ -485,21 +487,37 @@ def test_estimate_salt_adapts_to_skew(ray_session):
 def test_flagship_with_join_requires_out_dir(ray_session, tmp_path):
     """with_join builds a join stream whose only consumer is the sink —
     without out_dir it silently never executed (regression): now it
-    raises, and with out_dir it writes the join output exactly once."""
+    raises. With out_dir its aggregate is the plain flagship's, and the
+    join sink holds exactly the (tile, footprint) hits of a brute-force
+    point-in-polygon test over the decoded tiles."""
     docs_dir = pipeline.docs_dir_for_sf("/root/testdata/sf0.001")
     with pytest.raises(ValueError, match="out_dir"):
         pipeline.flagship(docs_dir, with_join=True)
     out = str(tmp_path / "fj")
-    agg = pipeline.flagship(docs_dir, with_join=True, out_dir=out).to_pandas()
-    assert len(agg) > 0
-    import glob
+
+    def cells(**kw):
+        agg = pipeline.flagship(docs_dir, **kw).to_pandas()
+        return agg.sort_values("cell_id").reset_index(drop=True)
+
+    agg, plain = cells(with_join=True, out_dir=out), cells(with_join=False)
+    assert len(agg) > 0 and list(agg.columns) == list(plain.columns)
+    exact = ["cell_id", "n_tiles", "valid_count", "nodata_count", "min_val", "max_val"]
+    pd.testing.assert_frame_equal(agg[exact], plain[exact], check_exact=True)
+    np.testing.assert_allclose(agg["avg_tile_mean"], plain["avg_tile_mean"], rtol=1e-12)
 
     files = glob.glob(os.path.join(out, "join", "*.parquet"))
     assert files
-    import pyarrow.parquet as pq
-
     joined = pq.read_table(files)
-    assert joined.num_rows > 0
+    got = set(zip(joined["doc_id"].to_pylist(), joined["span_idx"].to_pylist(),
+                  joined["footprint_id"].to_pylist()))
+    assert len(got) == joined.num_rows  # each hit written once
+    tiles = _driver_stats(docs_dir)
+    expect = set()
+    for fid, _, ring in rings_as_numpy(generate_footprints()):
+        hit = points_in_polygon(tiles["lon"].values, tiles["lat"].values, ring)
+        expect.update((d, int(i), fid) for d, i in
+                      zip(tiles["doc_id"][hit], tiles["span_idx"][hit]))
+    assert expect and got == expect
 
 
 def test_block_tables_skips_empty_raises_on_schema_bug():

@@ -3,11 +3,10 @@ bucket exchange (bucket_reduce: key placement for every key kind, the
 reducer's view of the group, the pinned bucket hash, and the
 co-partitioned exchange of several inputs: one call per key, each
 input's own columns and types, typed results on empty inputs, each
-input run once), the two executors
-of one aggregate declaration (fold on the driver, aggregate through the
-exchange: answers against a plain pandas fold and each other, ordering,
-typing, salting; partial_cell_agg against its frozen formula), the one
-block collect (collect_refs), plus a source scan that keeps hand-rolled
+input run once), the two executors of one aggregate declaration (fold
+on the driver, aggregate through the exchange: answers against a plain
+pandas fold and each other, ordering, typing, salting), the one block
+collect (collect_refs), plus a source scan that keeps hand-rolled
 exchanges, tagged unions, driver folds, Ray Data aggregates and direct
 ``to_arrow_refs()`` collects out."""
 
@@ -667,81 +666,6 @@ def test_aggregate_salt_splits_only_map_side_partials():
     # no salt column in the batch: no split
     no_doc = tab.drop_columns(["doc_id"])
     assert shuffle._partial(no_doc, keys, spec, salt=8).num_rows == 200
-
-
-# --- partial_cell_agg ------------------------------------------------------
-
-def _partial_cell_agg_frozen(batch: pa.Table, key: str = "cell_id", salt: int = 8) -> pa.Table:
-    """partial_cell_agg's formula as written before it shared the
-    aggregate combine."""
-    import pandas as pd
-
-    if "doc_id" in batch.column_names:
-        salt_col = pd.util.hash_array(batch["doc_id"].to_numpy(zero_copy_only=False)) % salt
-    else:
-        salt_col = 0
-    df = pd.DataFrame(
-        {
-            "key": batch[key].to_numpy(zero_copy_only=False),
-            "salt": salt_col,
-            "mean_val": batch["mean_val"].to_numpy(zero_copy_only=False),
-            "valid_count": batch["valid_count"].to_numpy(zero_copy_only=False),
-            "nodata_count": batch["nodata_count"].to_numpy(zero_copy_only=False),
-            "min_val": batch["min_val"].to_numpy(zero_copy_only=False),
-            "max_val": batch["max_val"].to_numpy(zero_copy_only=False),
-        }
-    )
-    out = df.groupby(["key", "salt"], sort=False).agg(
-        n_tiles=("mean_val", "size"),
-        sum_mean=("mean_val", "sum"),
-        valid_count=("valid_count", "sum"),
-        nodata_count=("nodata_count", "sum"),
-        min_val=("min_val", "min"),
-        max_val=("max_val", "max"),
-    ).reset_index()
-    return shuffle.from_pandas_clean(out)
-
-
-def _cell_stats_batch(n: int = 6000) -> pa.Table:
-    """Real erased-tile stats (all 10 cell types) keyed by repeating
-    uint64 cell ids on both sides of 2^63, with all-nodata rows (NaN
-    mean/min/max) mixed in."""
-    from raycells.io import tilestore
-
-    rng = np.random.default_rng(11)
-    st = tilestore.synth_tile_stats(np.arange(1, n + 1, dtype=np.int64))
-    cells = rng.integers(0, 1500, n).astype(np.uint64)
-    cells[::3] += np.uint64(2**63)
-    nan = rng.random(n) < 0.05
-    cols = {c: st[c].copy() for c in ("mean_val", "min_val", "max_val")}
-    for v in cols.values():
-        v[nan] = np.nan
-    return pa.table(
-        {
-            "doc_id": pa.array([f"doc-{i}" for i in rng.integers(0, 900, n)]),
-            "cell_id": pa.array(cells, pa.uint64()),
-            **{c: pa.array(v) for c, v in cols.items()},
-            "valid_count": pa.array(st["valid_count"]),
-            "nodata_count": pa.array(st["nodata_count"]),
-        }
-    )
-
-
-def _ipc_bytes(t: pa.Table) -> bytes:
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, t.schema) as w:
-        w.write_table(t)
-    return sink.getvalue().to_pybytes()
-
-
-@pytest.mark.parametrize("salt", [1, 8, 13])
-def test_partial_cell_agg_is_its_frozen_formula(salt):
-    batch = _cell_stats_batch()
-    for b in (batch, batch.drop_columns(["doc_id"])):
-        got = shuffle.partial_cell_agg(b, key="cell_id", salt=salt)
-        want = _partial_cell_agg_frozen(b, key="cell_id", salt=salt)
-        assert got.schema == want.schema
-        assert _ipc_bytes(got) == _ipc_bytes(want)  # byte-identical, NaNs too
 
 
 # --- source scan ---------------------------------------------------------

@@ -476,7 +476,10 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
     key_skew_report one row per key with zero keys and NULL counts.
     event_transitions answers 0 rows, and curation_funnel its four
     stage rows with n_docs 0 and sum_tokens NULL (a COUNT and a SUM per
-    UNION ALL branch)."""
+    UNION ALL branch). survival_table, type_corr_matrix and
+    events_rolling7 fold events first, then run driver code over the
+    fold (a day table, a day × type matrix, a per-type window); each
+    answers 0 rows."""
     import pyarrow.parquet as pq
 
     queries, sqls = contract
@@ -494,7 +497,9 @@ def test_driver_folds_on_empty_tables(ray_session, tmp_path, contract):
                          ("quantiles_qty", 1), ("gap_fill", 0),
                          ("global_stats", 1), ("sample_lineitem", 1),
                          ("ab_test_zscore", 1), ("key_skew_report", 3),
-                         ("event_transitions", 0), ("curation_funnel", 4)):
+                         ("event_transitions", 0), ("curation_funnel", 4),
+                         ("survival_table", 0), ("type_corr_matrix", 0),
+                         ("events_rolling7", 0)):
         got = _norm(_to_df(queries[name](str(tmp_path))))
         want = _norm(con2.sql(sqls[name]).df())
         assert list(got.columns) == list(want.columns), name
